@@ -1,14 +1,19 @@
-"""Experiment configuration: typed parameter groups, JSON loading with strict
-validation, and round-tripping for worker processes."""
+"""Experiment configuration: typed parameter groups and JSON loading with
+strict validation.
+
+The JSON form mirrors the dataclass tree: keys are field names and one
+decoder walks the field annotations. Each dataclass's ``__post_init__`` is
+the only place that checks ranges."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .baselines import GraphMatchConfig, IcpConfig
 from .detection import EvalConfig
@@ -59,6 +64,9 @@ class OracleParams:
     outlier_scale: float = 5.0
     bias_correlation_length: float = 20.0
     error_fidelity: float = 0.9
+
+    def __post_init__(self) -> None:
+        self.build()  # the noise and error models check the ranges
 
     def build(self) -> OracleErrorModel:
         return OracleErrorModel(
@@ -114,6 +122,29 @@ _METHODS = ("pgc", "icp", "graph", "gt-noise")
 _SWEEP_METHODS = ("gt-noise", "pgc", "none")
 
 
+def level_key(level: tuple[float, float]) -> str:
+    """The sweep summary's key for a noise level (sigma_t, sigma_r)."""
+    return f"{level[0]:g}/{level[1]:g}"
+
+
+def threshold_key(threshold: float) -> str:
+    """The sweep summary's key for an IoU threshold."""
+    return f"{threshold:g}"
+
+
+@dataclass(frozen=True)
+class GridParams:
+    width: int = 32
+    height: int = 32
+    resolution: float = 1.25
+
+    def __post_init__(self) -> None:
+        self.spec()  # GridSpec checks the ranges
+
+    def spec(self) -> GridSpec:
+        return GridSpec.centered(self.width, self.height, self.resolution)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
@@ -129,9 +160,7 @@ class ExperimentConfig:
     )
     alignment_noise: tuple[float, float] = (1.0, 1.0)
     downsample_voxel: float = 0.3
-    grid_width: int = 32
-    grid_height: int = 32
-    grid_resolution: float = 1.25
+    grid: GridParams = field(default_factory=GridParams)
     scenario: ScenarioParams = field(default_factory=ScenarioParams)
     oracle: OracleParams = field(default_factory=OracleParams)
     ransac: RansacConfig = field(default_factory=RansacConfig)
@@ -139,8 +168,7 @@ class ExperimentConfig:
     graph: GraphMatchConfig = field(default_factory=GraphMatchConfig)
     search: OffsetSearch = field(
         default_factory=lambda: OffsetSearch(
-            max_xy=1.25, step_xy=0.625, max_theta=0.0, step_theta=math.radians(2.0),
-            min_gain=0.02
+            max_xy=1.25, step_xy=0.625, max_theta_deg=0.0, step_theta_deg=2.0, min_gain=0.02
         )
     )
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -148,314 +176,107 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.num_scenarios < 1 or self.frames < 1:
             raise ConfigError("num_scenarios and frames must be positive")
         if self.downsample_voxel <= 0.0:
             raise ConfigError("downsample_voxel must be positive")
+        if not self.methods:
+            raise ConfigError("at least one method is required")
         for m in self.methods:
             if m not in _METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {sorted(_METHODS)}")
-        if not self.methods:
-            raise ConfigError("at least one method is required")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError("methods must not repeat")
+        if not self.noise_levels:
+            raise ConfigError("at least one noise level is required")
         for level in self.noise_levels:
             if len(level) != 2 or level[0] < 0.0 or level[1] < 0.0:
                 raise ConfigError("noise_levels entries must be [sigma_t, sigma_r] >= 0")
+        if len(self.alignment_noise) != 2 or min(self.alignment_noise) < 0.0:
+            raise ConfigError("alignment_noise must be [sigma_t, sigma_r] >= 0")
+        # the sweep summary is keyed by these strings; a collision would pool two levels
+        if len({level_key(lv) for lv in self.noise_levels}) != len(self.noise_levels):
+            raise ConfigError("noise_levels must differ when printed with :g (the summary keys)")
+        thresholds = self.eval.iou_thresholds
+        if len({threshold_key(t) for t in thresholds}) != len(thresholds):
+            raise ConfigError("iou_thresholds must differ when printed with :g (the summary keys)")
 
     def grid_spec(self) -> GridSpec:
-        return GridSpec.centered(self.grid_width, self.grid_height, self.grid_resolution)
+        return self.grid.spec()
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "num_scenarios": self.num_scenarios,
-            "frames": self.frames,
-            "methods": list(self.methods),
-            "noise_levels": [list(lv) for lv in self.noise_levels],
-            "alignment_noise": list(self.alignment_noise),
-            "downsample_voxel": self.downsample_voxel,
-            "grid": {
-                "width": self.grid_width,
-                "height": self.grid_height,
-                "resolution": self.grid_resolution,
-            },
-            "scenario": {
-                "num_agents": self.scenario.num_agents,
-                "num_objects": self.scenario.num_objects,
-                "world_size": self.scenario.world_size,
-                "sensing_range": self.scenario.sensing_range,
-                "co_visible": self.scenario.co_visible,
-                "points_per_box": self.scenario.points_per_box,
-                "ground_points": self.scenario.ground_points,
-                "min_agent_distance": self.scenario.min_agent_distance,
-                "max_agent_distance": self.scenario.max_agent_distance,
-                "occluder_radius": self.scenario.occluder_radius,
-            },
-            "oracle": {
-                "inlier_sigma": self.oracle.inlier_sigma,
-                "outlier_fraction": self.oracle.outlier_fraction,
-                "outlier_scale": self.oracle.outlier_scale,
-                "bias_correlation_length": self.oracle.bias_correlation_length,
-                "error_fidelity": self.oracle.error_fidelity,
-            },
-            "ransac": {
-                "max_iterations": self.ransac.max_iterations,
-                "inlier_threshold": self.ransac.inlier_threshold,
-                "sample_size": self.ransac.sample_size,
-                "min_inliers": self.ransac.min_inliers,
-                "confidence_stop": self.ransac.confidence_stop,
-            },
-            "icp": {
-                "max_iterations": self.icp.max_iterations,
-                "convergence_eps": self.icp.convergence_eps,
-                "max_correspondence_dist": self.icp.max_correspondence_dist,
-            },
-            "graph": {
-                "edge_consistency_eps": self.graph.edge_consistency_eps,
-                "min_consensus": self.graph.min_consensus,
-            },
-            "search": {
-                "max_xy": self.search.max_xy,
-                "step_xy": self.search.step_xy,
-                "max_theta_deg": math.degrees(self.search.max_theta),
-                "step_theta_deg": math.degrees(self.search.step_theta),
-                "min_gain": self.search.min_gain,
-            },
-            "encoder": {
-                "dim": self.encoder.dim,
-                "heads": self.encoder.heads,
-                "layers": self.encoder.layers,
-                "hidden": self.encoder.hidden,
-                "mode": self.encoder.mode,
-            },
-            "head": {
-                "height_gain": self.head.height_gain,
-                "height_floor": self.head.height_floor,
-                "nominal_z": self.head.nominal_z,
-                "nominal_h": self.head.nominal_h,
-                "nominal_w": self.head.nominal_w,
-                "nominal_l": self.head.nominal_l,
-                "nms_iou": self.head.nms_iou,
-            },
-            "eval": {
-                "iou_thresholds": list(self.eval.iou_thresholds),
-                "score_threshold": self.eval.score_threshold,
-            },
-        }
+        """The JSON form: field names as keys, tuples as lists once dumped."""
+        return dataclasses.asdict(self)
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    return dict(value)
+@functools.cache
+def _field_types(cls: type) -> dict:
+    """Resolved annotation of each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _pop_number(d: dict, key: str, default, minimum=None, maximum=None, integer=False):
-    value = d.pop(key, default)
-    if value is None:
-        return None
+def _merge(base, raw, path: str):
+    """``base`` with the fields named in the JSON object ``raw`` decoded and
+    replaced; every other field keeps the value ``base`` has."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object")
+    types_ = _field_types(type(base))
+    unknown = sorted(set(raw) - set(types_))
+    if unknown:
+        raise ConfigError(f"unknown keys in {path or 'config root'}: {unknown}")
+    changes = {
+        name: _decode(types_[name], getattr(base, name), value, f"{path}.{name}" if path else name)
+        for name, value in raw.items()
+    }
+    try:
+        return dataclasses.replace(base, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
+def _decode(tp, default, value, path: str):
+    """The JSON value ``value`` as an instance of annotation ``tp``."""
+    if dataclasses.is_dataclass(tp):
+        return _merge(default, value, path)
+    if type(None) in typing.get_args(tp):  # X | None
+        if value is None:
+            return None
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ConfigError(f"{path} must have {len(items)} entries")
+        return tuple(_decode(t, None, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if tp is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path} must be a string")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number")
-    if integer:
-        if int(value) != value:
-            raise ConfigError(f"{key} must be an integer")
-        value = int(value)
-    else:
-        value = float(value)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{key} must be <= {maximum}")
-    return value
-
-
-def _reject_unknown(d: dict, context: str) -> None:
-    if d:
-        raise ConfigError(f"unknown keys in {context}: {sorted(d)}")
+        raise ConfigError(f"{path} must be a number")
+    if tp is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{path} must be an integer")
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be finite")
+    return number
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from parsed JSON. Unknown keys are
-    rejected so typos fail loudly."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    raw = dict(raw)
-
-    seed = _pop_number(raw, "seed", 0, integer=True)
-    num_scenarios = _pop_number(raw, "num_scenarios", 100, minimum=1, integer=True)
-    frames = _pop_number(raw, "frames", 1, minimum=1, integer=True)
-    downsample_voxel = _pop_number(raw, "downsample_voxel", 0.3, minimum=1e-9)
-
-    methods = raw.pop("methods", list(_METHODS))
-    if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
-        raise ConfigError("methods must be a list of strings")
-
-    levels_raw = raw.pop("noise_levels", [[0, 0], [1, 1], [2, 2], [3, 3], [4, 4]])
-    if not isinstance(levels_raw, (list, tuple)) or not levels_raw:
-        raise ConfigError("noise_levels must be a non-empty list")
-    levels = []
-    for entry in levels_raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ConfigError("noise_levels entries must be [sigma_t, sigma_r]")
-        levels.append((float(entry[0]), float(entry[1])))
-
-    align_noise = raw.pop("alignment_noise", [1.0, 1.0])
-    if not isinstance(align_noise, (list, tuple)) or len(align_noise) != 2:
-        raise ConfigError("alignment_noise must be [sigma_t, sigma_r]")
-
-    grid = _section(raw, "grid")
-    raw.pop("grid", None)
-    grid_width = _pop_number(grid, "width", 32, minimum=1, integer=True)
-    grid_height = _pop_number(grid, "height", 32, minimum=1, integer=True)
-    grid_resolution = _pop_number(grid, "resolution", 1.25, minimum=1e-9)
-    _reject_unknown(grid, "grid")
-
-    sc = _section(raw, "scenario")
-    raw.pop("scenario", None)
-    co_visible = _pop_number(sc, "co_visible", None, minimum=0, integer=True)
-    scenario = ScenarioParams(
-        num_agents=_pop_number(sc, "num_agents", 2, minimum=1, integer=True),
-        num_objects=_pop_number(sc, "num_objects", 8, minimum=0, integer=True),
-        world_size=_pop_number(sc, "world_size", 80.0, minimum=1e-9),
-        sensing_range=_pop_number(sc, "sensing_range", 25.0, minimum=1e-9),
-        co_visible=co_visible,
-        points_per_box=_pop_number(sc, "points_per_box", 120, minimum=1, integer=True),
-        ground_points=_pop_number(sc, "ground_points", 400, minimum=0, integer=True),
-        min_agent_distance=_pop_number(sc, "min_agent_distance", 12.0, minimum=1e-9),
-        max_agent_distance=_pop_number(sc, "max_agent_distance", 20.0, minimum=1e-9),
-        occluder_radius=_pop_number(sc, "occluder_radius", 1.2, minimum=0.0),
-    )
-    _reject_unknown(sc, "scenario")
-
-    oc = _section(raw, "oracle")
-    raw.pop("oracle", None)
-    oracle = OracleParams(
-        inlier_sigma=_pop_number(oc, "inlier_sigma", 0.02, minimum=0.0),
-        outlier_fraction=_pop_number(oc, "outlier_fraction", 0.3, minimum=0.0, maximum=1.0),
-        outlier_scale=_pop_number(oc, "outlier_scale", 5.0, minimum=0.0),
-        bias_correlation_length=_pop_number(oc, "bias_correlation_length", 20.0, minimum=0.0),
-        error_fidelity=_pop_number(oc, "error_fidelity", 0.9, minimum=0.0, maximum=1.0),
-    )
-    _reject_unknown(oc, "oracle")
-
-    rc = _section(raw, "ransac")
-    raw.pop("ransac", None)
-    try:
-        ransac = RansacConfig(
-            max_iterations=_pop_number(rc, "max_iterations", 256, minimum=1, integer=True),
-            inlier_threshold=_pop_number(rc, "inlier_threshold", 0.5, minimum=1e-12),
-            sample_size=_pop_number(rc, "sample_size", 3, minimum=3, integer=True),
-            min_inliers=_pop_number(rc, "min_inliers", 10, minimum=3, integer=True),
-            confidence_stop=_pop_number(rc, "confidence_stop", 0.999, minimum=0.0, maximum=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _reject_unknown(rc, "ransac")
-
-    ic = _section(raw, "icp")
-    raw.pop("icp", None)
-    try:
-        icp = IcpConfig(
-            max_iterations=_pop_number(ic, "max_iterations", 30, minimum=1, integer=True),
-            convergence_eps=_pop_number(ic, "convergence_eps", 1e-4, minimum=1e-12),
-            max_correspondence_dist=_pop_number(ic, "max_correspondence_dist", 5.0, minimum=1e-9),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _reject_unknown(ic, "icp")
-
-    gc = _section(raw, "graph")
-    raw.pop("graph", None)
-    try:
-        graph = GraphMatchConfig(
-            edge_consistency_eps=_pop_number(gc, "edge_consistency_eps", 0.3, minimum=1e-12),
-            min_consensus=_pop_number(gc, "min_consensus", 3, minimum=3, integer=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _reject_unknown(gc, "graph")
-
-    se = _section(raw, "search")
-    raw.pop("search", None)
-    try:
-        search = OffsetSearch(
-            max_xy=_pop_number(se, "max_xy", 1.25, minimum=0.0),
-            step_xy=_pop_number(se, "step_xy", 0.625, minimum=1e-12),
-            max_theta=math.radians(_pop_number(se, "max_theta_deg", 0.0, minimum=0.0)),
-            step_theta=math.radians(_pop_number(se, "step_theta_deg", 2.0, minimum=1e-12)),
-            min_gain=_pop_number(se, "min_gain", 0.02, minimum=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _reject_unknown(se, "search")
-
-    en = _section(raw, "encoder")
-    raw.pop("encoder", None)
-    mode = en.pop("mode", "passthrough")
-    if not isinstance(mode, str):
-        raise ConfigError("encoder mode must be a string")
-    encoder = EncoderConfig(
-        dim=_pop_number(en, "dim", 8, minimum=2, integer=True),
-        heads=_pop_number(en, "heads", 2, minimum=1, integer=True),
-        layers=_pop_number(en, "layers", 1, minimum=0, integer=True),
-        hidden=_pop_number(en, "hidden", 16, minimum=1, integer=True),
-        mode=mode,
-    )
-    _reject_unknown(en, "encoder")
-
-    hd = _section(raw, "head")
-    raw.pop("head", None)
-    head = HeadConfig(
-        height_gain=_pop_number(hd, "height_gain", 2.0, minimum=1e-12),
-        height_floor=_pop_number(hd, "height_floor", 0.4),
-        nominal_z=_pop_number(hd, "nominal_z", 0.8),
-        nominal_h=_pop_number(hd, "nominal_h", 1.6, minimum=1e-12),
-        nominal_w=_pop_number(hd, "nominal_w", 2.2, minimum=1e-12),
-        nominal_l=_pop_number(hd, "nominal_l", 3.6, minimum=1e-12),
-        nms_iou=_pop_number(hd, "nms_iou", 0.5, minimum=1e-12, maximum=1.0 - 1e-12),
-    )
-    _reject_unknown(hd, "head")
-
-    ev = _section(raw, "eval")
-    raw.pop("eval", None)
-    thr_raw = ev.pop("iou_thresholds", [0.3, 0.5, 0.7])
-    if not isinstance(thr_raw, (list, tuple)) or not thr_raw:
-        raise ConfigError("iou_thresholds must be a non-empty list")
-    try:
-        eval_cfg = EvalConfig(
-            iou_thresholds=tuple(float(t) for t in thr_raw),
-            score_threshold=_pop_number(ev, "score_threshold", 0.25, minimum=0.0, maximum=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _reject_unknown(ev, "eval")
-
-    _reject_unknown(raw, "config root")
-
-    try:
-        return ExperimentConfig(
-            seed=seed,
-            num_scenarios=num_scenarios,
-            frames=frames,
-            methods=tuple(methods),
-            noise_levels=tuple(levels),
-            alignment_noise=(float(align_noise[0]), float(align_noise[1])),
-            downsample_voxel=downsample_voxel,
-            grid_width=grid_width,
-            grid_height=grid_height,
-            grid_resolution=grid_resolution,
-            scenario=scenario,
-            oracle=oracle,
-            ransac=ransac,
-            icp=icp,
-            graph=graph,
-            search=search,
-            encoder=encoder,
-            head=head,
-            eval=eval_cfg,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """Build a validated ExperimentConfig from parsed JSON. Keys are the
+    dataclass field names; an omitted key keeps its default, and unknown keys
+    are rejected so typos fail loudly."""
+    return _merge(ExperimentConfig(), raw, "")
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

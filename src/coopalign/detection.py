@@ -72,6 +72,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ValueError("score_threshold must lie in [0, 1]")
+        if not self.iou_thresholds:
+            raise ValueError("at least one iou threshold is required")
         for t in self.iou_thresholds:
             if not 0.0 < t < 1.0:
                 raise ValueError("iou thresholds must lie in (0, 1)")

@@ -224,18 +224,19 @@ class OffsetSearch:
     min_gain is an evidence margin: a non-zero candidate is adopted only when
     its correlation beats the zero-offset correlation by at least this much,
     which keeps the estimator from twitching on rasterization differences
-    between two views of the same scene."""
+    between two views of the same scene. Angles are stored in degrees, as
+    configs state them, and converted once in theta_values."""
 
     max_xy: float = 2.0
     step_xy: float = 0.5
-    max_theta: float = math.radians(10.0)
-    step_theta: float = math.radians(2.5)
+    max_theta_deg: float = 10.0
+    step_theta_deg: float = 2.5
     min_gain: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.step_xy <= 0.0 or self.step_theta <= 0.0:
+        if self.step_xy <= 0.0 or self.step_theta_deg <= 0.0:
             raise ValueError("search steps must be positive")
-        if self.max_xy < 0.0 or self.max_theta < 0.0:
+        if self.max_xy < 0.0 or self.max_theta_deg < 0.0:
             raise ValueError("search ranges must be non-negative")
         if self.min_gain < 0.0:
             raise ValueError("min_gain must be non-negative")
@@ -245,8 +246,10 @@ class OffsetSearch:
         return self.step_xy * np.arange(-n, n + 1)
 
     def theta_values(self) -> np.ndarray:
-        n = int(round(self.max_theta / self.step_theta))
-        return self.step_theta * np.arange(-n, n + 1)
+        """Candidate rotations in radians."""
+        step = math.radians(self.step_theta_deg)
+        n = int(round(math.radians(self.max_theta_deg) / step))
+        return step * np.arange(-n, n + 1)
 
 
 def _ncc(a: np.ndarray, b_centered: np.ndarray, b_norm: float) -> float:
@@ -484,8 +487,10 @@ def deserialize_grid(blob: bytes) -> BevGrid:
     magic_len = len(BEV_GRID_MAGIC)
     if blob[:magic_len] != BEV_GRID_MAGIC:
         raise ValueError("bad grid magic")
-    h, w, c, res, ox, oy = struct.unpack_from("<iiiddd", blob, magic_len)
     offset = magic_len + struct.calcsize("<iiiddd")
+    if len(blob) < offset:
+        raise ValueError("truncated grid header")
+    h, w, c, res, ox, oy = struct.unpack_from("<iiiddd", blob, magic_len)
     expected = c * h * w * 4
     body = blob[offset:]
     if len(body) != expected:

@@ -8,7 +8,7 @@ every artifact except the timing sidecar is reproducible byte for byte.
 from __future__ import annotations
 
 import csv
-import dataclasses
+import functools
 import json
 import logging
 import math
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BoxObservation, GraphMatchConfig, graph_match_align, icp_align
-from .config import ExperimentConfig, SWEEP_METHODS, config_from_dict
+from .config import ExperimentConfig, SWEEP_METHODS, level_key, threshold_key
 from .detection import (
     Detection,
     EvalConfig,
@@ -385,8 +385,7 @@ def _estimate_agent_pose(
     sampled = voxel_downsample(agent.cloud, cfg.downsample_voxel)
     rng = np.random.default_rng((scenario.seed, tag_oracle, frame, agent_idx))
     pred = oracle_predict(sampled, agent.gt_pose, cfg.oracle.build(), rng)
-    rcfg = dataclasses.replace(cfg.ransac, seed=_derived_seed(scenario.seed, tag_ransac, frame, agent_idx))
-    return ransac_pose(pred, rcfg)
+    return ransac_pose(pred, cfg.ransac, _derived_seed(scenario.seed, tag_ransac, frame, agent_idx))
 
 
 def _noisy_agent_pose(
@@ -706,19 +705,13 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
     return rows
 
 
-def _benchmark_worker(args) -> list[AlignmentRow]:
-    cfg_dict, scenario_id = args
-    return _benchmark_scenario(config_from_dict(cfg_dict), scenario_id)
-
-
 def run_alignment_benchmark(cfg: ExperimentConfig, parallel: int = 1) -> AlignmentReport:
     """Relative pose estimation across methods over generated scenarios."""
     logger.info("alignment benchmark: %d scenarios, %d worker(s)", cfg.num_scenarios, parallel)
     rows: list[AlignmentRow] = []
     if parallel > 1:
-        cfg_dict = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for chunk in pool.map(_benchmark_worker, [(cfg_dict, i) for i in range(cfg.num_scenarios)]):
+            for chunk in pool.map(functools.partial(_benchmark_scenario, cfg), range(cfg.num_scenarios)):
                 rows.extend(chunk)
     else:
         for i in range(cfg.num_scenarios):
@@ -746,7 +739,7 @@ class SweepReport:
     pooled: dict  # method -> "st/sr" -> "thr" -> ap
 
     def pooled_ap(self, method: str, level: tuple[float, float], threshold: float) -> float:
-        return self.pooled[method][f"{level[0]:g}/{level[1]:g}"][f"{threshold:g}"]
+        return self.pooled[method][level_key(level)][threshold_key(threshold)]
 
 
 def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int):
@@ -759,11 +752,6 @@ def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int):
             gts = [b.as_list() for b in result.targets]
             out[(method, level_idx)] = (dets, gts)
     return scenario_id, out
-
-
-def _sweep_worker(args):
-    cfg_dict, scenario_id = args
-    return _sweep_scenario(config_from_dict(cfg_dict), scenario_id)
 
 
 def _rebuild(dets_rows, gt_rows):
@@ -786,9 +774,8 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
     )
     results = {}
     if parallel > 1:
-        cfg_dict = cfg.to_dict()
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for scenario_id, data in pool.map(_sweep_worker, [(cfg_dict, i) for i in range(cfg.num_scenarios)]):
+            for scenario_id, data in pool.map(functools.partial(_sweep_scenario, cfg), range(cfg.num_scenarios)):
                 results[scenario_id] = data
     else:
         for i in range(cfg.num_scenarios):
@@ -808,9 +795,8 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
                 frames.append((dets, gts))
                 for thr in cfg.eval.iou_thresholds:
                     rows.append(SweepRow(i, method, st, sr, thr, average_precision(dets, gts, thr)))
-            level_key = f"{st:g}/{sr:g}"
-            pooled[method][level_key] = {
-                f"{thr:g}": pooled_average_precision(frames, thr) for thr in cfg.eval.iou_thresholds
+            pooled[method][level_key((st, sr))] = {
+                threshold_key(thr): pooled_average_precision(frames, thr) for thr in cfg.eval.iou_thresholds
             }
     return SweepReport(rows=rows, pooled=pooled)
 

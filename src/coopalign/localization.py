@@ -80,7 +80,6 @@ class RansacConfig:
     sample_size: int = 3
     min_inliers: int = 10
     confidence_stop: float = 0.999
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -254,11 +253,11 @@ def kabsch_solve(local: PointCloud | np.ndarray, world: PointCloud | np.ndarray)
     return _kabsch_arrays(lp, wp)
 
 
-def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig) -> PoseEstimate | None:
+def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) -> PoseEstimate | None:
     """RANSAC rigid solve over predicted correspondences.
 
     Each iteration draws its minimal sample from an iteration-indexed
-    substream of cfg.seed, so results are bitwise reproducible and independent
+    substream of seed, so results are bitwise reproducible and independent
     of evaluation order. The best hypothesis is the one with the most inliers,
     ties broken by lower mean inlier residual, then earlier iteration. Stops
     early once the standard (1 - (1 - w^s)^k) bound reaches confidence_stop.
@@ -276,7 +275,7 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig) -> PoseEstimate |
     needed = float(cfg.max_iterations)
 
     for it in range(cfg.max_iterations):
-        rng_it = np.random.default_rng((cfg.seed, it))
+        rng_it = np.random.default_rng((seed, it))
         idx = rng_it.choice(n, size=cfg.sample_size, replace=False)
         try:
             pose = _kabsch_arrays(local[idx], world[idx])

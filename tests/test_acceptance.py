@@ -103,7 +103,7 @@ def test_c03_ransac_recovery_rate():
             cloud = PointCloud(rng.uniform(-10.0, 10.0, size=(1024, 3)))
             gt = Pose.from_planar(*rng.uniform(-5.0, 5.0, size=2), rng.uniform(-3.0, 3.0))
             pred = oracle_predict(cloud, gt, model, rng)
-            est = ransac_pose(pred, RansacConfig(seed=trial))
+            est = ransac_pose(pred, RansacConfig(), seed=trial)
             assert est is not None
             t_err, r_err = pose_error(est.pose, gt)
             if t_err < 0.1 and r_err < 0.5:
@@ -271,7 +271,7 @@ def test_c09_offset_search_recovery():
         spec = GridSpec.centered(40, 40, 0.5)
         search = OffsetSearch(
             max_xy=2.0, step_xy=0.5,
-            max_theta=math.radians(10.0), step_theta=math.radians(2.5),
+            max_theta_deg=10.0, step_theta_deg=2.5,
             min_gain=0.0,
         )
         rng = np.random.default_rng(901)

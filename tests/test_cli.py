@@ -143,3 +143,112 @@ def test_console_script_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "alignment benchmark" in proc.stderr  # info logging reaches stderr
     assert (tmp_path / "out" / "alignment_results.csv").exists()
+
+
+_NAN = float("nan")
+
+# Inputs that once exited 2 with a traceback, or were silently accepted.
+_INVALID_CONFIGS = {
+    "negative seed": {"seed": -1},
+    "negative alignment_noise": {"alignment_noise": [-1.0, 1.0]},
+    "NaN alignment_noise": {"alignment_noise": [_NAN, 1.0]},
+    "string noise level": {"noise_levels": [["a", 1.0]]},
+    "NaN downsample_voxel": {"downsample_voxel": _NAN},
+    "boolean noise level": {"noise_levels": [[True, 1.0]]},
+    "repeated method": {"methods": ["gt-noise", "gt-noise"]},
+    "colliding noise levels": {"noise_levels": [[3, 3], [3.0000001, 3]]},
+    "repeated noise level": {"noise_levels": [[1.0, 1.0], [1.0, 1.0]]},
+    "colliding iou thresholds": {"eval": {"iou_thresholds": [0.3, 0.3000001]}},
+    "empty iou thresholds": {"eval": {"iou_thresholds": []}},
+    "empty noise levels": {"noise_levels": []},
+    "empty methods": {"methods": []},
+    "infinite search range": {"search": {"max_xy": float("inf")}},
+    "boolean count": {"num_scenarios": True},
+    "fractional count": {"frames": 1.5},
+    "radians key": {"search": {"max_theta": 0.1}},
+    "ransac seed": {"ransac": {"seed": 3}},
+    "section not an object": {"grid": [32, 32]},
+    "root not an object": [1, 2],
+}
+
+# One out-of-range value for every key that has a bound.
+_OUT_OF_RANGE = {
+    "seed": -1,
+    "num_scenarios": 0,
+    "frames": 0,
+    "downsample_voxel": 0.0,
+    "alignment_noise": [0.0, -1.0],
+    "noise_levels": [[-1.0, 0.0]],
+    "grid.width": 0,
+    "grid.height": 0,
+    "grid.resolution": 0.0,
+    "scenario.num_agents": 0,
+    "scenario.num_objects": -1,
+    "scenario.world_size": 0.0,
+    "scenario.sensing_range": 0.0,
+    "scenario.co_visible": -1,
+    "scenario.points_per_box": 0,
+    "scenario.ground_points": -1,
+    "scenario.min_agent_distance": 0.0,
+    "scenario.max_agent_distance": 5.0,
+    "scenario.occluder_radius": -1.0,
+    "oracle.inlier_sigma": -1.0,
+    "oracle.outlier_fraction": 1.5,
+    "oracle.outlier_scale": -1.0,
+    "oracle.bias_correlation_length": -1.0,
+    "oracle.error_fidelity": 1.5,
+    "ransac.max_iterations": 0,
+    "ransac.inlier_threshold": 0.0,
+    "ransac.sample_size": 2,
+    "ransac.min_inliers": 2,
+    "ransac.confidence_stop": 1.5,
+    "icp.max_iterations": 0,
+    "icp.convergence_eps": 0.0,
+    "icp.max_correspondence_dist": 0.0,
+    "graph.edge_consistency_eps": 0.0,
+    "graph.min_consensus": 2,
+    "search.max_xy": -1.0,
+    "search.step_xy": 0.0,
+    "search.max_theta_deg": -1.0,
+    "search.step_theta_deg": 0.0,
+    "search.min_gain": -1.0,
+    "encoder.dim": 0,
+    "encoder.heads": 0,
+    "encoder.layers": -1,
+    "encoder.hidden": 0,
+    "head.height_gain": 0.0,
+    "head.nominal_h": 0.0,
+    "head.nominal_w": 0.0,
+    "head.nominal_l": 0.0,
+    "head.nms_iou": 1.0,
+    "eval.iou_thresholds": [1.0],
+    "eval.score_threshold": 1.5,
+}
+
+
+def _nested(path: str, value) -> dict:
+    section, _, key = path.rpartition(".")
+    return {section: {key: value}} if section else {key: value}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [*_INVALID_CONFIGS.values(), *(_nested(k, v) for k, v in _OUT_OF_RANGE.items())],
+    ids=[*_INVALID_CONFIGS, *_OUT_OF_RANGE],
+)
+def test_invalid_config_exits_one(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["align", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--methods", "pgc,pgc"], ["--methods", ","]])
+def test_invalid_flags_exit_one(tmp_path, capsys, flags):
+    assert main(["align", *flags, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "Traceback" not in err

@@ -1,17 +1,25 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopalign.config import (
     BENCHMARK_METHODS,
     ConfigError,
     EncoderConfig,
     ExperimentConfig,
+    GridParams,
     ScenarioParams,
     SWEEP_METHODS,
     config_from_dict,
+    level_key,
     load_config,
+    threshold_key,
 )
+from coopalign.detection import EvalConfig
+from coopalign.fusion import OffsetSearch
 
 
 def test_defaults_are_valid():
@@ -83,3 +91,116 @@ def test_partial_override_dict():
     # untouched groups keep their defaults
     assert cfg.scenario.sensing_range == 25.0
     assert cfg.encoder.mode == "passthrough"
+
+
+# ExperimentConfig().to_dict() as JSON; the schema and every default are pinned
+_DEFAULT_JSON = {
+    "seed": 0,
+    "num_scenarios": 100,
+    "frames": 1,
+    "methods": ["pgc", "icp", "graph", "gt-noise"],
+    "noise_levels": [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]],
+    "alignment_noise": [1.0, 1.0],
+    "downsample_voxel": 0.3,
+    "grid": {"width": 32, "height": 32, "resolution": 1.25},
+    "scenario": {
+        "num_agents": 2, "num_objects": 8, "world_size": 80.0, "sensing_range": 25.0,
+        "co_visible": None, "points_per_box": 120, "ground_points": 400,
+        "min_agent_distance": 12.0, "max_agent_distance": 20.0, "occluder_radius": 1.2,
+    },
+    "oracle": {
+        "inlier_sigma": 0.02, "outlier_fraction": 0.3, "outlier_scale": 5.0,
+        "bias_correlation_length": 20.0, "error_fidelity": 0.9,
+    },
+    "ransac": {
+        "max_iterations": 256, "inlier_threshold": 0.5, "sample_size": 3,
+        "min_inliers": 10, "confidence_stop": 0.999,
+    },
+    "icp": {"max_iterations": 30, "convergence_eps": 0.0001, "max_correspondence_dist": 5.0},
+    "graph": {"edge_consistency_eps": 0.3, "min_consensus": 3},
+    "search": {"max_xy": 1.25, "step_xy": 0.625, "max_theta_deg": 0.0, "step_theta_deg": 2.0, "min_gain": 0.02},
+    "encoder": {"dim": 8, "heads": 2, "layers": 1, "hidden": 16, "mode": "passthrough"},
+    "head": {
+        "height_gain": 2.0, "height_floor": 0.4, "nominal_z": 0.8, "nominal_h": 1.6,
+        "nominal_w": 2.2, "nominal_l": 3.6, "nms_iou": 0.5,
+    },
+    "eval": {"iou_thresholds": [0.3, 0.5, 0.7], "score_threshold": 0.25},
+}
+
+
+def _key_paths(d: dict, prefix: str = "") -> list[str]:
+    paths = []
+    for key, value in d.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths.extend(_key_paths(value, prefix + key + "."))
+    return paths
+
+
+def test_default_json_is_pinned():
+    as_json = json.loads(json.dumps(ExperimentConfig().to_dict()))
+    assert as_json == _DEFAULT_JSON
+    assert _key_paths(as_json) == _key_paths(_DEFAULT_JSON)
+    assert len(_key_paths(as_json)) == 64
+    assert config_from_dict(_DEFAULT_JSON) == ExperimentConfig()
+
+
+def _json_round_trip(cfg: ExperimentConfig) -> ExperimentConfig:
+    return config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+
+
+def test_round_trip_exact_for_every_half_degree_angle():
+    # radians(degrees(x)) != x for some of these (1.5, 3, 6, 12 degrees, ...)
+    base = ExperimentConfig()
+    for k in range(1, 200):
+        search = dataclasses.replace(base.search, max_theta_deg=k / 2, step_theta_deg=k / 2)
+        cfg = dataclasses.replace(base, search=search)
+        back = _json_round_trip(cfg)
+        assert back == cfg
+        assert back.search.theta_values().tobytes() == cfg.search.theta_values().tobytes()
+
+
+_nonneg = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False)
+_half_degrees = st.integers(min_value=1, max_value=199).map(lambda k: k / 2)
+
+
+@st.composite
+def _valid_configs(draw) -> ExperimentConfig:
+    methods = draw(st.permutations(BENCHMARK_METHODS))[: draw(st.integers(min_value=1, max_value=4))]
+    num_objects = draw(st.integers(min_value=0, max_value=12))
+    return ExperimentConfig(
+        seed=draw(st.integers(min_value=0, max_value=2**64)),
+        num_scenarios=draw(st.integers(min_value=1, max_value=500)),
+        frames=draw(st.integers(min_value=1, max_value=4)),
+        methods=tuple(methods),
+        noise_levels=tuple(draw(st.lists(st.tuples(_nonneg, _nonneg), min_size=1, max_size=4, unique_by=level_key))),
+        alignment_noise=draw(st.tuples(_nonneg, _nonneg)),
+        downsample_voxel=draw(_positive),
+        grid=GridParams(draw(st.integers(1, 64)), draw(st.integers(1, 64)), draw(_positive)),
+        scenario=ScenarioParams(
+            num_objects=num_objects,
+            co_visible=draw(st.none() | st.integers(min_value=0, max_value=num_objects)),
+            world_size=draw(_positive),
+            occluder_radius=draw(_nonneg),
+        ),
+        search=OffsetSearch(
+            max_xy=draw(_nonneg),
+            step_xy=draw(_positive),
+            max_theta_deg=draw(st.just(0.0) | _half_degrees),
+            step_theta_deg=draw(_half_degrees),
+            min_gain=draw(_nonneg),
+        ),
+        eval=EvalConfig(
+            iou_thresholds=tuple(draw(st.lists(
+                st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=3, unique_by=threshold_key
+            ))),
+            score_threshold=draw(st.floats(min_value=0.0, max_value=1.0)),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_configs())
+def test_round_trip_exact_for_drawn_configs(cfg):
+    assert _json_round_trip(cfg) == cfg

@@ -186,7 +186,7 @@ def test_offset_delta_normalizes_angle_and_inverts():
 
 
 def test_offset_search_grids():
-    s = OffsetSearch(max_xy=2.0, step_xy=0.5, max_theta=math.radians(10), step_theta=math.radians(2.5))
+    s = OffsetSearch(max_xy=2.0, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5)
     np.testing.assert_allclose(s.xy_values(), np.arange(-4, 5) * 0.5)
     assert len(s.theta_values()) == 9
     assert abs(s.theta_values()[0] + math.radians(10)) < 1e-12
@@ -198,7 +198,7 @@ def test_offset_search_grids():
 
 def test_estimate_offset_recovers_injected_shift():
     rng = np.random.default_rng(40)
-    search = OffsetSearch(max_xy=1.5, step_xy=0.5, max_theta=0.0, step_theta=math.radians(2.5))
+    search = OffsetSearch(max_xy=1.5, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=2.5)
     for _ in range(5):
         ego = blob_grid(rng)
         true = OffsetDelta(
@@ -215,7 +215,7 @@ def test_estimate_offset_recovers_injected_shift():
 def test_estimate_offset_recovers_rotation():
     rng = np.random.default_rng(41)
     ego = blob_grid(rng)
-    search = OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta=math.radians(10), step_theta=math.radians(2.5))
+    search = OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5)
     true = OffsetDelta(0.0, 0.0, math.radians(5.0))
     nbr = warp_grid(ego, true.as_pose2d())
     est = estimate_offset(ego, nbr, search)
@@ -227,7 +227,7 @@ def test_estimate_offset_min_gain_suppresses_twitch():
     ego = blob_grid(rng)
     # neighbor view of the same scene with slight value noise
     noisy = BevGrid(ego.spec, ego.data + rng.normal(0.0, 1e-4, size=ego.data.shape))
-    search = OffsetSearch(max_xy=1.0, step_xy=0.5, max_theta=0.0, step_theta=math.radians(2.5), min_gain=0.02)
+    search = OffsetSearch(max_xy=1.0, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=2.5, min_gain=0.02)
     est = estimate_offset(ego, noisy, search)
     assert est.norm() == 0.0
 
@@ -237,7 +237,7 @@ def test_estimate_offset_channel_selection_and_errors():
     spec = GridSpec.centered(16, 16, 0.5)
     base = blob_grid(rng, spec)
     two = BevGrid(spec, np.concatenate([np.ones((1, 16, 16)), base.data], axis=0))
-    search = OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta=0.0, step_theta=1.0)
+    search = OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=math.degrees(1.0))
     # channel 0 is constant: no usable signal
     with pytest.raises(NoSignalError):
         estimate_offset(two, two, search, channel=0)
@@ -350,3 +350,7 @@ def test_grid_serialization_rejects_garbage():
         deserialize_grid(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
         deserialize_grid(blob[:-8])
+    # the header is 44 bytes: 8 of magic, 3 int32 and 3 float64
+    for cut in (8, 43):
+        with pytest.raises(ValueError, match="truncated grid header"):
+            deserialize_grid(blob[:cut])

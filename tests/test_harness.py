@@ -332,6 +332,16 @@ def test_noise_sweep_parallel_matches_serial():
     assert serial.pooled == par.pooled
 
 
+def test_noise_sweep_parallel_matches_serial_with_theta_search():
+    # radians(degrees(x)) != x at 1.5 and 3 degrees; workers must search the serial angles
+    search = dataclasses.replace(ExperimentConfig().search, max_theta_deg=3.0, step_theta_deg=1.5)
+    cfg = _small_cfg(num_scenarios=2, noise_levels=((0.0, 0.0), (2.0, 2.0)), search=search)
+    serial = run_noise_sweep(cfg, parallel=1)
+    par = run_noise_sweep(cfg, parallel=2)
+    assert serial.rows == par.rows
+    assert serial.pooled == par.pooled
+
+
 def test_scenario_emit_load_round_trip(tmp_path):
     scenario = generate_scenario(_small_params(), 47)
     emit_scenario(scenario, tmp_path)

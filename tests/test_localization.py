@@ -193,7 +193,7 @@ def _ransac_problem(seed_cloud=7, seed_noise=100):
 def test_ransac_frozen_anchor():
     # frozen from a reference run; guards the sampling and refit streams
     pred, _ = _ransac_problem()
-    est = ransac_pose(pred, RansacConfig(seed=5))
+    est = ransac_pose(pred, RansacConfig(), seed=5)
     np.testing.assert_allclose(
         est.pose.translation,
         [2.0003002842414412, -0.9983099321921021, 0.0010501554960956616],
@@ -207,8 +207,8 @@ def test_ransac_frozen_anchor():
 
 def test_ransac_bitwise_deterministic():
     pred, _ = _ransac_problem()
-    a = ransac_pose(pred, RansacConfig(seed=42))
-    b = ransac_pose(pred, RansacConfig(seed=42))
+    a = ransac_pose(pred, RansacConfig(), seed=42)
+    b = ransac_pose(pred, RansacConfig(), seed=42)
     np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
     np.testing.assert_array_equal(a.pose.translation, b.pose.translation)
     np.testing.assert_array_equal(a.inlier_indices, b.inlier_indices)
@@ -218,7 +218,7 @@ def test_ransac_bitwise_deterministic():
 def test_ransac_refit_property():
     # the returned pose is the rigid solve over the reported consensus set
     pred, _ = _ransac_problem()
-    est = ransac_pose(pred, RansacConfig(seed=1))
+    est = ransac_pose(pred, RansacConfig(), seed=1)
     refit = kabsch_solve(
         pred.local_points.points[est.inlier_indices],
         pred.predicted_world.points[est.inlier_indices],
@@ -228,7 +228,7 @@ def test_ransac_refit_property():
 
 def test_ransac_aggregated_error_is_inlier_mean():
     pred, _ = _ransac_problem()
-    est = ransac_pose(pred, RansacConfig(seed=2))
+    est = ransac_pose(pred, RansacConfig(), seed=2)
     agg = float(pred.predicted_error[est.inlier_indices].mean())
     assert abs(est.aggregated_error - agg) < 1e-15
     assert abs(est.confidence - 1.0 / (1.0 + agg * agg)) < 1e-15
@@ -236,7 +236,7 @@ def test_ransac_aggregated_error_is_inlier_mean():
 
 def test_ransac_recovers_pose_with_outliers():
     pred, gt = _ransac_problem(seed_cloud=21, seed_noise=22)
-    est = ransac_pose(pred, RansacConfig(seed=3))
+    est = ransac_pose(pred, RansacConfig(), seed=3)
     t_err, r_err = pose_error(est.pose, gt)
     assert t_err < 0.1
     assert r_err < 0.5
@@ -249,7 +249,7 @@ def test_ransac_returns_none_without_consensus():
     # world points unrelated to any rigid motion of the locals
     world = PointCloud(rng.uniform(-50, 50, size=(n, 3)))
     pred = SceneCoordPrediction(local, world, np.ones(n))
-    est = ransac_pose(pred, RansacConfig(max_iterations=64, inlier_threshold=0.05, min_inliers=10, seed=0))
+    est = ransac_pose(pred, RansacConfig(max_iterations=64, inlier_threshold=0.05, min_inliers=10), seed=0)
     assert est is None
 
 
@@ -272,7 +272,7 @@ def test_pose_message_layout():
 
 def test_pose_estimate_message_bytes():
     pred, _ = _ransac_problem()
-    est = ransac_pose(pred, RansacConfig(seed=5))
+    est = ransac_pose(pred, RansacConfig(), seed=5)
     assert est.message_bytes() == len(est.to_message_json().encode("utf-8"))
 
 
