@@ -74,6 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
+    if getattr(args, "parallel", 1) < 1:
+        raise ConfigError("--parallel must be at least 1")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

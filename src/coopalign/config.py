@@ -66,7 +66,9 @@ class OracleParams:
     error_fidelity: float = 0.9
 
     def __post_init__(self) -> None:
-        self.build()  # the noise and error models check the ranges
+        if not 0.0 <= self.error_fidelity <= 1.0:
+            raise ConfigError("error_fidelity must lie in [0, 1]")
+        self.build()  # the noise model checks the other ranges
 
     def build(self) -> OracleErrorModel:
         return OracleErrorModel(

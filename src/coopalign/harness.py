@@ -618,14 +618,10 @@ class AlignmentReport:
 
 
 def _timed(fn):
-    """Median-of-3 wall time; fn must be deterministic across repeats."""
-    result = None
-    times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return result, sorted(times)[1]
+    """fn's result and the wall time of that one call."""
+    t0 = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - t0
 
 
 def _relative_errors(est_rel, gt_rel) -> tuple[float, float]:
@@ -705,8 +701,14 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
     return rows
 
 
+def _check_parallel(parallel: int) -> None:
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel}")
+
+
 def run_alignment_benchmark(cfg: ExperimentConfig, parallel: int = 1) -> AlignmentReport:
     """Relative pose estimation across methods over generated scenarios."""
+    _check_parallel(parallel)
     logger.info("alignment benchmark: %d scenarios, %d worker(s)", cfg.num_scenarios, parallel)
     rows: list[AlignmentRow] = []
     if parallel > 1:
@@ -768,6 +770,7 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
     cannot depend on the level, which makes their flatness an observed
     property of the run rather than an assumption baked into the report.
     """
+    _check_parallel(parallel)
     logger.info(
         "noise sweep: %d scenarios x %d levels, %d worker(s)",
         cfg.num_scenarios, len(cfg.noise_levels), parallel,

@@ -4,6 +4,13 @@ Frames become tokens (one per cell) with a sinusoidal frame-index encoding
 added. Layers use pre-norm residual wiring: z' = MSA(LN(z)) + z followed by
 z_out = MLP(LN(z')) + z'. Attention runs over the full (frames x cells)
 sequence. Forward and backward passes are plain numpy with exact gradients.
+
+``vit_forward`` skips a layer whose output weights ``wo``/``mlp_w2`` are zero
+and whose output biases ``bo``/``mlp_b2`` are +0.0: both residual branches
+are then exact +0.0 for finite input (barring overflow inside the skipped
+attention or MLP), so the layer returns ``x + 0.0`` (which maps -0.0 to 0.0,
+as the full layer does) without running LayerNorm, QKV, attention or the
+MLP. Every layer of the passthrough encoder is skipped.
 """
 
 from __future__ import annotations
@@ -208,7 +215,8 @@ class EncoderParams:
     def passthrough(in_channels: int, dim: int, heads: int, num_layers: int, hidden: int) -> "EncoderParams":
         """Identity-style encoder: the embedding copies the input channels into
         the first slots and every layer has zero branch weights, so the stack
-        is an exact residual identity."""
+        is an exact residual identity. ``vit_forward`` skips such layers, so
+        they cost nothing to run."""
         if dim < in_channels:
             raise ValueError("dim must be at least the input channel count")
         embed_w = np.zeros((dim, in_channels))
@@ -358,12 +366,31 @@ def layer_attention(layer: LayerParams, z: TokenSequence, heads: int) -> np.ndar
     return cache[7]
 
 
+def _is_identity_layer(layer: LayerParams) -> bool:
+    """True when both residual branches of the layer are exact +0.0: zero
+    output weights and +0.0 output biases (a -0.0 bias could keep a -0.0
+    token negative, which ``x + 0.0`` would not)."""
+    return not (
+        layer.wo.any() or layer.mlp_w2.any() or layer.bo.any() or layer.mlp_b2.any()
+        or np.signbit(layer.bo).any() or np.signbit(layer.mlp_b2).any()
+    )
+
+
 def vit_forward(params: EncoderParams, z: TokenSequence) -> TokenSequence:
-    """Run the layer stack (the embedding is applied before tokenize)."""
+    """Run the layer stack (the embedding is applied before tokenize).
+
+    A layer with zero ``wo``/``mlp_w2`` and +0.0 ``bo``/``mlp_b2`` is skipped:
+    its output is exactly ``x + 0.0``, bit for bit what the full layer
+    computes whenever its attention and MLP stay finite (they always do for
+    finite input unless the QKV or first MLP weights are large enough to
+    overflow)."""
     t, n, d = z.tokens.shape
     flat = z.tokens.reshape(t * n, d)
     for layer in params.layers:
-        flat, _ = _layer_forward_flat(layer, flat, params.heads)
+        if _is_identity_layer(layer):
+            flat = flat + 0.0
+        else:
+            flat, _ = _layer_forward_flat(layer, flat, params.heads)
     return TokenSequence(flat.reshape(t, n, d), z.height, z.width)
 
 

@@ -252,3 +252,14 @@ def test_invalid_flags_exit_one(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["align", "sweep"])
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_parallel_below_one_exits_one(tmp_path, tiny_config, capsys, command, parallel):
+    out = tmp_path / "out"
+    assert main([command, "--config", tiny_config, "--parallel", parallel, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: --parallel must be at least 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()

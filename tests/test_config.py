@@ -70,6 +70,13 @@ def test_bad_values_rejected():
         config_from_dict(raw)
 
 
+def test_oracle_range_error_names_the_json_key():
+    with pytest.raises(ConfigError, match="error_fidelity") as info:
+        config_from_dict({"oracle": {"error_fidelity": 2}})
+    assert "error_prediction_fidelity" not in str(info.value)
+    assert str(info.value).startswith("oracle: error_fidelity")
+
+
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     raw = ExperimentConfig(seed=11).to_dict()

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopalign.config import ExperimentConfig, ScenarioParams
-from coopalign.fusion import serialize_grid, rasterize_bev
+from coopalign import harness
+from coopalign.config import EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
+from coopalign.fusion import OffsetSearch, serialize_grid, rasterize_bev
 from coopalign.geometry import Pose
 from coopalign.harness import (
     AlignmentReport,
@@ -281,6 +284,56 @@ def test_alignment_benchmark_parallel_matches_serial():
         assert dataclasses.replace(a, time_s=0.0) == dataclasses.replace(b, time_s=0.0)
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_alignment_methods_run_once_per_pair(monkeypatch):
+    cfg = _small_cfg(scenario=_small_params(co_visible=4))  # no empty ICP cloud
+    ransac = _count_calls(monkeypatch, harness, "ransac_pose")
+    icp = _count_calls(monkeypatch, harness, "icp_align")
+    graph = _count_calls(monkeypatch, harness, "graph_match_align")
+    report = run_alignment_benchmark(cfg)
+    pairs = cfg.num_scenarios * (cfg.scenario.num_agents - 1)
+    assert len(ransac) == 2 * pairs  # pgc estimates the ego and the neighbor pose
+    assert len(icp) == pairs
+    assert len(graph) == pairs
+    assert all(r.time_s > 0.0 for r in report.rows)
+
+
+def test_single_timing_keeps_rows(monkeypatch):
+    cfg = _small_cfg()
+    once = run_alignment_benchmark(cfg)
+    timed_once = harness._timed
+
+    def timed_thrice(fn):  # the earlier median-of-3 timing
+        results = [timed_once(fn) for _ in range(3)]
+        return results[-1][0], sorted(t for _, t in results)[1]
+
+    monkeypatch.setattr(harness, "_timed", timed_thrice)
+    thrice = run_alignment_benchmark(cfg)
+    assert [dataclasses.replace(r, time_s=0.0) for r in once.rows] == [
+        dataclasses.replace(r, time_s=0.0) for r in thrice.rows
+    ]
+
+
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_parallel_below_one_is_refused(parallel):
+    cfg = _small_cfg(num_scenarios=1)
+    with pytest.raises(ValueError, match="parallel must be at least 1"):
+        run_alignment_benchmark(cfg, parallel=parallel)
+    with pytest.raises(ValueError, match="parallel must be at least 1"):
+        run_noise_sweep(cfg, parallel=parallel)
+
+
 def test_aggregates_by_hand():
     rows = [
         AlignmentRow(0, "m", 0, 1, 0.5, 1.0, True, 100, 0.01),
@@ -336,6 +389,44 @@ def test_noise_sweep_parallel_matches_serial_with_theta_search():
     # radians(degrees(x)) != x at 1.5 and 3 degrees; workers must search the serial angles
     search = dataclasses.replace(ExperimentConfig().search, max_theta_deg=3.0, step_theta_deg=1.5)
     cfg = _small_cfg(num_scenarios=2, noise_levels=((0.0, 0.0), (2.0, 2.0)), search=search)
+    serial = run_noise_sweep(cfg, parallel=1)
+    par = run_noise_sweep(cfg, parallel=2)
+    assert serial.rows == par.rows
+    assert serial.pooled == par.pooled
+
+
+_quarter_steps = st.integers(min_value=1, max_value=4).map(lambda k: k * 0.625)
+_half_degrees = st.integers(min_value=1, max_value=6).map(lambda k: k / 2)
+
+
+@st.composite
+def _small_sweep_configs(draw) -> ExperimentConfig:
+    side = draw(st.integers(min_value=8, max_value=16))
+    sigmas = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+    return ExperimentConfig(
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        num_scenarios=1,
+        frames=draw(st.integers(min_value=1, max_value=2)),
+        noise_levels=tuple(draw(st.lists(st.tuples(sigmas, sigmas), min_size=1, max_size=2, unique_by=level_key))),
+        grid=GridParams(side, side, draw(st.sampled_from([1.25, 2.0]))),
+        scenario=_small_params(),
+        search=OffsetSearch(
+            max_xy=draw(st.sampled_from([0.0, 0.625, 1.25])),
+            step_xy=draw(_quarter_steps),
+            max_theta_deg=draw(_half_degrees),
+            step_theta_deg=draw(_half_degrees),
+            min_gain=draw(st.sampled_from([0.0, 0.02])),
+        ),
+        encoder=EncoderConfig(
+            layers=draw(st.integers(min_value=0, max_value=2)),
+            mode=draw(st.sampled_from(["passthrough", "random"])),
+        ),
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(_small_sweep_configs())
+def test_noise_sweep_parallel_matches_serial_for_drawn_configs(cfg):
     serial = run_noise_sweep(cfg, parallel=1)
     par = run_noise_sweep(cfg, parallel=2)
     assert serial.rows == par.rows

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from coopalign import temporal
+from coopalign.config import EncoderConfig, ExperimentConfig, ScenarioParams
 from coopalign.fusion import BevGrid, GridSpec
+from coopalign.harness import _build_encoder, emit_sweep_report, run_noise_sweep
 from coopalign.temporal import (
     EncoderParams,
     LayerParams,
     TokenSequence,
+    _layer_forward_flat,
     encode,
     layer_attention,
     load_checkpoint,
@@ -291,8 +295,6 @@ def test_layer_is_permutation_equivariant():
     layer = LayerParams.seeded(6, 10, rng)
     x = rng.standard_normal((8, 6))
     perm = rng.permutation(8)
-    from coopalign.temporal import _layer_forward_flat
-
     out, _ = _layer_forward_flat(layer, x, heads=3)
     out_p, _ = _layer_forward_flat(layer, x[perm], heads=3)
     np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
@@ -316,3 +318,98 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(loaded, other)
     assert (other / "tensors.bin").read_bytes() == (tmp_path / "tensors.bin").read_bytes()
     assert (other / "manifest.json").read_text() == (tmp_path / "manifest.json").read_text()
+
+
+def _branchless_layer(rng, dim=4, hidden=6):
+    """Random LayerNorm, QKV and first MLP weights; zero output branches."""
+    layer = LayerParams.seeded(dim, hidden, rng, scale=1.0)
+    for name in ("ln1_scale", "ln1_shift", "bq", "bk", "bv", "ln2_scale", "ln2_shift", "mlp_b1"):
+        setattr(layer, name, rng.standard_normal(getattr(layer, name).shape))
+    for name in ("wo", "bo", "mlp_w2", "mlp_b2"):
+        setattr(layer, name, np.zeros_like(getattr(layer, name)))
+    return layer
+
+
+def _tokens_with_negative_zeros(rng, shape=(2, 4, 4)):
+    tokens = rng.standard_normal(shape)
+    tokens.reshape(-1)[::3] = -0.0
+    return tokens
+
+
+def test_skipped_layer_matches_full_layer_bitwise():
+    rng = np.random.default_rng(73)
+    layers = [_branchless_layer(rng) for _ in range(2)]
+    tokens = _tokens_with_negative_zeros(rng)
+    assert np.signbit(tokens).any() and (tokens == 0.0).any()
+    params = EncoderParams(np.eye(4), np.zeros(4), layers, heads=2)
+    got = vit_forward(params, TokenSequence(tokens, height=2, width=2)).tokens
+    want = tokens.reshape(8, 4)
+    for layer in layers:
+        want, _ = _layer_forward_flat(layer, want, heads=2)
+    assert got.tobytes() == want.reshape(2, 4, 4).tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+def _count_layer_calls(monkeypatch):
+    calls = []
+
+    def counted(layer, x, heads):
+        calls.append(1)
+        return _layer_forward_flat(layer, x, heads)
+
+    monkeypatch.setattr(temporal, "_layer_forward_flat", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["wo", "bo", "mlp_w2", "mlp_b2"])
+def test_one_nonzero_branch_entry_runs_the_layer(monkeypatch, name):
+    rng = np.random.default_rng(74)
+    layer = _branchless_layer(rng)
+    tensor = getattr(layer, name)
+    tensor.reshape(-1)[rng.integers(tensor.size)] = 1e-3
+    tokens = rng.standard_normal((2, 4, 4))
+    want, _ = _layer_forward_flat(layer, tokens.reshape(8, 4), heads=2)
+    calls = _count_layer_calls(monkeypatch)
+    params = EncoderParams(np.eye(4), np.zeros(4), [layer], heads=2)
+    got = vit_forward(params, TokenSequence(tokens, height=2, width=2)).tokens
+    assert len(calls) == 1
+    assert got.tobytes() == want.reshape(2, 4, 4).tobytes()
+    assert not np.array_equal(got, tokens)
+
+
+@pytest.mark.parametrize("name", ["bo", "mlp_b2"])
+def test_negative_zero_bias_runs_the_layer(monkeypatch, name):
+    rng = np.random.default_rng(75)
+    layer = _branchless_layer(rng)
+    setattr(layer, name, np.full_like(getattr(layer, name), -0.0))
+    calls = _count_layer_calls(monkeypatch)
+    params = EncoderParams(np.eye(4), np.zeros(4), [layer], heads=2)
+    vit_forward(params, TokenSequence(rng.standard_normal((1, 4, 4)), height=2, width=2))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode, expected", [("passthrough", 0), ("random", 3)])
+def test_layer_calls_per_encode(monkeypatch, mode, expected):
+    cfg = ExperimentConfig(encoder=EncoderConfig(layers=3, mode=mode))
+    params = _build_encoder(cfg)
+    spec = GridSpec.centered(4, 4, 1.0)
+    rng = np.random.default_rng(76)
+    frames = [BevGrid(spec, rng.standard_normal((4, 4, 4))) for _ in range(2)]
+    calls = _count_layer_calls(monkeypatch)
+    encode(params, frames)
+    assert len(calls) == expected
+    encode(params, frames)
+    assert len(calls) == 2 * expected
+
+
+def test_passthrough_sweep_output_independent_of_layer_count(tmp_path):
+    scenario = ScenarioParams(num_objects=5, points_per_box=50, ground_points=100)
+    outputs = []
+    for layers in (0, 3):
+        cfg = ExperimentConfig(
+            seed=3, num_scenarios=1, scenario=scenario,
+            noise_levels=((0.0, 0.0), (1.0, 1.0)), encoder=EncoderConfig(layers=layers),
+        )
+        outputs.append(emit_sweep_report(run_noise_sweep(cfg), tmp_path / str(layers)))
+    for key in ("results", "summary"):
+        assert outputs[0][key].read_bytes() == outputs[1][key].read_bytes()
