@@ -29,25 +29,20 @@ from .detection import (
     RotatedBox3D,
     average_precision,
     decode_head,
-    focal_loss,
     pooled_average_precision,
     rotated_iou_bev,
-    smooth_l1,
 )
 from .fusion import (
     BevGrid,
     GridSpec,
     NoSignalError,
     OffsetDelta,
-    OffsetNetParams,
     OffsetSearch,
     apply_offset,
     coarse_align,
     confidence_embed,
     deserialize_grid,
     estimate_offset,
-    offset_net_backward,
-    offset_net_forward,
     rasterize_bev,
     serialize_grid,
     warp_grid,
@@ -67,7 +62,6 @@ from .geometry import (
     relative,
     rotation_z,
     sample_structured_offsets,
-    save_points_ascii,
     save_points_binary,
     transform_points,
 )
@@ -104,12 +98,10 @@ from .localization import (
     RansacConfig,
     SceneCoordPrediction,
     confidence_from_error,
-    coordinate_error,
     kabsch_solve,
     oracle_predict,
     pose_message_json,
     ransac_pose,
-    regression_loss,
     voxel_downsample,
 )
 from .temporal import (
@@ -118,12 +110,9 @@ from .temporal import (
     TokenSequence,
     encode,
     layer_attention,
-    load_checkpoint,
     project_channels,
-    save_checkpoint,
     temporal_encoding,
     tokenize,
-    vit_backward,
     vit_forward,
     vit_layer_forward,
 )

@@ -235,7 +235,7 @@ def _merge(base, raw, path: str):
     }
     try:
         return dataclasses.replace(base, **changes)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 

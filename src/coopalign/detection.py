@@ -1,4 +1,4 @@
-"""Rotated-box detection types, losses, BEV IoU, and evaluation metrics.
+"""Rotated-box detection types, BEV IoU, and evaluation metrics.
 
 Boxes follow the (x, y, z, h, w, l, theta) layout: center, vertical extent h,
 width w across the heading, length l along the heading, and yaw theta. BEV
@@ -99,34 +99,6 @@ class HeadParams:
         object.__setattr__(self, "bias", b)
 
 
-def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> float:
-    """Mean smooth-L1 (Huber-style) regression loss with cutover beta."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    diff = np.abs(np.asarray(pred, dtype=float) - np.asarray(target, dtype=float))
-    per = np.where(diff < beta, 0.5 * diff * diff / beta, diff - 0.5 * beta)
-    return float(per.mean())
-
-
-def focal_loss(
-    p: np.ndarray,
-    target: np.ndarray,
-    alpha: float = 0.25,
-    gamma: float = 2.0,
-    eps: float = 1e-7,
-) -> float:
-    """Mean focal loss on probabilities with the usual alpha_t weighting:
-    alpha for positives, (1 - alpha) for negatives. Probabilities are clamped
-    to [eps, 1 - eps] before the log."""
-    prob = np.clip(np.asarray(p, dtype=float), eps, 1.0 - eps)
-    y = np.asarray(target, dtype=float)
-    if ((y != 0.0) & (y != 1.0)).any():
-        raise ValueError("targets must be 0 or 1")
-    p_t = np.where(y == 1.0, prob, 1.0 - prob)
-    a_t = np.where(y == 1.0, alpha, 1.0 - alpha)
-    return float(np.mean(-a_t * (1.0 - p_t) ** gamma * np.log(p_t)))
-
-
 def _polygon_area(poly: np.ndarray) -> float:
     x = poly[:, 0]
     y = poly[:, 1]
@@ -198,32 +170,24 @@ def _match_detections(
     return tp
 
 
-def _ap_from_counts(tp: np.ndarray, num_gt: int, interpolation: str) -> float:
+def _ap_from_counts(tp: np.ndarray, num_gt: int) -> float:
+    """All-point interpolated AP: the area under the precision envelope."""
     tp_cum = np.cumsum(tp.astype(float))
     fp_cum = np.cumsum((~tp).astype(float))
     recall = tp_cum / num_gt
     precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
-    if interpolation == "all":
-        mrec = np.concatenate(([0.0], recall, [1.0]))
-        mpre = np.concatenate(([0.0], precision, [0.0]))
-        for i in range(mpre.shape[0] - 2, -1, -1):
-            mpre[i] = max(mpre[i], mpre[i + 1])
-        changed = np.flatnonzero(mrec[1:] != mrec[:-1])
-        return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
-    if interpolation == "11point":
-        total = 0.0
-        for r in np.linspace(0.0, 1.0, 11):
-            mask = recall >= r - 1e-12
-            total += float(precision[mask].max()) if mask.any() else 0.0
-        return total / 11.0
-    raise ValueError(f"unknown interpolation {interpolation!r}")
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.shape[0] - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    changed = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
 
 
 def average_precision(
     dets: Sequence[Detection],
     gts: Sequence[RotatedBox3D],
     iou_thr: float,
-    interpolation: str = "all",
 ) -> float:
     """Average precision at one IoU threshold for a single frame.
 
@@ -234,13 +198,12 @@ def average_precision(
     if len(dets) == 0:
         return 0.0
     tp = _match_detections(dets, gts, iou_thr)
-    return _ap_from_counts(tp, len(gts), interpolation)
+    return _ap_from_counts(tp, len(gts))
 
 
 def pooled_average_precision(
     frames: Sequence[tuple[Sequence[Detection], Sequence[RotatedBox3D]]],
     iou_thr: float,
-    interpolation: str = "all",
 ) -> float:
     """Average precision pooled over frames: matching stays within each frame,
     the precision-recall curve is built over all detections jointly."""
@@ -263,7 +226,7 @@ def pooled_average_precision(
         return 0.0
     pooled = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     tp_sorted = np.array([flags[i] for i in pooled], dtype=bool)
-    return _ap_from_counts(tp_sorted, num_gt, interpolation)
+    return _ap_from_counts(tp_sorted, num_gt)
 
 
 def _peak_mask(values: np.ndarray) -> np.ndarray:
@@ -366,6 +329,3 @@ def detections_to_json(dets: Sequence[Detection]) -> str:
     payload = [{"box": d.box.as_list(), "score": d.score} for d in dets]
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-
-def boxes_to_json(boxes: Sequence[RotatedBox3D]) -> str:
-    return json.dumps([b.as_list() for b in boxes], separators=(",", ":"))

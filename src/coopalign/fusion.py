@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -318,153 +318,6 @@ def apply_offset(grids: Sequence[BevGrid], deltas: Sequence[OffsetDelta]) -> lis
     if len(grids) != len(deltas):
         raise ValueError("need one delta per grid")
     return [warp_grid(g, d.as_pose2d()) for g, d in zip(grids, deltas)]
-
-
-@dataclass(eq=False)
-class OffsetNetParams:
-    """Weights for the small offset-regression network: two stride-2 conv
-    stages, global average pooling, one hidden linear layer, linear output
-    (dx, dy, dtheta). Also serves as the gradient container."""
-
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    fc1_w: np.ndarray
-    fc1_b: np.ndarray
-    fc2_w: np.ndarray
-    fc2_b: np.ndarray
-
-    @staticmethod
-    def zeros(in_channels: int, c1: int = 8, c2: int = 16, hidden: int = 32) -> "OffsetNetParams":
-        return OffsetNetParams(
-            conv1_w=np.zeros((c1, 2 * in_channels, 3, 3)),
-            conv1_b=np.zeros(c1),
-            conv2_w=np.zeros((c2, c1, 3, 3)),
-            conv2_b=np.zeros(c2),
-            fc1_w=np.zeros((hidden, c2)),
-            fc1_b=np.zeros(hidden),
-            fc2_w=np.zeros((3, hidden)),
-            fc2_b=np.zeros(3),
-        )
-
-    @staticmethod
-    def seeded(
-        in_channels: int,
-        rng: np.random.Generator,
-        c1: int = 8,
-        c2: int = 16,
-        hidden: int = 32,
-        scale: float = 0.1,
-    ) -> "OffsetNetParams":
-        return OffsetNetParams(
-            conv1_w=scale * rng.standard_normal((c1, 2 * in_channels, 3, 3)),
-            conv1_b=np.zeros(c1),
-            conv2_w=scale * rng.standard_normal((c2, c1, 3, 3)),
-            conv2_b=np.zeros(c2),
-            fc1_w=scale * rng.standard_normal((hidden, c2)),
-            fc1_b=np.zeros(hidden),
-            fc2_w=scale * rng.standard_normal((3, hidden)),
-            fc2_b=np.zeros(3),
-        )
-
-    def field_names(self) -> list[str]:
-        return [f.name for f in fields(self)]
-
-
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 2, pad: int = 1):
-    cin, h, wd = x.shape
-    k = w.shape[2]
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (wd + 2 * pad - k) // stride + 1
-    out = np.broadcast_to(b[:, None, None], (w.shape[0], oh, ow)).copy()
-    for di in range(k):
-        for dj in range(k):
-            patch = xp[:, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
-            out += np.einsum("oc,chw->ohw", w[:, :, di, dj], patch)
-    return out, xp
-
-
-def _conv2d_backward(
-    xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray, x_shape, stride: int = 2, pad: int = 1
-):
-    k = w.shape[2]
-    oh, ow = grad_out.shape[1:]
-    grad_w = np.zeros_like(w)
-    grad_xp = np.zeros_like(xp)
-    for di in range(k):
-        for dj in range(k):
-            patch = xp[:, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
-            grad_w[:, :, di, dj] = np.einsum("ohw,chw->oc", grad_out, patch)
-            grad_xp[:, di : di + stride * oh : stride, dj : dj + stride * ow : stride] += (
-                np.einsum("oc,ohw->chw", w[:, :, di, dj], grad_out)
-            )
-    grad_b = grad_out.sum(axis=(1, 2))
-    grad_x = grad_xp[:, pad : pad + x_shape[1], pad : pad + x_shape[2]]
-    return grad_x, grad_w, grad_b
-
-
-def _offset_net_raw(params: OffsetNetParams, ego: BevGrid, nbr: BevGrid):
-    if not ego.spec.same_geometry(nbr.spec):
-        raise ValueError("grids must share one GridSpec")
-    x = np.concatenate([ego.data, nbr.data], axis=0)
-    if x.shape[0] != params.conv1_w.shape[1]:
-        raise ValueError("channel count does not match conv1 weights")
-    a1, xp1 = _conv2d(x, params.conv1_w, params.conv1_b)
-    h1 = np.tanh(a1)
-    a2, xp2 = _conv2d(h1, params.conv2_w, params.conv2_b)
-    h2 = np.tanh(a2)
-    pooled = h2.mean(axis=(1, 2))
-    a3 = params.fc1_w @ pooled + params.fc1_b
-    h3 = np.tanh(a3)
-    out = params.fc2_w @ h3 + params.fc2_b
-    cache = (x, xp1, h1, xp2, h2, pooled, h3)
-    return out, cache
-
-
-def offset_net_forward(params: OffsetNetParams, ego: BevGrid, nbr: BevGrid) -> OffsetDelta:
-    """Run the offset network on a grid pair. All-zero parameters give the
-    zero offset because the output layer is linear."""
-    out, _ = _offset_net_raw(params, ego, nbr)
-    return OffsetDelta(float(out[0]), float(out[1]), float(out[2]))
-
-
-def offset_net_backward(
-    params: OffsetNetParams, ego: BevGrid, nbr: BevGrid, target: np.ndarray
-) -> tuple[float, OffsetNetParams]:
-    """Loss and exact parameter gradients for the squared error
-    sum((out - target)^2) against a target offset triple."""
-    target = np.asarray(target, dtype=float).reshape(3)
-    out, cache = _offset_net_raw(params, ego, nbr)
-    x, xp1, h1, xp2, h2, pooled, h3 = cache
-    diff = out - target
-    loss = float((diff * diff).sum())
-    d_out = 2.0 * diff
-    g_fc2_w = np.outer(d_out, h3)
-    g_fc2_b = d_out
-    d_h3 = params.fc2_w.T @ d_out
-    d_a3 = d_h3 * (1.0 - h3 * h3)
-    g_fc1_w = np.outer(d_a3, pooled)
-    g_fc1_b = d_a3
-    d_pooled = params.fc1_w.T @ d_a3
-    oh2, ow2 = h2.shape[1:]
-    d_h2 = np.broadcast_to(d_pooled[:, None, None], h2.shape) / (oh2 * ow2)
-    d_a2 = d_h2 * (1.0 - h2 * h2)
-    d_h1, g_conv2_w, g_conv2_b = _conv2d_backward(xp2, params.conv2_w, d_a2, h1.shape)
-    d_a1 = d_h1 * (1.0 - h1 * h1)
-    _, g_conv1_w, g_conv1_b = _conv2d_backward(xp1, params.conv1_w, d_a1, x.shape)
-    grads = OffsetNetParams(
-        conv1_w=g_conv1_w,
-        conv1_b=g_conv1_b,
-        conv2_w=g_conv2_w,
-        conv2_b=g_conv2_b,
-        fc1_w=g_fc1_w,
-        fc1_b=g_fc1_b,
-        fc2_w=g_fc2_w,
-        fc2_b=g_fc2_b,
-    )
-    return loss, grads
 
 
 def serialize_grid(grid: BevGrid) -> bytes:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -126,12 +125,9 @@ class Pose2D:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """An (N, 3) float64 array of points in meters with optional per-point
-    attribute arrays keyed by name. Attributes ride along through rigid
-    transforms unchanged."""
+    """An (N, 3) float64 array of points in meters."""
 
     points: np.ndarray
-    attributes: Mapping[str, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)
@@ -142,14 +138,6 @@ class PointCloud:
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", _freeze(pts))
-        if self.attributes is not None:
-            attrs = {}
-            for key, val in self.attributes.items():
-                arr = np.array(val)
-                if arr.shape[:1] != (pts.shape[0],):
-                    raise ValueError(f"attribute {key!r} must have one entry per point")
-                attrs[key] = _freeze(arr)
-            object.__setattr__(self, "attributes", attrs)
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -208,7 +196,7 @@ def relative(pose_i: Pose, pose_j: Pose) -> Pose:
 
 def transform_points(p: Pose, cloud: PointCloud) -> PointCloud:
     pts = cloud.points @ p.rotation.T + p.translation
-    return PointCloud(pts, cloud.attributes)
+    return PointCloud(pts)
 
 
 def perturb_pose(p: Pose, noise: GaussianPoseNoise, rng: np.random.Generator) -> Pose:
@@ -261,12 +249,6 @@ def sample_structured_offsets(
     return offsets, outlier_mask
 
 
-def save_points_ascii(cloud: PointCloud, path: str | Path) -> None:
-    """Write one 'x y z' line per point. Lines starting with '#' are comments."""
-    lines = [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in cloud.points]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
 def save_points_binary(cloud: PointCloud, path: str | Path) -> None:
     """Magic header followed by little-endian float32 xyz triples."""
     payload = POINT_CLOUD_MAGIC + cloud.points.astype("<f4").tobytes()
@@ -274,21 +256,12 @@ def save_points_binary(cloud: PointCloud, path: str | Path) -> None:
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
-    """Load either format; the binary layout is detected by its magic header."""
+    """Load a point cloud written by ``save_points_binary``."""
     raw = Path(path).read_bytes()
-    if raw[: len(POINT_CLOUD_MAGIC)] == POINT_CLOUD_MAGIC:
-        body = raw[len(POINT_CLOUD_MAGIC):]
-        if len(body) % 12 != 0:
-            raise ValueError("truncated binary point cloud")
-        pts = np.frombuffer(body, dtype="<f4").astype(float).reshape(-1, 3)
-        return PointCloud(pts)
-    rows = []
-    for line in raw.decode("utf-8").splitlines():
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 columns, got {len(parts)}: {text!r}")
-        rows.append([float(v) for v in parts])
-    return PointCloud(np.array(rows, dtype=float).reshape(-1, 3))
+    if raw[: len(POINT_CLOUD_MAGIC)] != POINT_CLOUD_MAGIC:
+        raise ValueError("bad point cloud magic")
+    body = raw[len(POINT_CLOUD_MAGIC):]
+    if len(body) % 12 != 0:
+        raise ValueError("truncated binary point cloud")
+    pts = np.frombuffer(body, dtype="<f4").astype(float).reshape(-1, 3)
+    return PointCloud(pts)

@@ -34,7 +34,7 @@ class SceneCoordPrediction:
     """Per-point world-coordinate predictions for a local cloud.
 
     predicted_error holds the regressor's own error estimates (meters, one per
-    point). gt_world is optional and only needed for supervised losses."""
+    point). gt_world, when given, holds the true world coordinates."""
 
     local_points: PointCloud
     predicted_world: PointCloud
@@ -142,36 +142,6 @@ def confidence_from_error(eps: float) -> float:
     if eps < 0.0 or not math.isfinite(eps):
         raise ValueError("error must be finite and non-negative")
     return 1.0 / (1.0 + eps * eps)
-
-
-def coordinate_error(pred: np.ndarray, gt: np.ndarray, norm: str = "l1") -> float:
-    """Distance between a predicted and a true world coordinate.
-
-    The default is the L1 norm; pass norm="l2" for Euclidean."""
-    diff = np.asarray(pred, dtype=float) - np.asarray(gt, dtype=float)
-    if not np.isfinite(diff).all():
-        raise ValueError("coordinates must be finite")
-    if norm == "l1":
-        return float(np.abs(diff).sum())
-    if norm == "l2":
-        return float(np.linalg.norm(diff))
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def regression_loss(pred: SceneCoordPrediction, norm: str = "l1") -> float:
-    """Mean over points of u_i + |u_i - eps_i| where u_i is the coordinate
-    error against ground truth and eps_i the predicted error. Requires
-    gt_world."""
-    if pred.gt_world is None:
-        raise ValueError("regression_loss requires ground-truth world points")
-    diff = pred.predicted_world.points - pred.gt_world.points
-    if norm == "l1":
-        u = np.abs(diff).sum(axis=1)
-    elif norm == "l2":
-        u = np.linalg.norm(diff, axis=1)
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    return float(np.mean(u + np.abs(u - pred.predicted_error)))
 
 
 def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:

@@ -3,7 +3,7 @@
 Frames become tokens (one per cell) with a sinusoidal frame-index encoding
 added. Layers use pre-norm residual wiring: z' = MSA(LN(z)) + z followed by
 z_out = MLP(LN(z')) + z'. Attention runs over the full (frames x cells)
-sequence. Forward and backward passes are plain numpy with exact gradients.
+sequence. The forward pass is plain numpy.
 
 ``vit_forward`` skips a layer whose output weights ``wo``/``mlp_w2`` are zero
 and whose output biases ``bo``/``mlp_b2`` are +0.0: both residual branches
@@ -15,10 +15,8 @@ MLP. Every layer of the passthrough encoder is skipped.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +26,12 @@ from .fusion import BevGrid
 _LN_EPS = 1e-5
 
 
-def temporal_encoding(t: int | float, dim: int, classic_pairing: bool = False) -> np.ndarray:
+def temporal_encoding(t: int | float, dim: int) -> np.ndarray:
     """Sinusoidal encoding of a frame index.
 
     Even slots get sin(t / 10000^(2k / D)). Odd slots get
     cos(t / 10000^((2k + 1) / D)), so the cosine uses its own slot's exponent
-    rather than sharing the sine's; pass classic_pairing=True for the shared
-    2k / D variant."""
+    rather than sharing the sine's."""
     if dim < 2 or dim % 2 != 0:
         raise ValueError("dim must be a positive even number")
     if t < 0:
@@ -42,8 +39,7 @@ def temporal_encoding(t: int | float, dim: int, classic_pairing: bool = False) -
     k = np.arange(dim // 2, dtype=float)
     enc = np.empty(dim)
     enc[0::2] = np.sin(t / np.power(10000.0, 2.0 * k / dim))
-    odd_exp = 2.0 * k / dim if classic_pairing else (2.0 * k + 1.0) / dim
-    enc[1::2] = np.cos(t / np.power(10000.0, odd_exp))
+    enc[1::2] = np.cos(t / np.power(10000.0, (2.0 * k + 1.0) / dim))
     return enc
 
 
@@ -87,7 +83,7 @@ def project_channels(grid: BevGrid, weight: np.ndarray, bias: np.ndarray) -> Bev
     return BevGrid(grid.spec, data)
 
 
-def tokenize(frames: Sequence[BevGrid], classic_pairing: bool = False) -> TokenSequence:
+def tokenize(frames: Sequence[BevGrid]) -> TokenSequence:
     """Flatten each frame's cells into tokens and add the frame encoding.
 
     Frame indices run 1..T. All frames must share geometry and channel
@@ -102,13 +98,13 @@ def tokenize(frames: Sequence[BevGrid], classic_pairing: bool = False) -> TokenS
     stacked = []
     for t_idx, f in enumerate(frames, start=1):
         flat = f.data.reshape(dim, -1).T
-        stacked.append(flat + temporal_encoding(t_idx, dim, classic_pairing))
+        stacked.append(flat + temporal_encoding(t_idx, dim))
     return TokenSequence(np.stack(stacked), base.spec.height, base.spec.width)
 
 
 @dataclass(eq=False)
 class LayerParams:
-    """One pre-norm transformer layer. Doubles as the gradient container."""
+    """One pre-norm transformer layer."""
 
     ln1_scale: np.ndarray
     ln1_shift: np.ndarray
@@ -172,9 +168,6 @@ class LayerParams:
             mlp_b2=np.zeros(dim),
         )
 
-    def field_names(self) -> list[str]:
-        return [f.name for f in fields(self)]
-
 
 @dataclass(eq=False)
 class EncoderParams:
@@ -235,30 +228,12 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_vjp(probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product of row softmax: p * (g - sum(g * p))."""
-    return probs * (grad - (grad * probs).sum(axis=-1, keepdims=True))
-
-
 def _layer_norm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * scale + shift, (xhat, inv)
-
-
-def _layer_norm_backward(grad_y, xhat, inv, scale):
-    g_scale = (grad_y * xhat).sum(axis=0)
-    g_shift = grad_y.sum(axis=0)
-    g_xhat = grad_y * scale
-    g_x = inv * (
-        g_xhat
-        - g_xhat.mean(axis=1, keepdims=True)
-        - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True)
-    )
-    return g_x, g_scale, g_shift
+    return xc * inv * scale + shift
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -274,7 +249,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _layer_forward_flat(layer: LayerParams, x: np.ndarray, heads: int):
     dim = x.shape[1]
     dh = dim // heads
-    u, (xhat1, inv1) = _layer_norm_forward(x, layer.ln1_scale, layer.ln1_shift)
+    u = _layer_norm_forward(x, layer.ln1_scale, layer.ln1_shift)
     q = u @ layer.wq.T + layer.bq
     kk = u @ layer.wk.T + layer.bk
     v = u @ layer.wv.T + layer.bv
@@ -286,70 +261,11 @@ def _layer_forward_flat(layer: LayerParams, x: np.ndarray, heads: int):
     ctx = _merge_heads(attn @ vh)
     msa = ctx @ layer.wo.T + layer.bo
     z1 = msa + x
-    w, (xhat2, inv2) = _layer_norm_forward(z1, layer.ln2_scale, layer.ln2_shift)
+    w = _layer_norm_forward(z1, layer.ln2_scale, layer.ln2_shift)
     a1 = w @ layer.mlp_w1.T + layer.mlp_b1
     h1 = np.tanh(a1)
     out = h1 @ layer.mlp_w2.T + layer.mlp_b2 + z1
-    cache = (x, xhat1, inv1, u, qh, kh, vh, attn, ctx, z1, xhat2, inv2, w, h1)
-    return out, cache
-
-
-def _layer_backward_flat(layer: LayerParams, cache, grad_out: np.ndarray, heads: int):
-    (x, xhat1, inv1, u, qh, kh, vh, attn, ctx, z1, xhat2, inv2, w, h1) = cache
-    dim = x.shape[1]
-    dh = dim // heads
-
-    d_h1 = grad_out @ layer.mlp_w2
-    g_w2 = grad_out.T @ h1
-    g_b2 = grad_out.sum(axis=0)
-    d_a1 = d_h1 * (1.0 - h1 * h1)
-    g_w1 = d_a1.T @ w
-    g_b1 = d_a1.sum(axis=0)
-    d_w = d_a1 @ layer.mlp_w1
-    d_z1_ln, g_ln2_scale, g_ln2_shift = _layer_norm_backward(d_w, xhat2, inv2, layer.ln2_scale)
-    d_z1 = grad_out + d_z1_ln
-
-    g_wo = d_z1.T @ ctx
-    g_bo = d_z1.sum(axis=0)
-    d_ctx = d_z1 @ layer.wo
-    d_ctx_h = _split_heads(d_ctx, heads)
-    d_attn = d_ctx_h @ vh.transpose(0, 2, 1)
-    d_vh = attn.transpose(0, 2, 1) @ d_ctx_h
-    d_scores = softmax_vjp(attn, d_attn)
-    d_qh = d_scores @ kh / math.sqrt(dh)
-    d_kh = d_scores.transpose(0, 2, 1) @ qh / math.sqrt(dh)
-    d_q = _merge_heads(d_qh)
-    d_k = _merge_heads(d_kh)
-    d_v = _merge_heads(d_vh)
-    g_wq = d_q.T @ u
-    g_bq = d_q.sum(axis=0)
-    g_wk = d_k.T @ u
-    g_bk = d_k.sum(axis=0)
-    g_wv = d_v.T @ u
-    g_bv = d_v.sum(axis=0)
-    d_u = d_q @ layer.wq + d_k @ layer.wk + d_v @ layer.wv
-    d_x_ln, g_ln1_scale, g_ln1_shift = _layer_norm_backward(d_u, xhat1, inv1, layer.ln1_scale)
-    d_x = d_z1 + d_x_ln
-
-    grads = LayerParams(
-        ln1_scale=g_ln1_scale,
-        ln1_shift=g_ln1_shift,
-        wq=g_wq,
-        bq=g_bq,
-        wk=g_wk,
-        bk=g_bk,
-        wv=g_wv,
-        bv=g_bv,
-        wo=g_wo,
-        bo=g_bo,
-        ln2_scale=g_ln2_scale,
-        ln2_shift=g_ln2_shift,
-        mlp_w1=g_w1,
-        mlp_b1=g_b1,
-        mlp_w2=g_w2,
-        mlp_b2=g_b2,
-    )
-    return grads, d_x
+    return out, attn
 
 
 def vit_layer_forward(layer: LayerParams, z: TokenSequence, heads: int) -> TokenSequence:
@@ -362,8 +278,8 @@ def vit_layer_forward(layer: LayerParams, z: TokenSequence, heads: int) -> Token
 def layer_attention(layer: LayerParams, z: TokenSequence, heads: int) -> np.ndarray:
     """Attention probabilities (heads, S, S) for diagnostics; rows sum to 1."""
     t, n, d = z.tokens.shape
-    _, cache = _layer_forward_flat(layer, z.tokens.reshape(t * n, d), heads)
-    return cache[7]
+    _, attn = _layer_forward_flat(layer, z.tokens.reshape(t * n, d), heads)
+    return attn
 
 
 def _is_identity_layer(layer: LayerParams) -> bool:
@@ -394,30 +310,6 @@ def vit_forward(params: EncoderParams, z: TokenSequence) -> TokenSequence:
     return TokenSequence(flat.reshape(t, n, d), z.height, z.width)
 
 
-def vit_backward(
-    params: EncoderParams, z: TokenSequence, upstream: np.ndarray
-) -> tuple[list[LayerParams], np.ndarray]:
-    """Exact gradients of sum(upstream * output) through the layer stack.
-
-    Returns per-layer parameter gradients and the gradient with respect to
-    the input tokens, both shaped like their sources."""
-    t, n, d = z.tokens.shape
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != z.tokens.shape:
-        raise ValueError("upstream gradient must match the token shape")
-    flat = z.tokens.reshape(t * n, d)
-    caches = []
-    for layer in params.layers:
-        flat, cache = _layer_forward_flat(layer, flat, params.heads)
-        caches.append(cache)
-    grad = up.reshape(t * n, d)
-    layer_grads: list[LayerParams] = [None] * len(params.layers)  # type: ignore[list-item]
-    for idx in range(len(params.layers) - 1, -1, -1):
-        g, grad = _layer_backward_flat(params.layers[idx], caches[idx], grad, params.heads)
-        layer_grads[idx] = g
-    return layer_grads, grad.reshape(t, n, d)
-
-
 def encode(params: EncoderParams, frames: Sequence[BevGrid]) -> BevGrid:
     """Project frames to the token dimension, tokenize with frame encodings,
     run the stack, and return the last frame's tokens as a D-channel grid."""
@@ -428,54 +320,3 @@ def encode(params: EncoderParams, frames: Sequence[BevGrid]) -> BevGrid:
     spec = frames[-1].spec
     return BevGrid(spec, last.T.reshape(params.dim, spec.height, spec.width))
 
-
-def _tensor_entries(params: EncoderParams) -> list[tuple[str, np.ndarray]]:
-    entries = [("embed_w", params.embed_w), ("embed_b", params.embed_b)]
-    for i, layer in enumerate(params.layers):
-        for name in layer.field_names():
-            entries.append((f"layer{i}.{name}", getattr(layer, name)))
-    return entries
-
-
-def save_checkpoint(params: EncoderParams, directory: str | Path) -> None:
-    """Write manifest.json plus tensors.bin (little-endian float32).
-
-    The manifest records heads, layer count, and per-tensor shapes/offsets."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"heads": params.heads, "num_layers": len(params.layers), "tensors": []}
-    offset = 0
-    chunks = []
-    for name, arr in _tensor_entries(params):
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        manifest["tensors"].append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
-        )
-        chunks.append(raw)
-        offset += len(raw)
-    (directory / "tensors.bin").write_bytes(b"".join(chunks))
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def load_checkpoint(directory: str | Path) -> EncoderParams:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    blob = (directory / "tensors.bin").read_bytes()
-    tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        start = entry["offset"]
-        raw = blob[start : start + entry["nbytes"]]
-        tensors[entry["name"]] = np.frombuffer(raw, dtype="<f4").astype(float).reshape(entry["shape"])
-    layers = []
-    for i in range(manifest["num_layers"]):
-        kwargs = {
-            name: tensors[f"layer{i}.{name}"]
-            for name in LayerParams.zeros(2, 2).field_names()
-        }
-        layers.append(LayerParams(**kwargs))
-    return EncoderParams(
-        embed_w=tensors["embed_w"],
-        embed_b=tensors["embed_b"],
-        layers=layers,
-        heads=int(manifest["heads"]),
-    )

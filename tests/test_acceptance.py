@@ -10,16 +10,14 @@ import pytest
 
 from coopalign.cli import main as cli_main
 from coopalign.config import ExperimentConfig, ScenarioParams
-from coopalign.detection import Detection, RotatedBox3D, average_precision, focal_loss, rotated_iou_bev
+from coopalign.detection import Detection, RotatedBox3D, average_precision, rotated_iou_bev
 from coopalign.fusion import (
     BevGrid,
     GridSpec,
     OffsetDelta,
-    OffsetNetParams,
     OffsetSearch,
     confidence_embed,
     estimate_offset,
-    offset_net_backward,
     rasterize_bev,
     warp_grid,
 )
@@ -45,7 +43,6 @@ from coopalign.temporal import (
     TokenSequence,
     layer_attention,
     temporal_encoding,
-    vit_backward,
     vit_forward,
     vit_layer_forward,
 )
@@ -146,70 +143,6 @@ def test_c05_message_size_ordering():
                 assert pose_bytes < obs.message_bytes() < feat_bytes
 
 
-def test_c06_gradient_contracts():
-    with _report(6, "offset net and encoder gradients match finite differences"):
-        h = 1e-5
-
-        # offset regression net
-        rng = np.random.default_rng(48)
-        spec = GridSpec.centered(6, 6, 1.0)
-        def bump_grid():
-            data = np.zeros((1, 6, 6))
-            for _ in range(5):
-                r, c = rng.integers(1, 5, size=2)
-                data[0, r, c] += rng.uniform(0.5, 1.5)
-            return BevGrid(spec, data)
-        ego = bump_grid()
-        nbr = bump_grid()
-        params = OffsetNetParams.seeded(in_channels=1, rng=np.random.default_rng(49), c1=3, c2=4, hidden=5)
-        target = np.array([0.2, -0.1, 0.05])
-        _, grads = offset_net_backward(params, ego, nbr, target)
-        probe = np.random.default_rng(50)
-        checked = 0
-        for name in params.field_names():
-            arr = getattr(params, name)
-            an = getattr(grads, name).reshape(-1)
-            flat = arr.reshape(-1)
-            for idx in probe.choice(flat.size, size=min(25, flat.size), replace=False):
-                orig = flat[idx]
-                flat[idx] = orig + h
-                lp, _ = offset_net_backward(params, ego, nbr, target)
-                flat[idx] = orig - h
-                lm, _ = offset_net_backward(params, ego, nbr, target)
-                flat[idx] = orig
-                fd = (lp - lm) / (2.0 * h)
-                denom = max(abs(fd), abs(an[idx]), 1e-8)
-                assert abs(fd - an[idx]) / denom < 1e-4
-                checked += 1
-        assert checked >= 100
-
-        # transformer encoder
-        rng = np.random.default_rng(68)
-        enc = EncoderParams.seeded(in_channels=3, dim=4, heads=2, num_layers=2, hidden=6, rng=rng)
-        tokens = rng.standard_normal((2, 3, 4))
-        z = TokenSequence(tokens, height=1, width=3)
-        upstream = rng.standard_normal((2, 3, 4))
-        layer_grads, _ = vit_backward(enc, z, upstream)
-        checked = 0
-        for li, layer in enumerate(enc.layers):
-            for name in layer.field_names():
-                arr = getattr(layer, name)
-                an = getattr(layer_grads[li], name).reshape(-1)
-                flat = arr.reshape(-1)
-                for idx in probe.choice(flat.size, size=min(5, flat.size), replace=False):
-                    orig = flat[idx]
-                    flat[idx] = orig + h
-                    lp = float((vit_forward(enc, z).tokens * upstream).sum())
-                    flat[idx] = orig - h
-                    lm = float((vit_forward(enc, z).tokens * upstream).sum())
-                    flat[idx] = orig
-                    fd = (lp - lm) / (2.0 * h)
-                    denom = max(abs(fd), abs(an[idx]), 1e-8)
-                    assert abs(fd - an[idx]) / denom < 1e-4
-                    checked += 1
-        assert checked >= 100
-
-
 def test_c07_residual_identity_and_attention_rows():
     with _report(7, "zero branches give the exact identity; attention rows sum to 1"):
         rng = np.random.default_rng(65)
@@ -290,7 +223,7 @@ def test_c09_offset_search_recovery():
 
 
 def test_c10_metric_oracles():
-    with _report(10, "IoU, AP and focal loss match hand-computed oracles"):
+    with _report(10, "IoU and AP match hand-computed oracles"):
         unit = RotatedBox3D(0, 0, 0, 1, 1, 1, 0.0)
         assert abs(rotated_iou_bev(unit, unit) - 1.0) < 1e-9
         far = RotatedBox3D(50, 0, 0, 1, 1, 1, 0.0)
@@ -307,10 +240,6 @@ def test_c10_metric_oracles():
         ]
         # brute force on tp=[1,0,1,1]: area under the precision envelope
         assert abs(average_precision(dets, gts, 0.5) - 5.0 / 6.0) < 1e-12
-
-        p = np.linspace(0.01, 0.99, 99)
-        ce = float(np.mean(-np.log(p)))
-        assert abs(focal_loss(p, np.ones_like(p), alpha=1.0, gamma=0.0) - ce) < 1e-12
 
 
 def test_c11_noise_sweep_directionality():

@@ -169,6 +169,7 @@ _INVALID_CONFIGS = {
     "ransac seed": {"ransac": {"seed": 3}},
     "section not an object": {"grid": [32, 32]},
     "root not an object": [1, 2],
+    "grid width too large for a float": {"grid": {"width": 10**400}},
 }
 
 # One out-of-range value for every key that has a bound.

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -211,3 +213,74 @@ def _valid_configs(draw) -> ExperimentConfig:
 @given(_valid_configs())
 def test_round_trip_exact_for_drawn_configs(cfg):
     assert _json_round_trip(cfg) == cfg
+
+
+# HeadConfig fields with no lower bound; every other number rejects negatives
+_UNBOUNDED_BELOW = {"height_floor", "nominal_z"}
+
+_known_names = {"passthrough", "random", *BENCHMARK_METHODS}
+_junk = {
+    "bool": st.booleans(),
+    "string": st.text(max_size=4).filter(lambda s: s not in _known_names),
+    "null": st.none(),
+    "list": st.lists(st.integers(0, 9), max_size=2),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(0, 9), max_size=2),
+    "number": st.integers(-9, 9) | st.floats(allow_nan=False, allow_infinity=False),
+}
+_non_finite_or_huge = st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -10**400])
+
+
+def _wrong(*kinds: str):
+    return st.one_of(*(_junk[k] for k in kinds))
+
+
+def _invalid_value(tp, default, name: str):
+    """A strategy of JSON values the decoder must reject in place of
+    ``default``, the value of a field named ``name`` with annotation ``tp``."""
+    if dataclasses.is_dataclass(tp):
+        unknown_key = st.text(max_size=8).filter(lambda k: k not in default).map(lambda k: {**default, k: 0})
+        return _wrong("bool", "string", "null", "list", "number") | unknown_key
+    optional = type(None) in typing.get_args(tp)
+    if optional:
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+    null = () if optional else ("null",)
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        items = args[:1] * len(default) if args[-1] is Ellipsis else args
+        one_entry = st.integers(0, len(default) - 1).flatmap(
+            lambda i: _invalid_value(items[i], default[i], name).map(
+                lambda v: default[:i] + [v] + default[i + 1:]
+            )
+        )
+        return _wrong("bool", "string", "object", "number", *null) | st.just([]) | one_entry
+    if tp is str:
+        return _wrong("bool", "string", "null", "list", "object", "number")
+    wrong_type = _wrong("bool", "string", "list", "object", *null)
+    if tp is int:
+        fractional = st.floats().filter(lambda x: not x.is_integer())
+        negative = st.integers(max_value=-1) | st.just(-10**400)
+        return wrong_type | fractional | negative
+    assert tp is float
+    out = wrong_type | _non_finite_or_huge
+    if name not in _UNBOUNDED_BELOW:
+        out |= st.floats(max_value=-1e-300, allow_infinity=False)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_default_json_broken_at_any_key_raises_config_error(data):
+    # every key path of the default JSON, and the root itself ("")
+    for path in ["", *_key_paths(_DEFAULT_JSON)]:
+        raw = json.loads(json.dumps(_DEFAULT_JSON))
+        if path:
+            *parents, name = path.split(".")
+            owner, cls = raw, ExperimentConfig
+            for p in parents:
+                owner, cls = owner[p], typing.get_type_hints(cls)[p]
+            tp = typing.get_type_hints(cls)[name]
+            owner[name] = data.draw(_invalid_value(tp, owner[name], name), label=path)
+        else:
+            raw = data.draw(_invalid_value(ExperimentConfig, raw, ""), label="config root")
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)

@@ -8,16 +8,12 @@ from coopalign.fusion import (
     GridSpec,
     NoSignalError,
     OffsetDelta,
-    OffsetNetParams,
     OffsetSearch,
-    _conv2d,
     apply_offset,
     coarse_align,
     confidence_embed,
     deserialize_grid,
     estimate_offset,
-    offset_net_backward,
-    offset_net_forward,
     rasterize_bev,
     serialize_grid,
     warp_grid,
@@ -261,77 +257,6 @@ def test_apply_offset_inverts_injected_misalignment():
     np.testing.assert_allclose(corrected.data[interior], ego.data[interior], atol=1e-9)
     with pytest.raises(ValueError):
         apply_offset([ego], [])
-
-
-def test_conv2d_matches_scalar_loop():
-    rng = np.random.default_rng(45)
-    x = rng.standard_normal((3, 9, 8))
-    w = rng.standard_normal((4, 3, 3, 3))
-    b = rng.standard_normal(4)
-    out, _ = _conv2d(x, w, b, stride=2, pad=1)
-
-    cin, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    oh = (h + 2 - 3) // 2 + 1
-    ow = (wd + 2 - 3) // 2 + 1
-    expected = np.zeros((4, oh, ow))
-    for o in range(4):
-        for i in range(oh):
-            for j in range(ow):
-                acc = b[o]
-                for c in range(cin):
-                    for di in range(3):
-                        for dj in range(3):
-                            acc += w[o, c, di, dj] * xp[c, 2 * i + di, 2 * j + dj]
-                expected[o, i, j] = acc
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_offset_net_zero_params_zero_output():
-    rng = np.random.default_rng(46)
-    g = blob_grid(rng, GridSpec.centered(8, 8, 1.0))
-    params = OffsetNetParams.zeros(in_channels=1)
-    delta = offset_net_forward(params, g, g)
-    assert delta.dx == 0.0 and delta.dy == 0.0 and delta.dtheta == 0.0
-
-
-def test_offset_net_channel_mismatch():
-    rng = np.random.default_rng(47)
-    g = blob_grid(rng, GridSpec.centered(8, 8, 1.0))
-    params = OffsetNetParams.zeros(in_channels=2)
-    with pytest.raises(ValueError):
-        offset_net_forward(params, g, g)
-
-
-def test_offset_net_gradients_match_finite_differences():
-    rng = np.random.default_rng(48)
-    spec = GridSpec.centered(6, 6, 1.0)
-    ego = blob_grid(rng, spec)
-    nbr = blob_grid(rng, spec)
-    params = OffsetNetParams.seeded(in_channels=1, rng=np.random.default_rng(49), c1=3, c2=4, hidden=5)
-    target = np.array([0.2, -0.1, 0.05])
-    _, grads = offset_net_backward(params, ego, nbr, target)
-
-    h = 1e-5
-    checked = 0
-    for name in params.field_names():
-        arr = getattr(params, name)
-        g = getattr(grads, name)
-        flat = arr.reshape(-1)
-        take = min(12, flat.size)
-        for idx in np.random.default_rng(50).choice(flat.size, size=take, replace=False):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            lp, _ = offset_net_backward(params, ego, nbr, target)
-            flat[idx] = orig - h
-            lm, _ = offset_net_backward(params, ego, nbr, target)
-            flat[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            an = g.reshape(-1)[idx]
-            denom = max(abs(fd), abs(an), 1e-8)
-            assert abs(fd - an) / denom < 1e-4, f"{name}[{idx}]: fd={fd} an={an}"
-            checked += 1
-    assert checked >= 60
 
 
 def test_grid_serialization_round_trip():

@@ -19,7 +19,6 @@ from coopalign.geometry import (
     relative,
     rotation_z,
     sample_structured_offsets,
-    save_points_ascii,
     save_points_binary,
     transform_points,
 )
@@ -128,19 +127,11 @@ def test_transform_points_manual_oracle():
     np.testing.assert_allclose(out.points, expected, atol=1e-12)
 
 
-def test_transform_points_keeps_attributes():
-    cloud = PointCloud(np.zeros((4, 3)), attributes={"ring": np.arange(4)})
-    out = transform_points(Pose.from_planar(1, 2, 0.3), cloud)
-    np.testing.assert_array_equal(out.attributes["ring"], np.arange(4))
-
-
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         PointCloud(np.array([[0.0, 0.0, np.inf]]))
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((3, 3)), attributes={"a": np.zeros(2)})
     empty = PointCloud(np.zeros((0, 3)))
     assert len(empty) == 0
     assert empty.points.shape == (0, 3)
@@ -225,23 +216,6 @@ def test_structured_noise_validation():
         GaussianPoseNoise(-1.0, 0.0)
 
 
-def test_point_cloud_ascii_round_trip(tmp_path):
-    rng = np.random.default_rng(21)
-    cloud = PointCloud(rng.uniform(-100, 100, size=(50, 3)))
-    path = tmp_path / "pts.txt"
-    save_points_ascii(cloud, path)
-    loaded = load_point_cloud(path)
-    # repr round-trips float64 exactly
-    np.testing.assert_array_equal(loaded.points, cloud.points)
-
-
-def test_point_cloud_ascii_skips_comments(tmp_path):
-    path = tmp_path / "pts.txt"
-    path.write_text("# header\n1.0 2.0 3.0\n\n4.0 5.0 6.0\n")
-    loaded = load_point_cloud(path)
-    np.testing.assert_array_equal(loaded.points, [[1, 2, 3], [4, 5, 6]])
-
-
 def test_point_cloud_binary_round_trip(tmp_path):
     rng = np.random.default_rng(22)
     cloud = PointCloud(rng.uniform(-10, 10, size=(33, 3)).astype(np.float32))
@@ -261,8 +235,9 @@ def test_point_cloud_binary_truncation_rejected(tmp_path):
         load_point_cloud(path)
 
 
-def test_point_cloud_ascii_bad_column_count(tmp_path):
+def test_point_cloud_without_magic_rejected(tmp_path):
     path = tmp_path / "pts.txt"
-    path.write_text("1.0 2.0\n")
-    with pytest.raises(ValueError):
-        load_point_cloud(path)
+    for raw in (b"1.0 2.0 3.0\n", b""):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="magic"):
+            load_point_cloud(path)

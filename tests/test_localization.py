@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,12 +10,10 @@ from coopalign.localization import (
     RansacConfig,
     SceneCoordPrediction,
     confidence_from_error,
-    coordinate_error,
     kabsch_solve,
     oracle_predict,
     pose_message_json,
     ransac_pose,
-    regression_loss,
     voxel_downsample,
 )
 from conftest import random_full_pose
@@ -39,42 +36,6 @@ def test_confidence_anchors():
         confidence_from_error(-0.1)
     with pytest.raises(ValueError):
         confidence_from_error(float("inf"))
-
-
-def test_coordinate_error_norms():
-    assert coordinate_error([1, 2, 3], [0, 0, 0], norm="l1") == 6.0
-    assert abs(coordinate_error([3, 4, 0], [0, 0, 0], norm="l2") - 5.0) < 1e-15
-    with pytest.raises(ValueError):
-        coordinate_error([1, 2, 3], [0, 0, 0], norm="huber")
-
-
-def test_regression_loss_scalar_oracle():
-    rng = np.random.default_rng(5)
-    n = 40
-    local = PointCloud(rng.uniform(-2, 2, size=(n, 3)))
-    gt = PointCloud(rng.uniform(-2, 2, size=(n, 3)))
-    predw = PointCloud(gt.points + rng.normal(0, 0.3, size=(n, 3)))
-    eps = np.abs(rng.normal(0, 0.3, size=n))
-    pred = SceneCoordPrediction(local, predw, eps, gt_world=gt)
-
-    total = 0.0
-    for i in range(n):
-        u = sum(abs(predw.points[i, k] - gt.points[i, k]) for k in range(3))
-        total += u + abs(u - eps[i])
-    assert abs(regression_loss(pred, norm="l1") - total / n) < 1e-12
-
-    total2 = 0.0
-    for i in range(n):
-        u = math.sqrt(sum((predw.points[i, k] - gt.points[i, k]) ** 2 for k in range(3)))
-        total2 += u + abs(u - eps[i])
-    assert abs(regression_loss(pred, norm="l2") - total2 / n) < 1e-12
-
-
-def test_regression_loss_requires_ground_truth():
-    local = PointCloud(np.zeros((3, 3)))
-    pred = SceneCoordPrediction(local, local, np.zeros(3))
-    with pytest.raises(ValueError):
-        regression_loss(pred)
 
 
 def test_voxel_downsample_hand_case():
