@@ -2,6 +2,8 @@
 localization, grid fusion with residual alignment, and detection metrics on
 synthetic scenes."""
 
+import types as _types
+
 from .baselines import (
     BoxObservation,
     GraphMatchConfig,
@@ -36,7 +38,6 @@ from .fusion import (
     BevGrid,
     GridSpec,
     NoSignalError,
-    OffsetDelta,
     OffsetSearch,
     apply_offset,
     coarse_align,
@@ -119,4 +120,8 @@ from .temporal import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names only: importing a submodule also binds it here
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .detection import RotatedBox3D
-from .geometry import Pose, PointCloud, compose
+from .geometry import Pose, PointCloud
 from .localization import DegenerateSampleError, _kabsch_arrays
 
 
@@ -96,7 +96,8 @@ def icp_align(src: PointCloud, dst: PointCloud, cfg: IcpConfig) -> IcpResult | N
     cell = cfg.max_correspondence_dist
     table = _hash_cells(dst.points, cell)
     current = src.points.copy()
-    total = Pose.identity()
+    rot_total = np.eye(3)
+    trans_total = np.zeros(3)
     history: list[float] = []
     iterations = 0
     for _ in range(cfg.max_iterations):
@@ -104,19 +105,20 @@ def icp_align(src: PointCloud, dst: PointCloud, cfg: IcpConfig) -> IcpResult | N
         if si.shape[0] < 3:
             return None
         try:
-            step = _kabsch_arrays(current[si], dst.points[di])
+            rot, trans = _kabsch_arrays(current[si], dst.points[di])
         except DegenerateSampleError:
             return None
-        moved = current @ step.rotation.T + step.translation
+        moved = current @ rot.T + trans
         delta = float(np.linalg.norm(moved - current, axis=1).mean())
         current = moved
-        total = compose(step, total)
+        # compose(step, total) on arrays
+        rot_total, trans_total = rot @ rot_total, rot @ trans_total + trans
         resid = current[si] - dst.points[di]
         history.append(float(np.sqrt(np.einsum("ij,ij->i", resid, resid).mean())))
         iterations += 1
         if delta < cfg.convergence_eps:
             break
-    return IcpResult(total, history[-1], iterations, tuple(history))
+    return IcpResult(Pose(rot_total, trans_total), history[-1], iterations, tuple(history))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +215,7 @@ def graph_match_align(
     local = nc[[a for _, a in matched]]
     world = ec[[i for i, _ in matched]]
     try:
-        pose = _kabsch_arrays(local, world)
+        rot, trans = _kabsch_arrays(local, world)
     except DegenerateSampleError:
         return None
-    return GraphMatchResult(pose=pose, matched_pairs=matched)
+    return GraphMatchResult(pose=Pose(rot, trans), matched_pairs=matched)

@@ -123,6 +123,10 @@ class HeadConfig:
 _METHODS = ("pgc", "icp", "graph", "gt-noise")
 _SWEEP_METHODS = ("gt-noise", "pgc", "none")
 
+# A config whose largest float64 array would exceed this many bytes is
+# refused before any work starts.
+ARRAY_BUDGET_BYTES = 1 << 30
+
 
 def level_key(level: tuple[float, float]) -> str:
     """The sweep summary's key for a noise level (sigma_t, sigma_r)."""
@@ -204,6 +208,18 @@ class ExperimentConfig:
         thresholds = self.eval.iou_thresholds
         if len({threshold_key(t) for t in thresholds}) != len(thresholds):
             raise ConfigError("iou_thresholds must differ when printed with :g (the summary keys)")
+        # the largest float64 array the sizes imply: a weight matrix, the
+        # token features of all frames, or one layer's attention scores
+        enc = self.encoder
+        tokens = self.frames * self.grid.width * self.grid.height
+        entries = [enc.dim * enc.dim, enc.dim * enc.hidden, tokens * enc.dim]
+        if enc.mode == "random" and enc.layers > 0:
+            entries.append(enc.heads * tokens * tokens)
+        if 8 * max(entries) > ARRAY_BUDGET_BYTES:
+            raise ConfigError(
+                f"these sizes imply an array of {8 * max(entries)} bytes, "
+                f"over the {ARRAY_BUDGET_BYTES}-byte budget"
+            )
 
     def grid_spec(self) -> GridSpec:
         return self.grid.spec()

@@ -112,21 +112,16 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec) -> BevGrid:
     return BevGrid(spec, data)
 
 
-def warp_grid(grid: BevGrid, delta: Pose2D) -> BevGrid:
-    """Resample a grid under a planar rigid motion.
-
-    The output at world position p takes the input value at delta^{-1}(p)
-    via bilinear interpolation, zero outside the source extent. Sample
-    coordinates within 1e-9 of a cell center snap to it, so an identity delta
-    or an exact whole-cell translation reproduces values bitwise."""
-    spec = grid.spec
+def _sample(data: np.ndarray, spec: GridSpec, x: float, y: float, theta: float) -> np.ndarray:
+    """Bilinear samples of (C, H, W) data at every cell center moved by the
+    planar motion (x, y, theta), zero outside the source extent. Sample
+    coordinates within 1e-9 of a cell center snap to it."""
     xs, ys = spec.cell_centers()
     px, py = np.meshgrid(xs, ys)
-    inv = delta.inverse()
-    c = math.cos(inv.theta)
-    s = math.sin(inv.theta)
-    qx = c * px - s * py + inv.x
-    qy = s * px + c * py + inv.y
+    c = math.cos(theta)
+    s = math.sin(theta)
+    qx = c * px - s * py + x
+    qy = s * px + c * py + y
     u = (qx - spec.origin[0]) / spec.resolution
     v = (qy - spec.origin[1]) / spec.resolution
     u_round = np.round(u)
@@ -137,7 +132,7 @@ def warp_grid(grid: BevGrid, delta: Pose2D) -> BevGrid:
     j0 = np.floor(v).astype(np.int64)
     fu = u - i0
     fv = v - j0
-    out = np.zeros_like(grid.data)
+    out = np.zeros_like(data)
     for dj, di, weight in (
         (0, 0, (1.0 - fv) * (1.0 - fu)),
         (0, 1, (1.0 - fv) * fu),
@@ -149,9 +144,20 @@ def warp_grid(grid: BevGrid, delta: Pose2D) -> BevGrid:
         valid = (ii >= 0) & (ii < spec.width) & (jj >= 0) & (jj < spec.height)
         jc = np.clip(jj, 0, spec.height - 1)
         ic = np.clip(ii, 0, spec.width - 1)
-        contrib = grid.data[:, jc, ic] * weight[None, :, :]
+        contrib = data[:, jc, ic] * weight[None, :, :]
         out += np.where(valid[None, :, :], contrib, 0.0)
-    return BevGrid(spec, out)
+    return out
+
+
+def warp_grid(grid: BevGrid, delta: Pose2D) -> BevGrid:
+    """Resample a grid under a planar rigid motion.
+
+    The output at world position p takes the input value at delta^{-1}(p)
+    via bilinear interpolation, zero outside the source extent. Sample
+    coordinates within 1e-9 of a cell center snap to it, so an identity delta
+    or an exact whole-cell translation reproduces values bitwise."""
+    inv = delta.inverse()
+    return BevGrid(grid.spec, _sample(grid.data, grid.spec, inv.x, inv.y, inv.theta))
 
 
 def coarse_align(
@@ -188,33 +194,6 @@ def confidence_embed(grids: Sequence[BevGrid], sigmas: Sequence[float]) -> list[
         plane = np.full((1, grid.spec.height, grid.spec.width), val / total)
         out.append(BevGrid(grid.spec, np.concatenate([grid.data, plane], axis=0)))
     return out
-
-
-@dataclass(frozen=True)
-class OffsetDelta:
-    """A small planar misalignment (dx, dy, dtheta), dtheta in (-pi, pi]."""
-
-    dx: float
-    dy: float
-    dtheta: float
-
-    def __post_init__(self) -> None:
-        for name in ("dx", "dy", "dtheta"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "dtheta", normalize_angle(self.dtheta))
-
-    def as_pose2d(self) -> Pose2D:
-        return Pose2D(self.dx, self.dy, self.dtheta)
-
-    def invert(self) -> "OffsetDelta":
-        inv = self.as_pose2d().inverse()
-        return OffsetDelta(inv.x, inv.y, inv.theta)
-
-    def norm(self) -> float:
-        return math.sqrt(self.dx**2 + self.dy**2 + self.dtheta**2)
 
 
 @dataclass(frozen=True)
@@ -260,64 +239,64 @@ def _ncc(a: np.ndarray, b_centered: np.ndarray, b_norm: float) -> float:
     return float((ac * b_centered).sum()) / denom
 
 
-def estimate_offset(
-    ego: BevGrid, nbr: BevGrid, search: OffsetSearch, channel: int = 0
-) -> OffsetDelta:
-    """Exhaustively search for the planar offset that carries one ego channel
+def estimate_offset(ego: BevGrid, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
+    """Exhaustively search for the planar offset that carries the ego grid
     onto the neighbor's.
 
-    Maximizes normalized cross-correlation of the chosen channel between
-    warp_grid(ego, delta) and nbr over the search grid. Ties break toward the
-    smaller offset norm, then the earlier candidate. The returned delta is
-    the neighbor's misalignment relative to ego; warp the neighbor by its
-    inverse to correct it. Raises NoSignalError when either channel has zero
-    variance. Pick a channel that is blind to omnipresent background (for
-    the standard rasterization, max height ignores ground returns); raw
-    occupancy correlates the two sensing footprints instead of the scene
-    content when a dominant uniform background is present."""
+    Both grids hold one channel. Maximizes normalized cross-correlation
+    between warp_grid(ego, delta) and nbr over the search grid. Ties break
+    toward the smaller offset norm, then the earlier candidate. The returned
+    delta is the neighbor's misalignment relative to ego; warp the neighbor
+    by its inverse to correct it. Raises NoSignalError when either grid has
+    zero variance. Correlate a channel that is blind to omnipresent
+    background (for the standard rasterization, max height ignores ground
+    returns); raw occupancy correlates the two sensing footprints instead of
+    the scene content when a dominant uniform background is present."""
     if not ego.spec.same_geometry(nbr.spec):
         raise ValueError("grids must share one GridSpec")
-    if not 0 <= channel < ego.data.shape[0]:
-        raise ValueError("channel out of range")
-    ego_occ = ego.data[channel]
-    nbr_occ = nbr.data[channel]
+    if ego.channels != 1 or nbr.channels != 1:
+        raise ValueError("offset search correlates grids of exactly one channel")
+    ego_occ = ego.data[0]
+    nbr_occ = nbr.data[0]
     if float(ego_occ.std()) == 0.0 or float(nbr_occ.std()) == 0.0:
         raise NoSignalError("correlation channel has zero variance")
     b_centered = nbr_occ - nbr_occ.mean()
     b_norm = math.sqrt(float((b_centered * b_centered).sum()))
     best_score = -math.inf
     best_norm = math.inf
-    best = OffsetDelta(0.0, 0.0, 0.0)
+    best = (0.0, 0.0, 0.0)
     zero_score = -math.inf
-    ego_single = BevGrid(ego.spec, ego_occ[None, :, :])
     for dtheta in search.theta_values():
+        # the inverse of each candidate, as Pose2D.inverse() computes it
+        theta = normalize_angle(float(dtheta))
+        c = math.cos(theta)
+        s = math.sin(theta)
+        inv_theta = normalize_angle(-theta)
         for dy in search.xy_values():
+            y = float(dy)
             for dx in search.xy_values():
-                cand = OffsetDelta(float(dx), float(dy), float(dtheta))
-                warped = warp_grid(ego_single, cand.as_pose2d())
-                score = _ncc(warped.data[0], b_centered, b_norm)
-                if cand.norm() == 0.0:
+                x = float(dx)
+                warped = _sample(ego.data, ego.spec, -(c * x + s * y), -(-s * x + c * y), inv_theta)
+                score = _ncc(warped[0], b_centered, b_norm)
+                norm = math.sqrt(x**2 + y**2 + theta**2)
+                if norm == 0.0:
                     zero_score = score
-                if score > best_score or (score == best_score and cand.norm() < best_norm):
+                if score > best_score or (score == best_score and norm < best_norm):
                     best_score = score
-                    best_norm = cand.norm()
-                    best = cand
+                    best_norm = norm
+                    best = (x, y, theta)
     if not math.isfinite(best_score):
         raise NoSignalError("no candidate produced a finite correlation")
-    if search.min_gain > 0.0 and best.norm() > 0.0:
-        if not math.isfinite(zero_score):
-            zero_score = _ncc(warp_grid(ego_single, OffsetDelta(0.0, 0.0, 0.0).as_pose2d()).data[0],
-                              b_centered, b_norm)
-        if best_score < zero_score + search.min_gain:
-            return OffsetDelta(0.0, 0.0, 0.0)
-    return best
+    if search.min_gain > 0.0 and best_norm > 0.0 and best_score < zero_score + search.min_gain:
+        return Pose2D(0.0, 0.0, 0.0)
+    return Pose2D(*best)
 
 
-def apply_offset(grids: Sequence[BevGrid], deltas: Sequence[OffsetDelta]) -> list[BevGrid]:
+def apply_offset(grids: Sequence[BevGrid], deltas: Sequence[Pose2D]) -> list[BevGrid]:
     """Warp each grid by its own delta. Lengths must match."""
     if len(grids) != len(deltas):
         raise ValueError("need one delta per grid")
-    return [warp_grid(g, d.as_pose2d()) for g, d in zip(grids, deltas)]
+    return [warp_grid(g, d) for g, d in zip(grids, deltas)]
 
 
 def serialize_grid(grid: BevGrid) -> bytes:

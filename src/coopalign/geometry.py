@@ -122,6 +122,10 @@ class Pose2D:
     def as_pose(self) -> Pose:
         return Pose.from_planar(self.x, self.y, self.theta)
 
+    def norm(self) -> float:
+        """Euclidean norm of (x, y, theta), mixing meters and radians."""
+        return math.sqrt(self.x**2 + self.y**2 + self.theta**2)
+
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:

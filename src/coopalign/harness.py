@@ -34,7 +34,6 @@ from .fusion import (
     BevGrid,
     GridSpec,
     NoSignalError,
-    OffsetDelta,
     apply_offset,
     coarse_align,
     confidence_embed,
@@ -47,6 +46,7 @@ from .geometry import (
     GaussianPoseNoise,
     PointCloud,
     Pose,
+    Pose2D,
     compose,
     inverse,
     load_point_cloud,
@@ -543,9 +543,9 @@ def run_pipeline(
                 try:
                     delta = estimate_offset(ego_search, _search_grid(grid, 2), cfg.search)
                 except NoSignalError:
-                    delta = OffsetDelta(0.0, 0.0, 0.0)
+                    delta = Pose2D(0.0, 0.0, 0.0)
                 residual_offsets[(frame, k)] = delta
-                deltas.append(delta.invert())
+                deltas.append(delta.inverse())
             corrected = apply_offset(warped, deltas)
             fused_inputs = [grids[ego.agent_id]] + corrected
             weights = [sigmas[ego.agent_id]] + [sigmas[k] for k in neighbor_ids]
@@ -624,11 +624,6 @@ def _timed(fn):
     return result, time.perf_counter() - t0
 
 
-def _relative_errors(est_rel, gt_rel) -> tuple[float, float]:
-    t_err, r_err = pose_error(est_rel, gt_rel)
-    return t_err, r_err
-
-
 def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[AlignmentRow]:
     scenario = generate_scenario(cfg.scenario, _derived_seed(cfg.seed, 1, scenario_id))
     ego = scenario.agents[0]
@@ -637,6 +632,12 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
 
     for nbr in scenario.agents[1:]:
         gt_rel = relative(ego.gt_pose, nbr.gt_pose)
+
+        def add_row(method: str, est_rel: Pose | None, nbytes: int, t: float) -> None:
+            """One row for a relative pose estimate; None marks a failure."""
+            t_err, r_err = pose_error(est_rel, gt_rel) if est_rel is not None else (math.inf, math.inf)
+            rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
+                                     t_err, r_err, t_err < _SUCCESS_TRANSLATION_M, nbytes, t))
 
         for method in cfg.methods:
             if method == "pgc":
@@ -647,13 +648,9 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
 
                 (est_e, est_n), t = _timed(run_pgc)
                 if est_e is None or est_n is None:
-                    rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
-                                             float("inf"), float("inf"), False, 0, t))
-                    continue
-                t_err, r_err = _relative_errors(relative(est_e.pose, est_n.pose), gt_rel)
-                rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
-                                         t_err, r_err, t_err < _SUCCESS_TRANSLATION_M,
-                                         est_n.message_bytes(), t))
+                    add_row(method, None, 0, t)
+                else:
+                    add_row(method, relative(est_e.pose, est_n.pose), est_n.message_bytes(), t)
             elif method == "icp":
                 src_pts = obs_cache[nbr.agent_id].centers()
                 dst_pts = obs_cache[ego.agent_id].centers()
@@ -664,27 +661,15 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
                     return icp_align(PointCloud(src_pts), PointCloud(dst_pts), cfg.icp)
 
                 result, t = _timed(run_icp)
-                nbytes = obs_cache[nbr.agent_id].message_bytes()
-                if result is None:
-                    rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
-                                             float("inf"), float("inf"), False, nbytes, t))
-                    continue
-                t_err, r_err = _relative_errors(result.pose, gt_rel)
-                rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
-                                         t_err, r_err, t_err < _SUCCESS_TRANSLATION_M, nbytes, t))
+                add_row(method, None if result is None else result.pose,
+                        obs_cache[nbr.agent_id].message_bytes(), t)
             elif method == "graph":
                 def run_graph():
                     return graph_match_align(obs_cache[ego.agent_id], obs_cache[nbr.agent_id], cfg.graph)
 
                 result, t = _timed(run_graph)
-                nbytes = obs_cache[nbr.agent_id].message_bytes()
-                if result is None:
-                    rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
-                                             float("inf"), float("inf"), False, nbytes, t))
-                    continue
-                t_err, r_err = _relative_errors(result.pose, gt_rel)
-                rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
-                                         t_err, r_err, t_err < _SUCCESS_TRANSLATION_M, nbytes, t))
+                add_row(method, None if result is None else result.pose,
+                        obs_cache[nbr.agent_id].message_bytes(), t)
             elif method == "gt-noise":
                 st, sr = cfg.alignment_noise
 
@@ -694,10 +679,8 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
                     return pe, ce, pn, cn
 
                 (pe, _, pn, cn), t = _timed(run_noise)
-                t_err, r_err = _relative_errors(relative(pe, pn), gt_rel)
                 nbytes = len(pose_message_json(pn, cn, 0.0, 1.0).encode("utf-8"))
-                rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
-                                         t_err, r_err, t_err < _SUCCESS_TRANSLATION_M, nbytes, t))
+                add_row(method, relative(pe, pn), nbytes, t)
     return rows
 
 
@@ -970,7 +953,7 @@ def selftest() -> list[tuple[str, bool]]:
     ok = bool(np.allclose(total, 1.0, atol=1e-12))
     checks.append(("confidence_weights", ok))
 
-    warped = warp_grid(grid, OffsetDelta(0.0, 0.0, 0.0).as_pose2d())
+    warped = warp_grid(grid, Pose2D(0.0, 0.0, 0.0))
     ok = bool(np.array_equal(warped.data, grid.data))
     checks.append(("warp_identity", ok))
 

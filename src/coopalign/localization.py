@@ -197,7 +197,8 @@ def oracle_predict(
     )
 
 
-def _kabsch_arrays(local: np.ndarray, world: np.ndarray) -> Pose:
+def _kabsch_arrays(local: np.ndarray, world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and translation of the least-squares rigid fit."""
     if local.shape[0] < 3:
         raise DegenerateSampleError("rigid fit needs at least 3 points")
     centroid_l = local.mean(axis=0)
@@ -208,7 +209,7 @@ def _kabsch_arrays(local: np.ndarray, world: np.ndarray) -> Pose:
         raise DegenerateSampleError("point set is collinear or coincident")
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return Pose(rot, centroid_w - rot @ centroid_l)
+    return rot, centroid_w - rot @ centroid_l
 
 
 def kabsch_solve(local: PointCloud | np.ndarray, world: PointCloud | np.ndarray) -> Pose:
@@ -220,7 +221,7 @@ def kabsch_solve(local: PointCloud | np.ndarray, world: PointCloud | np.ndarray)
     wp = world.points if isinstance(world, PointCloud) else np.asarray(world, dtype=float)
     if lp.shape != wp.shape:
         raise ValueError("local and world point sets must have equal shapes")
-    return _kabsch_arrays(lp, wp)
+    return Pose(*_kabsch_arrays(lp, wp))
 
 
 def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) -> PoseEstimate | None:
@@ -241,17 +242,17 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
     best_count = -1
     best_mean = math.inf
     best_mask: np.ndarray | None = None
-    best_pose: Pose | None = None
+    best_rt: tuple[np.ndarray, np.ndarray] | None = None
     needed = float(cfg.max_iterations)
 
     for it in range(cfg.max_iterations):
         rng_it = np.random.default_rng((seed, it))
         idx = rng_it.choice(n, size=cfg.sample_size, replace=False)
         try:
-            pose = _kabsch_arrays(local[idx], world[idx])
+            rot, trans = _kabsch_arrays(local[idx], world[idx])
         except DegenerateSampleError:
             continue
-        resid = np.linalg.norm(local @ pose.rotation.T + pose.translation - world, axis=1)
+        resid = np.linalg.norm(local @ rot.T + trans - world, axis=1)
         mask = resid < cfg.inlier_threshold
         count = int(mask.sum())
         mean_resid = float(resid[mask].mean()) if count else math.inf
@@ -259,7 +260,7 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
             best_count = count
             best_mean = mean_resid
             best_mask = mask
-            best_pose = pose
+            best_rt = (rot, trans)
             w = best_count / n
             if w >= 1.0:
                 needed = 0.0
@@ -270,17 +271,17 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
         if it + 1 >= needed:
             break
 
-    if best_pose is None or best_mask is None or best_count < cfg.min_inliers:
+    if best_rt is None or best_mask is None or best_count < cfg.min_inliers:
         return None
 
     inlier_idx = np.flatnonzero(best_mask)
     try:
         refit = _kabsch_arrays(local[inlier_idx], world[inlier_idx])
     except DegenerateSampleError:
-        refit = best_pose
+        refit = best_rt
     agg = float(pred.predicted_error[inlier_idx].mean())
     return PoseEstimate(
-        pose=refit,
+        pose=Pose(*refit),
         confidence=confidence_from_error(agg),
         aggregated_error=agg,
         inlier_indices=inlier_idx,

@@ -1,6 +1,9 @@
-"""Shared test helpers: small random geometry factories and grid builders."""
+"""Shared test helpers: small random geometry factories, grid builders and a
+construction counter."""
 
 import math
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -53,3 +56,25 @@ def make_raster(rng, spec=None, n=80):
         spec = GridSpec.centered(16, 16, 1.0)
     pts = rng.uniform(-6, 6, size=(n, 3))
     return rasterize_bev(PointCloud(pts), spec)
+
+
+@contextmanager
+def counting_constructions(*classes):
+    """Count, per class name, the instances of each class built inside the
+    block (each construction runs the class's __post_init__ once)."""
+    counts: Counter = Counter()
+    saved = [(cls, cls.__dict__["__post_init__"]) for cls in classes]
+
+    def counted(name, original):
+        def post_init(self):
+            counts[name] += 1
+            original(self)
+        return post_init
+
+    for cls, original in saved:
+        cls.__post_init__ = counted(cls.__name__, original)
+    try:
+        yield counts
+    finally:
+        for cls, original in saved:
+            cls.__post_init__ = original

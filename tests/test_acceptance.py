@@ -14,14 +14,13 @@ from coopalign.detection import Detection, RotatedBox3D, average_precision, rota
 from coopalign.fusion import (
     BevGrid,
     GridSpec,
-    OffsetDelta,
     OffsetSearch,
     confidence_embed,
     estimate_offset,
     rasterize_bev,
     warp_grid,
 )
-from coopalign.geometry import PointCloud, Pose, StructuredLocNoise, pose_error
+from coopalign.geometry import PointCloud, Pose, Pose2D, StructuredLocNoise, pose_error
 from coopalign.harness import (
     generate_scenario,
     run_alignment_benchmark,
@@ -210,16 +209,16 @@ def test_c09_offset_search_recovery():
         rng = np.random.default_rng(901)
         for _ in range(100):
             ego = _box_scene_grid(rng, spec)
-            true = OffsetDelta(
+            true = Pose2D(
                 float(rng.uniform(-2.0, 2.0)),
                 float(rng.uniform(-2.0, 2.0)),
                 float(rng.uniform(-math.radians(10.0), math.radians(10.0))),
             )
-            nbr = warp_grid(ego, true.as_pose2d())
+            nbr = warp_grid(ego, true)
             est = estimate_offset(ego, nbr, search)
-            assert abs(est.dx - true.dx) <= 0.5 + 1e-9
-            assert abs(est.dy - true.dy) <= 0.5 + 1e-9
-            assert abs(est.dtheta - true.dtheta) <= math.radians(2.5) + 1e-9
+            assert abs(est.x - true.x) <= 0.5 + 1e-9
+            assert abs(est.y - true.y) <= 0.5 + 1e-9
+            assert abs(est.theta - true.theta) <= math.radians(2.5) + 1e-9
 
 
 def test_c10_metric_oracles():

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,14 @@ def test_console_script_runs(tmp_path):
     assert (tmp_path / "out" / "alignment_results.csv").exists()
 
 
+def test_package_exports_only_its_api():
+    for name in coopalign.__all__:
+        value = getattr(coopalign, name)
+        assert not isinstance(value, types.ModuleType), name
+    assert "OffsetDelta" not in coopalign.__all__
+    assert {"estimate_offset", "Pose2D", "run_noise_sweep"} <= set(coopalign.__all__)
+
+
 _NAN = float("nan")
 
 # Inputs that once exited 2 with a traceback, or were silently accepted.
@@ -170,6 +179,12 @@ _INVALID_CONFIGS = {
     "section not an object": {"grid": [32, 32]},
     "root not an object": [1, 2],
     "grid width too large for a float": {"grid": {"width": 10**400}},
+    # arrays that cannot fit: a dim x dim weight matrix, and about 4.3 GB of
+    # (heads, tokens, tokens) attention scores for 4 frames of 64 x 64 cells
+    "encoder dim too large for memory": {"num_scenarios": 1, "encoder": {"dim": 4611686018427387904}},
+    "attention scores over the budget": {
+        "frames": 4, "grid": {"width": 64, "height": 64}, "encoder": {"mode": "random"},
+    },
 }
 
 # One out-of-range value for every key that has a bound.

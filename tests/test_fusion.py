@@ -7,7 +7,6 @@ from coopalign.fusion import (
     BevGrid,
     GridSpec,
     NoSignalError,
-    OffsetDelta,
     OffsetSearch,
     apply_offset,
     coarse_align,
@@ -18,8 +17,8 @@ from coopalign.fusion import (
     serialize_grid,
     warp_grid,
 )
-from coopalign.geometry import PointCloud, Pose
-from conftest import blob_grid
+from coopalign.geometry import PointCloud, Pose, Pose2D
+from conftest import blob_grid, counting_constructions
 
 
 def test_grid_spec_centered_is_symmetric():
@@ -80,7 +79,7 @@ def test_bev_grid_validation():
 def test_warp_identity_is_bitwise():
     rng = np.random.default_rng(32)
     grid = blob_grid(rng)
-    warped = warp_grid(grid, OffsetDelta(0.0, 0.0, 0.0).as_pose2d())
+    warped = warp_grid(grid, Pose2D(0.0, 0.0, 0.0))
     np.testing.assert_array_equal(warped.data, grid.data)
 
 
@@ -88,7 +87,7 @@ def test_warp_whole_cell_shift_matches_roll():
     rng = np.random.default_rng(33)
     grid = blob_grid(rng)
     res = grid.spec.resolution
-    warped = warp_grid(grid, OffsetDelta(2 * res, -res, 0.0).as_pose2d())
+    warped = warp_grid(grid, Pose2D(2 * res, -res, 0.0))
     expected = np.zeros_like(grid.data)
     # +x moves content right by 2 columns, -y moves it down one row index
     expected[:, : grid.spec.height - 1, 2:] = grid.data[:, 1:, : grid.spec.width - 2]
@@ -100,7 +99,7 @@ def test_warp_is_linear_in_grid_values():
     spec = GridSpec.centered(16, 16, 0.5)
     a = blob_grid(rng, spec)
     b = blob_grid(rng, spec)
-    delta = OffsetDelta(0.33, -0.21, 0.1).as_pose2d()
+    delta = Pose2D(0.33, -0.21, 0.1)
     combo = BevGrid(spec, 2.0 * a.data + 3.0 * b.data)
     lhs = warp_grid(combo, delta).data
     rhs = 2.0 * warp_grid(a, delta).data + 3.0 * warp_grid(b, delta).data
@@ -110,7 +109,7 @@ def test_warp_is_linear_in_grid_values():
 def test_warp_fills_zero_outside_source():
     spec = GridSpec.centered(8, 8, 1.0)
     grid = BevGrid(spec, np.ones((1, 8, 8)))
-    warped = warp_grid(grid, OffsetDelta(3.0, 0.0, 0.0).as_pose2d())
+    warped = warp_grid(grid, Pose2D(3.0, 0.0, 0.0))
     assert np.all(warped.data[0][:, :3] == 0.0)
     assert np.all(warped.data[0][:, 3:] == 1.0)
 
@@ -172,13 +171,13 @@ def test_confidence_embed_validation():
 
 
 def test_offset_delta_normalizes_angle_and_inverts():
-    d = OffsetDelta(1.0, -2.0, 3 * math.pi)
-    assert abs(d.dtheta - math.pi) < 1e-12
-    back = d.invert().invert()
-    assert abs(back.dx - d.dx) < 1e-12
-    assert abs(back.dy - d.dy) < 1e-12
-    assert abs(back.dtheta - d.dtheta) < 1e-12
-    assert OffsetDelta(3.0, 4.0, 0.0).norm() == 5.0
+    d = Pose2D(1.0, -2.0, 3 * math.pi)
+    assert abs(d.theta - math.pi) < 1e-12
+    back = d.inverse().inverse()
+    assert abs(back.x - d.x) < 1e-12
+    assert abs(back.y - d.y) < 1e-12
+    assert abs(back.theta - d.theta) < 1e-12
+    assert Pose2D(3.0, 4.0, 0.0).norm() == 5.0
 
 
 def test_offset_search_grids():
@@ -197,25 +196,25 @@ def test_estimate_offset_recovers_injected_shift():
     search = OffsetSearch(max_xy=1.5, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=2.5)
     for _ in range(5):
         ego = blob_grid(rng)
-        true = OffsetDelta(
+        true = Pose2D(
             float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])),
             float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])),
             0.0,
         )
-        nbr = warp_grid(ego, true.as_pose2d())
+        nbr = warp_grid(ego, true)
         est = estimate_offset(ego, nbr, search)
-        assert abs(est.dx - true.dx) < 1e-12
-        assert abs(est.dy - true.dy) < 1e-12
+        assert abs(est.x - true.x) < 1e-12
+        assert abs(est.y - true.y) < 1e-12
 
 
 def test_estimate_offset_recovers_rotation():
     rng = np.random.default_rng(41)
     ego = blob_grid(rng)
     search = OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5)
-    true = OffsetDelta(0.0, 0.0, math.radians(5.0))
-    nbr = warp_grid(ego, true.as_pose2d())
+    true = Pose2D(0.0, 0.0, math.radians(5.0))
+    nbr = warp_grid(ego, true)
     est = estimate_offset(ego, nbr, search)
-    assert abs(est.dtheta - true.dtheta) < math.radians(2.5) + 1e-12
+    assert abs(est.theta - true.theta) < math.radians(2.5) + 1e-12
 
 
 def test_estimate_offset_min_gain_suppresses_twitch():
@@ -234,24 +233,44 @@ def test_estimate_offset_channel_selection_and_errors():
     base = blob_grid(rng, spec)
     two = BevGrid(spec, np.concatenate([np.ones((1, 16, 16)), base.data], axis=0))
     search = OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=math.degrees(1.0))
-    # channel 0 is constant: no usable signal
+    # a constant grid carries no usable signal
+    flat = BevGrid(spec, np.ones((1, 16, 16)))
     with pytest.raises(NoSignalError):
-        estimate_offset(two, two, search, channel=0)
-    est = estimate_offset(two, two, search, channel=1)
-    assert est.norm() == 0.0
-    with pytest.raises(ValueError):
-        estimate_offset(two, two, search, channel=5)
+        estimate_offset(flat, base, search)
+    with pytest.raises(NoSignalError):
+        estimate_offset(base, flat, search)
+    assert estimate_offset(base, base, search).norm() == 0.0
+    # the search correlates one channel; a multi-channel grid is refused
+    with pytest.raises(ValueError, match="one channel") as info:
+        estimate_offset(two, two, search)
+    assert not isinstance(info.value, NoSignalError)
     other = blob_grid(rng, GridSpec.centered(8, 8, 0.5))
     with pytest.raises(ValueError):
         estimate_offset(base, other, search)
 
 
+def test_estimate_offset_builds_no_object_per_candidate():
+    rng = np.random.default_rng(45)
+    ego = blob_grid(rng)
+    nbr = warp_grid(ego, Pose2D(0.5, 0.0, 0.0))
+    built = []
+    for search in (
+        OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=2.5),
+        OffsetSearch(max_xy=1.0, step_xy=0.5, max_theta_deg=5.0, step_theta_deg=2.5),
+    ):
+        with counting_constructions(BevGrid, Pose2D) as counts:
+            estimate_offset(ego, nbr, search)
+        built.append(dict(counts))
+    # 9 and 75 candidates; only the result is a Pose2D
+    assert built == [{"Pose2D": 1}, {"Pose2D": 1}]
+
+
 def test_apply_offset_inverts_injected_misalignment():
     rng = np.random.default_rng(44)
     ego = blob_grid(rng)
-    true = OffsetDelta(0.5, -0.5, 0.0)
-    nbr = warp_grid(ego, true.as_pose2d())
-    corrected = apply_offset([nbr], [true.invert()])[0]
+    true = Pose2D(0.5, -0.5, 0.0)
+    nbr = warp_grid(ego, true)
+    corrected = apply_offset([nbr], [true.inverse()])[0]
     # interior cells come back to the original (border loses content)
     interior = (slice(None), slice(4, -4), slice(4, -4))
     np.testing.assert_allclose(corrected.data[interior], ego.data[interior], atol=1e-9)

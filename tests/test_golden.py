@@ -1,0 +1,59 @@
+"""Deterministic artifacts pinned by sha256 digest.
+
+A change that claims byte-identical output keeps these digests; a change
+that means to alter the results re-records them and says why. The digests
+were recorded with Python 3.11.7 and numpy 2.4.6 (OpenBLAS) on x86-64; a
+different numpy or BLAS build may round differently and change them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from coopalign.cli import main
+
+_CONFIGS = {
+    "default-3": {"num_scenarios": 3},
+    # random encoder over 2 frames with a rotating search; the negative
+    # objectness floor and the small world make the head emit boxes that
+    # match targets, so AP is not zero everywhere
+    "random-16": {
+        "num_scenarios": 2,
+        "frames": 2,
+        "grid": {"width": 16, "height": 16},
+        "encoder": {"mode": "random"},
+        "head": {"height_floor": -5.0},
+        "scenario": {"world_size": 48.0},
+        "search": {"max_xy": 1.0, "step_xy": 0.5, "max_theta_deg": 5.0, "step_theta_deg": 2.5},
+    },
+}
+
+_DIGESTS = {
+    "default-3": {
+        "sweep_results.csv": "0a53d51ed3a02b19ab1366082ff74481074989f52aef4efaba5e81d2ca69d281",
+        "sweep_summary.json": "131018abb80341a639c7c98aab06eb7413e541c80c6c03445d82c063da2ad9c3",
+        "alignment_results.csv": "998e976cf96373634bfab4886a43dba4691b98a41bfabd27b9b6488193b10cca",
+        "alignment_summary.json": "acf83d4240cb6be12323493b986bdc4fdd64da15644f8e0ca3712b4c9e909741",
+    },
+    "random-16": {
+        "sweep_results.csv": "a28d3cb048db3fa4db01914c1c813b5310d7640a12d66fd2d949cb8bd1e57eb0",
+        "sweep_summary.json": "8214e58d03e7b23204268792cc75e22c1e53c4a2c0c91c536d1a5dc271786905",
+        "alignment_results.csv": "95d0d08c703359de04bcb70031423c2a1f479f7390b17d0a0c43c0b924d0b8f3",
+        "alignment_summary.json": "aad0ea198441c49238300a491bf6d4fcd9e88136eb3a6e47cbd2a0b536eeec5e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_artifacts_match_recorded_digests(tmp_path, capsys, name):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_CONFIGS[name]))
+    out = tmp_path / "out"
+    for command in ("sweep", "align"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {
+        fname: hashlib.sha256((out / fname).read_bytes()).hexdigest() for fname in _DIGESTS[name]
+    }
+    assert digests == _DIGESTS[name]

@@ -16,7 +16,7 @@ from coopalign.localization import (
     ransac_pose,
     voxel_downsample,
 )
-from conftest import random_full_pose
+from conftest import counting_constructions, random_full_pose
 
 
 def clean_model(fidelity=1.0):
@@ -174,6 +174,15 @@ def test_ransac_bitwise_deterministic():
     np.testing.assert_array_equal(a.pose.translation, b.pose.translation)
     np.testing.assert_array_equal(a.inlier_indices, b.inlier_indices)
     assert a.confidence == b.confidence
+
+
+def test_ransac_builds_one_pose():
+    # hypotheses stay (R, t) arrays; only the returned estimate holds a Pose
+    pred, _ = _ransac_problem()
+    with counting_constructions(Pose) as counts:
+        est = ransac_pose(pred, RansacConfig(), seed=5)
+    assert est is not None
+    assert counts == {"Pose": 1}
 
 
 def test_ransac_refit_property():
