@@ -5,6 +5,14 @@ Grids are (C, H, W) float64 arrays over a shared GridSpec. Cell (row, col)
 has its center at origin + (col, row) * resolution in the owning agent's
 frame, with col along x and row along y. Warping uses inverse bilinear
 sampling with zero fill outside the source.
+
+One array kernel, _sample, does all warping: it samples a stack of
+translations that share one rotation. warp_grid, apply_offset and
+coarse_align call it with one translation, and the residual offset search
+with a whole row of candidates at once (every dx for one (theta, dy)), then
+scores the row with reductions along its last axis. Batching changes no
+value: each sample and each score is computed with the same elementwise
+arithmetic, in the same order, as a call for one candidate.
 """
 
 from __future__ import annotations
@@ -112,41 +120,49 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec) -> BevGrid:
     return BevGrid(spec, data)
 
 
-def _sample(data: np.ndarray, spec: GridSpec, x: float, y: float, theta: float) -> np.ndarray:
-    """Bilinear samples of (C, H, W) data at every cell center moved by the
-    planar motion (x, y, theta), zero outside the source extent. Sample
-    coordinates within 1e-9 of a cell center snap to it."""
+def _sample(data: np.ndarray, spec: GridSpec, x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
+    """Bilinear samples of (C, H, W) data at every cell center moved by each
+    planar motion (x[k], y[k], theta), zero outside the source extent, as a
+    (K, C, H, W) stack. Sample coordinates within 1e-9 of a cell center snap
+    to it.
+
+    Each of the four taps is one gather from a copy of the source with two
+    zero cells of border per side. The tap corner (floor of the sample
+    coordinates) is clamped to [-2, W] x [-2, H]; that moves only corners
+    whose taps all lie outside the data, and keeps them in the border, so
+    the taps are fixed flat offsets from the corner and a tap outside the
+    extent reads a border zero. That is exactly the zero fill: grid data is
+    finite and every bilinear weight is >= 0, so such a tap adds a zero to
+    an accumulator that starts at +0.0 and so is never -0.0."""
+    chans, height, width = data.shape
     xs, ys = spec.cell_centers()
-    px, py = np.meshgrid(xs, ys)
+    px = xs[None, :]
+    py = ys[:, None]
     c = math.cos(theta)
     s = math.sin(theta)
-    qx = c * px - s * py + x
-    qy = s * px + c * py + y
+    qx = (c * px - s * py) + x[:, None, None]
+    qy = (s * px + c * py) + y[:, None, None]
     u = (qx - spec.origin[0]) / spec.resolution
     v = (qy - spec.origin[1]) / spec.resolution
     u_round = np.round(u)
     v_round = np.round(v)
-    u = np.where(np.abs(u - u_round) < _SNAP, u_round, u)
-    v = np.where(np.abs(v - v_round) < _SNAP, v_round, v)
+    np.copyto(u, u_round, where=np.abs(u - u_round) < _SNAP)
+    np.copyto(v, v_round, where=np.abs(v - v_round) < _SNAP)
     i0 = np.floor(u).astype(np.int64)
     j0 = np.floor(v).astype(np.int64)
     fu = u - i0
     fv = v - j0
-    out = np.zeros_like(data)
-    for dj, di, weight in (
-        (0, 0, (1.0 - fv) * (1.0 - fu)),
-        (0, 1, (1.0 - fv) * fu),
-        (1, 0, fv * (1.0 - fu)),
-        (1, 1, fv * fu),
-    ):
-        jj = j0 + dj
-        ii = i0 + di
-        valid = (ii >= 0) & (ii < spec.width) & (jj >= 0) & (jj < spec.height)
-        jc = np.clip(jj, 0, spec.height - 1)
-        ic = np.clip(ii, 0, spec.width - 1)
-        contrib = data[:, jc, ic] * weight[None, :, :]
-        out += np.where(valid[None, :, :], contrib, 0.0)
-    return out
+    stride = width + 4
+    padded = np.zeros((chans, height + 4, stride))
+    padded[:, 2:-2, 2:-2] = data
+    flat = padded.reshape(chans, -1)
+    corner = (np.clip(j0, -2, height) + 2) * stride + (np.clip(i0, -2, width) + 2)
+    gu = 1.0 - fu
+    gv = 1.0 - fv
+    out = np.zeros((chans,) + u.shape)
+    for step, weight in ((0, gv * gu), (1, gv * fu), (stride, fv * gu), (stride + 1, fv * fu)):
+        out += np.take(flat, corner + step, axis=1) * weight
+    return out.transpose(1, 0, 2, 3)
 
 
 def warp_grid(grid: BevGrid, delta: Pose2D) -> BevGrid:
@@ -157,7 +173,8 @@ def warp_grid(grid: BevGrid, delta: Pose2D) -> BevGrid:
     coordinates within 1e-9 of a cell center snap to it, so an identity delta
     or an exact whole-cell translation reproduces values bitwise."""
     inv = delta.inverse()
-    return BevGrid(grid.spec, _sample(grid.data, grid.spec, inv.x, inv.y, inv.theta))
+    warped = _sample(grid.data, grid.spec, np.array([inv.x]), np.array([inv.y]), inv.theta)
+    return BevGrid(grid.spec, warped[0])
 
 
 def coarse_align(
@@ -231,14 +248,6 @@ class OffsetSearch:
         return step * np.arange(-n, n + 1)
 
 
-def _ncc(a: np.ndarray, b_centered: np.ndarray, b_norm: float) -> float:
-    ac = a - a.mean()
-    denom = math.sqrt(float((ac * ac).sum())) * b_norm
-    if denom == 0.0:
-        return -math.inf
-    return float((ac * b_centered).sum()) / denom
-
-
 def estimate_offset(ego: BevGrid, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
     """Exhaustively search for the planar offset that carries the ego grid
     onto the neighbor's.
@@ -251,7 +260,15 @@ def estimate_offset(ego: BevGrid, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
     zero variance. Correlate a channel that is blind to omnipresent
     background (for the standard rasterization, max height ignores ground
     returns); raw occupancy correlates the two sensing footprints instead of
-    the scene content when a dominant uniform background is present."""
+    the scene content when a dominant uniform background is present.
+
+    Candidates are scored one row at a time: a single _sample call warps
+    the ego grid by every dx of one (theta, dy), and the row's scores come
+    from mean and sum reductions along the last axis of its (K, H*W) view.
+    Each score is bitwise what warp_grid and a scalar NCC give for that
+    candidate alone, so the choice is too. Rows, not whole rotations, keep
+    each temporary to a few grids: a rotation holds 81 at criterion 9
+    settings (+-2 m in 0.5 m steps)."""
     if not ego.spec.same_geometry(nbr.spec):
         raise ValueError("grids must share one GridSpec")
     if ego.channels != 1 or nbr.channels != 1:
@@ -260,8 +277,9 @@ def estimate_offset(ego: BevGrid, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
     nbr_occ = nbr.data[0]
     if float(ego_occ.std()) == 0.0 or float(nbr_occ.std()) == 0.0:
         raise NoSignalError("correlation channel has zero variance")
-    b_centered = nbr_occ - nbr_occ.mean()
+    b_centered = (nbr_occ - nbr_occ.mean()).reshape(-1)
     b_norm = math.sqrt(float((b_centered * b_centered).sum()))
+    xy = search.xy_values()
     best_score = -math.inf
     best_norm = math.inf
     best = (0.0, 0.0, 0.0)
@@ -272,12 +290,16 @@ def estimate_offset(ego: BevGrid, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
         c = math.cos(theta)
         s = math.sin(theta)
         inv_theta = normalize_angle(-theta)
-        for dy in search.xy_values():
+        for dy in xy:
             y = float(dy)
-            for dx in search.xy_values():
-                x = float(dx)
-                warped = _sample(ego.data, ego.spec, -(c * x + s * y), -(-s * x + c * y), inv_theta)
-                score = _ncc(warped[0], b_centered, b_norm)
+            warped = _sample(ego.data, ego.spec, -(c * xy + s * y), -(-s * xy + c * y), inv_theta)
+            a = warped.reshape(len(xy), -1)
+            ac = a - a.mean(axis=1)[:, None]
+            sq = (ac * ac).sum(axis=1)
+            cross = (ac * b_centered).sum(axis=1)
+            for x, sq_k, cross_k in zip(xy.tolist(), sq.tolist(), cross.tolist()):
+                denom = math.sqrt(sq_k) * b_norm
+                score = cross_k / denom if denom != 0.0 else -math.inf
                 norm = math.sqrt(x**2 + y**2 + theta**2)
                 if norm == 0.0:
                     zero_score = score

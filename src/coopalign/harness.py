@@ -463,7 +463,6 @@ class PipelineResult:
     fused: BevGrid
     ledger: CommLedger
     pose_estimates: dict
-    residual_offsets: dict
 
 
 def run_pipeline(
@@ -488,7 +487,6 @@ def run_pipeline(
     ego = scenario.agents[0]
     ledger = CommLedger()
     pose_estimates: dict = {}
-    residual_offsets: dict = {}
 
     frames = []
     for frame in range(cfg.frames):
@@ -543,8 +541,11 @@ def run_pipeline(
                 try:
                     delta = estimate_offset(ego_search, _search_grid(grid, 2), cfg.search)
                 except NoSignalError:
+                    logger.info(
+                        "scenario %d frame %d agent %d: no correlation signal, residual offset left at zero",
+                        scenario.seed, frame, k,
+                    )
                     delta = Pose2D(0.0, 0.0, 0.0)
-                residual_offsets[(frame, k)] = delta
                 deltas.append(delta.inverse())
             corrected = apply_offset(warped, deltas)
             fused_inputs = [grids[ego.agent_id]] + corrected
@@ -569,7 +570,6 @@ def run_pipeline(
         fused=fused,
         ledger=ledger,
         pose_estimates=pose_estimates,
-        residual_offsets=residual_offsets,
     )
 
 

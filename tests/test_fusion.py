@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopalign import fusion
+from coopalign.config import ExperimentConfig
 from coopalign.fusion import (
     BevGrid,
     GridSpec,
@@ -17,7 +21,7 @@ from coopalign.fusion import (
     serialize_grid,
     warp_grid,
 )
-from coopalign.geometry import PointCloud, Pose, Pose2D
+from coopalign.geometry import PointCloud, Pose, Pose2D, normalize_angle
 from conftest import blob_grid, counting_constructions
 
 
@@ -263,6 +267,185 @@ def test_estimate_offset_builds_no_object_per_candidate():
         built.append(dict(counts))
     # 9 and 75 candidates; only the result is a Pose2D
     assert built == [{"Pose2D": 1}, {"Pose2D": 1}]
+
+
+# The scalar kernel and NCC as they were before the search was batched:
+# one translation per call, clip + where per tap. Kept as the oracle the
+# batched kernel and search must match bit for bit.
+def _oracle_sample(data, spec, x, y, theta):
+    xs, ys = spec.cell_centers()
+    px, py = np.meshgrid(xs, ys)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    qx = c * px - s * py + x
+    qy = s * px + c * py + y
+    u = (qx - spec.origin[0]) / spec.resolution
+    v = (qy - spec.origin[1]) / spec.resolution
+    u_round = np.round(u)
+    v_round = np.round(v)
+    u = np.where(np.abs(u - u_round) < 1e-9, u_round, u)
+    v = np.where(np.abs(v - v_round) < 1e-9, v_round, v)
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    fu = u - i0
+    fv = v - j0
+    out = np.zeros_like(data)
+    for dj, di, weight in (
+        (0, 0, (1.0 - fv) * (1.0 - fu)),
+        (0, 1, (1.0 - fv) * fu),
+        (1, 0, fv * (1.0 - fu)),
+        (1, 1, fv * fu),
+    ):
+        jj = j0 + dj
+        ii = i0 + di
+        valid = (ii >= 0) & (ii < spec.width) & (jj >= 0) & (jj < spec.height)
+        jc = np.clip(jj, 0, spec.height - 1)
+        ic = np.clip(ii, 0, spec.width - 1)
+        contrib = data[:, jc, ic] * weight[None, :, :]
+        out += np.where(valid[None, :, :], contrib, 0.0)
+    return out
+
+
+def _oracle_ncc(a, b_centered, b_norm):
+    ac = a - a.mean()
+    denom = math.sqrt(float((ac * ac).sum())) * b_norm
+    if denom == 0.0:
+        return -math.inf
+    return float((ac * b_centered).sum()) / denom
+
+
+def _oracle_estimate(ego, nbr, search):
+    """One warp and one NCC per candidate; None where the search raises
+    NoSignalError."""
+    ego_occ = ego.data[0]
+    nbr_occ = nbr.data[0]
+    if float(ego_occ.std()) == 0.0 or float(nbr_occ.std()) == 0.0:
+        return None
+    b_centered = nbr_occ - nbr_occ.mean()
+    b_norm = math.sqrt(float((b_centered * b_centered).sum()))
+    best_score, best_norm, best, zero_score = -math.inf, math.inf, (0.0, 0.0, 0.0), -math.inf
+    for dtheta in search.theta_values():
+        for dy in search.xy_values():
+            for dx in search.xy_values():
+                x, y, theta = float(dx), float(dy), normalize_angle(float(dtheta))
+                inv = Pose2D(x, y, theta).inverse()
+                score = _oracle_ncc(_oracle_sample(ego.data, ego.spec, inv.x, inv.y, inv.theta)[0], b_centered, b_norm)
+                norm = math.sqrt(x**2 + y**2 + theta**2)
+                if norm == 0.0:
+                    zero_score = score
+                if score > best_score or (score == best_score and norm < best_norm):
+                    best_score, best_norm, best = score, norm, (x, y, theta)
+    if not math.isfinite(best_score):
+        return None
+    if search.min_gain > 0.0 and best_norm > 0.0 and best_score < zero_score + search.min_gain:
+        return Pose2D(0.0, 0.0, 0.0)
+    return Pose2D(*best)
+
+
+@st.composite
+def _random_grids(draw, max_channels=3):
+    """Non-square grids of 1-3 channels with half their cells zero."""
+    spec = GridSpec.centered(
+        draw(st.integers(1, 12)),
+        draw(st.integers(1, 12)),
+        draw(st.sampled_from([0.25, 0.5, 0.7, 1.0, 2.0])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(draw(st.integers(1, max_channels)), spec.height, spec.width))
+    data[rng.random(data.shape) < 0.5] = 0.0
+    return BevGrid(spec, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=_random_grids(),
+    shift=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    whole_cells=st.booleans(),
+    theta=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+)
+def test_warp_matches_scalar_oracle_bitwise(grid, shift, whole_cells, theta):
+    # shifts up to 1.5 grid extents, so many samples leave the source
+    spec = grid.spec
+    x, y = (f * spec.resolution * max(spec.width, spec.height) for f in shift)
+    if whole_cells:
+        x = round(x / spec.resolution) * spec.resolution
+        y = round(y / spec.resolution) * spec.resolution
+    delta = Pose2D(x, y, theta)
+    inv = delta.inverse()
+    expected = _oracle_sample(grid.data, spec, inv.x, inv.y, inv.theta)
+    assert warp_grid(grid, delta).data.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _tie_pairs(draw):
+    """Integer spikes on a power-of-two grid, with the neighbor holding
+    each ego spike moved by whole cells both ways along one axis: every sum
+    in the NCC is exact, so mirrored candidates score exactly equal."""
+    spec = GridSpec.centered(draw(st.sampled_from([4, 8, 16])), draw(st.sampled_from([4, 8, 16])), 0.5)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ego = np.zeros((1, spec.height, spec.width))
+    for _ in range(draw(st.integers(1, 3))):
+        ego[0, rng.integers(spec.height), rng.integers(spec.width)] = float(rng.integers(1, 4))
+    axis = draw(st.sampled_from([1, 2]))
+    steps = draw(st.integers(1, 2))
+    nbr = np.roll(ego, steps, axis=axis) + np.roll(ego, -steps, axis=axis)
+    return BevGrid(spec, ego), BevGrid(spec, nbr)
+
+
+@st.composite
+def _noise_pairs(draw):
+    ego = draw(_random_grids(max_channels=1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ego, BevGrid(ego.spec, rng.normal(size=ego.data.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.one_of(_tie_pairs(), _noise_pairs()),
+    n_xy=st.integers(0, 3),
+    step_xy=st.sampled_from([0.25, 0.5, 0.625, 1.0]),
+    n_theta=st.integers(0, 2),
+    step_theta=st.sampled_from([2.0, 2.5, 30.0]),
+    min_gain=st.sampled_from([0.0, 0.02, 0.5]),
+)
+def test_estimate_offset_matches_scalar_oracle(pair, n_xy, step_xy, n_theta, step_theta, min_gain):
+    ego, nbr = pair
+    search = OffsetSearch(
+        max_xy=n_xy * step_xy, step_xy=step_xy,
+        max_theta_deg=n_theta * step_theta, step_theta_deg=step_theta,
+        min_gain=min_gain,
+    )
+    expected = _oracle_estimate(ego, nbr, search)
+    if expected is None:
+        with pytest.raises(NoSignalError):
+            estimate_offset(ego, nbr, search)
+    else:
+        got = estimate_offset(ego, nbr, search)
+        assert (got.x, got.y, got.theta) == (expected.x, expected.y, expected.theta)
+
+
+def test_estimate_offset_samples_one_row_per_call(monkeypatch):
+    # one kernel call per (theta, dy) row: rows bound the temporaries
+    calls = []
+    kernel = fusion._sample
+
+    def counted(data, spec, x, y, theta):
+        calls.append(len(x))
+        return kernel(data, spec, x, y, theta)
+
+    monkeypatch.setattr(fusion, "_sample", counted)
+    rng = np.random.default_rng(46)
+    ego = blob_grid(rng)
+    nbr = warp_grid(ego, Pose2D(0.5, 0.0, 0.0))
+    per_search = []
+    for search in (
+        ExperimentConfig().search,
+        OffsetSearch(max_xy=2.0, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5),
+    ):
+        calls.clear()
+        estimate_offset(ego, nbr, search)
+        per_search.append((len(calls), set(calls)))
+    assert per_search == [(5, {5}), (81, {9})]
 
 
 def test_apply_offset_inverts_injected_misalignment():

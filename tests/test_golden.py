@@ -27,6 +27,13 @@ _CONFIGS = {
         "scenario": {"world_size": 48.0},
         "search": {"max_xy": 1.0, "step_xy": 0.5, "max_theta_deg": 5.0, "step_theta_deg": 2.5},
     },
+    # passthrough encoder with the 729-candidate search of criterion 9
+    # (+-2 m, +-10 deg), so the digests cover the full offset search
+    "wide-search": {
+        "num_scenarios": 2,
+        "scenario": {"world_size": 48.0},
+        "search": {"max_xy": 2.0, "step_xy": 0.5, "max_theta_deg": 10.0, "step_theta_deg": 2.5},
+    },
 }
 
 _DIGESTS = {
@@ -39,6 +46,12 @@ _DIGESTS = {
     "random-16": {
         "sweep_results.csv": "a28d3cb048db3fa4db01914c1c813b5310d7640a12d66fd2d949cb8bd1e57eb0",
         "sweep_summary.json": "8214e58d03e7b23204268792cc75e22c1e53c4a2c0c91c536d1a5dc271786905",
+        "alignment_results.csv": "95d0d08c703359de04bcb70031423c2a1f479f7390b17d0a0c43c0b924d0b8f3",
+        "alignment_summary.json": "aad0ea198441c49238300a491bf6d4fcd9e88136eb3a6e47cbd2a0b536eeec5e",
+    },
+    "wide-search": {
+        "sweep_results.csv": "67c9fa8f8ad548bc601822ff42df484fb44723804a4c1a03360bd0300016d571",
+        "sweep_summary.json": "1234be7f05b85cb6ca911691e6521700d84741f0051935c4eb6b44f41c2ad5f3",
         "alignment_results.csv": "95d0d08c703359de04bcb70031423c2a1f479f7390b17d0a0c43c0b924d0b8f3",
         "alignment_summary.json": "aad0ea198441c49238300a491bf6d4fcd9e88136eb3a6e47cbd2a0b536eeec5e",
     },

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from coopalign import harness
 from coopalign.config import EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
 from coopalign.fusion import OffsetSearch, serialize_grid, rasterize_bev
-from coopalign.geometry import Pose
+from coopalign.geometry import PointCloud, Pose, Pose2D
 from coopalign.harness import (
     AlignmentReport,
     AlignmentRow,
@@ -231,6 +232,30 @@ def test_run_pipeline_none_is_single_agent():
     assert result.ledger.count() == 0
     # only the ego's own pose enters the record
     assert set(result.pose_estimates) == {(0, 0)}
+
+
+def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):
+    cfg = _small_cfg()
+    scenario = generate_scenario(cfg.scenario, 41)
+    ego, nbr = scenario.agents
+    # a neighbor whose points all sit at height 0 has a constant max-height
+    # channel, so the residual search finds no signal
+    points = nbr.cloud.points.copy()
+    points[:, 2] = 0.0
+    flat = dataclasses.replace(scenario, agents=(ego, dataclasses.replace(nbr, cloud=PointCloud(points))))
+    with caplog.at_level(logging.INFO, logger="coopalign.harness"):
+        result = run_pipeline(flat, cfg, pose_source="gt")
+    fallbacks = [r for r in caplog.records if "no correlation signal" in r.getMessage()]
+    assert [(r.levelno, r.getMessage()) for r in fallbacks] == [
+        (logging.INFO, f"scenario 41 frame {frame} agent 1: no correlation signal, residual offset left at zero")
+        for frame in range(cfg.frames)
+    ]
+    # the neighbor is still fused, with a zero residual offset
+    assert result.ledger.count("features") == cfg.frames
+    monkeypatch.setattr(harness, "estimate_offset", lambda ego, nbr, search: Pose2D(0.0, 0.0, 0.0))
+    zero = run_pipeline(flat, cfg, pose_source="gt")
+    np.testing.assert_array_equal(result.fused.data, zero.fused.data)
+    assert detections_to_json(list(result.detections)) == detections_to_json(list(zero.detections))
 
 
 def test_run_pipeline_rejects_unknown_source():
