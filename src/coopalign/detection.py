@@ -3,7 +3,10 @@
 Boxes follow the (x, y, z, h, w, l, theta) layout: center, vertical extent h,
 width w across the heading, length l along the heading, and yaw theta. BEV
 overlap is computed on the rotated (l, w) footprint via convex polygon
-clipping.
+clipping. Most pairs that NMS and AP matching score lie far apart, so
+``rotated_iou_bev`` first rejects pairs whose centers are further apart than
+the two footprints' circumradii plus a margin: those footprints cannot
+overlap, so their IoU is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -99,6 +102,10 @@ class HeadParams:
         object.__setattr__(self, "bias", b)
 
 
+# A point counts as inside a clip edge down to this cross product.
+_CLIP_TOL = 1e-12
+
+
 def _polygon_area(poly: np.ndarray) -> float:
     x = poly[:, 0]
     y = poly[:, 1]
@@ -113,8 +120,8 @@ def _clip_polygon(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> list[
     for i in range(n):
         cur = poly[i]
         nxt = poly[(i + 1) % n]
-        cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= -1e-12
-        nxt_in = edge[0] * (nxt[1] - a[1]) - edge[1] * (nxt[0] - a[0]) >= -1e-12
+        cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= -_CLIP_TOL
+        nxt_in = edge[0] * (nxt[1] - a[1]) - edge[1] * (nxt[0] - a[0]) >= -_CLIP_TOL
         if cur_in:
             out.append(cur)
         if cur_in != nxt_in:
@@ -127,7 +134,33 @@ def _clip_polygon(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> list[
 
 
 def rotated_iou_bev(a: RotatedBox3D, b: RotatedBox3D) -> float:
-    """Intersection over union of the two rotated BEV footprints."""
+    """Intersection over union of the two rotated BEV footprints.
+
+    Far pairs return 0.0 before any corner is built. A footprint lies within
+    its circumradius ``r = 0.5 * hypot(l, w)`` of its center. The clip keeps
+    a point of a when its cross product with an edge of b is at least
+    ``-_CLIP_TOL``, a signed distance of ``-_CLIP_TOL / |edge|``. So b's
+    footprint grows by at most that much per side, and its corners move out
+    by at most ``sqrt(2) * _CLIP_TOL / min(b.l, b.w)``. Rounding in the
+    corners and cross products is about 1e-16 of the scale of the
+    coordinates and extents; the margin adds 1e-9 of that scale on top.
+    Beyond ``r_a + r_b + margin`` no point of a survives the four clips, so
+    the clip's answer is 0.0 as well.
+
+    One clip artifact is not reproduced. When a corner of a lies in the
+    tolerance band outside an edge of b, and a's next edge is nearly
+    parallel to that edge, the clip extrapolates the crossing beyond a's
+    edge and can report an IoU near 1e-15 for boxes that do not touch. For
+    far pairs the reject returns the true 0.0."""
+    dx = a.x - b.x
+    dy = a.y - b.y
+    reach = (
+        0.5 * (math.hypot(a.l, a.w) + math.hypot(b.l, b.w))
+        + math.sqrt(2.0) * _CLIP_TOL / min(b.l, b.w)
+        + 1e-9 * (abs(a.x) + abs(a.y) + abs(b.x) + abs(b.y) + a.l + a.w + b.l + b.w)
+    )
+    if dx * dx + dy * dy > reach * reach:
+        return 0.0
     pa = a.corners_bev()
     pb = b.corners_bev()
     clipped = [pa[i] for i in range(4)]

@@ -960,9 +960,11 @@ def selftest() -> list[tuple[str, bool]]:
     b1 = RotatedBox3D(0, 0, 1, 2, 2, 2, 0.0)
     b2 = RotatedBox3D(1, 0, 1, 2, 2, 2, 0.0)
     b3 = RotatedBox3D(10, 0, 1, 2, 2, 2, 0.0)
+    b4 = RotatedBox3D(2.5, 0, 1, 2, 2, 2, 0.0)  # disjoint, yet near enough to clip
     ok = (
         abs(det.rotated_iou_bev(b1, b1) - 1.0) < 1e-12
         and det.rotated_iou_bev(b1, b3) == 0.0
+        and det.rotated_iou_bev(b1, b4) == 0.0
         and abs(det.rotated_iou_bev(b1, b2) - 1.0 / 3.0) < 1e-12
     )
     checks.append(("rotated_iou_cases", ok))

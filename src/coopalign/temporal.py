@@ -222,10 +222,19 @@ class EncoderParams:
         )
 
 
+def _softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Overwrite the float array x with its softmax along axis and return it:
+    subtract the max, exponentiate, divide by the sum, each in place."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along axis. x is left unchanged: the only new array is a
+    float copy of x, which the shift, exp and normalization overwrite."""
+    return _softmax_in_place(np.array(x, dtype=float), axis)
 
 
 def _layer_norm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
@@ -247,6 +256,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_forward_flat(layer: LayerParams, x: np.ndarray, heads: int):
+    """One layer over flat (S, D) tokens; returns the output and attention.
+
+    Attention holds one (heads, S, S) buffer: the scores are scaled, shifted,
+    exponentiated and normalized in place. Each step is the elementwise
+    operation that ``softmax(scores / sqrt(dh))`` runs, in the same order, so
+    the result is bitwise that expression's while no second (heads, S, S)
+    array is alive."""
     dim = x.shape[1]
     dh = dim // heads
     u = _layer_norm_forward(x, layer.ln1_scale, layer.ln1_shift)
@@ -256,8 +272,9 @@ def _layer_forward_flat(layer: LayerParams, x: np.ndarray, heads: int):
     qh = _split_heads(q, heads)
     kh = _split_heads(kk, heads)
     vh = _split_heads(v, heads)
-    scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(dh)
-    attn = softmax(scores, axis=-1)
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores /= math.sqrt(dh)
+    attn = _softmax_in_place(scores)
     ctx = _merge_heads(attn @ vh)
     msa = ctx @ layer.wo.T + layer.bo
     z1 = msa + x

@@ -1,9 +1,13 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopalign import detection
 from coopalign.detection import (
     Detection,
     EvalConfig,
@@ -121,6 +125,104 @@ def test_iou_symmetry_and_bounds():
         ab = rotated_iou_bev(a, b)
         assert abs(ab - rotated_iou_bev(b, a)) < 1e-12
         assert 0.0 <= ab <= 1.0
+
+
+def _clip_iou(a, b):
+    """rotated_iou_bev without the far-pair reject: always runs the clip."""
+    pa = a.corners_bev()
+    pb = b.corners_bev()
+    clipped = [pa[i] for i in range(4)]
+    for i in range(4):
+        if not clipped:
+            break
+        clipped = detection._clip_polygon(clipped, pb[i], pb[(i + 1) % 4])
+    inter = detection._polygon_area(np.array(clipped)) if len(clipped) >= 3 else 0.0
+    area_a = a.l * a.w
+    area_b = b.l * b.w
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0
+    return float(min(1.0, max(0.0, inter / union)))
+
+
+_extents = st.floats(-3.0, 2.0).map(lambda e: 10.0**e)
+_yaws = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    al=_extents, aw=_extents, at=_yaws, bl=_extents, bw=_extents, bt=_yaws,
+    bearing=_yaws,
+    origin=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    near=st.booleans(),
+    gap=st.one_of(
+        st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+        st.floats(-12.0, 0.0).map(lambda e: -(10.0**e)),
+        st.floats(-1.0, 1.0),
+    ),
+    fraction=st.floats(0.0, 3.0),
+    aligned=st.booleans(),
+)
+def test_far_pair_reject_matches_clip_bitwise(
+    al, aw, at, bl, bw, bt, bearing, origin, near, gap, fraction, aligned
+):
+    # near pairs sit at r_a + r_b + gap (gap down to +-1e-12), the others at
+    # up to three times r_a + r_b; aligned pairs turn one corner of each box
+    # toward the other (the drawn yaw becomes a small jitter), the only way
+    # footprints still overlap when the circumcircles barely do
+    if aligned:
+        at = bearing - math.atan2(aw, al) + 1e-3 * at
+        bt = bearing + math.pi - math.atan2(bw, bl) + 1e-3 * bt
+    a = _box(x=origin[0], y=origin[1], w=aw, l=al, theta=at)
+    touch = 0.5 * (math.hypot(al, aw) + math.hypot(bl, bw))
+    dist = max(0.0, touch + gap) if near else fraction * touch
+    b = _box(
+        x=origin[0] + dist * math.cos(bearing), y=origin[1] + dist * math.sin(bearing),
+        w=bw, l=bl, theta=bt,
+    )
+    for p, q in ((a, b), (b, a)):
+        got = rotated_iou_bev(p, q)
+        want = _clip_iou(p, q)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _count_corner_builds(monkeypatch):
+    calls = []
+    original = RotatedBox3D.corners_bev
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(RotatedBox3D, "corners_bev", counted)
+    return calls
+
+
+def test_far_pair_builds_no_corners(monkeypatch):
+    calls = _count_corner_builds(monkeypatch)
+    a = _box(w=2.0, l=4.0)
+    # circumradii sqrt(5) and sqrt(2): 3.65 m apart at most for any overlap
+    assert rotated_iou_bev(a, _box(x=3.7, w=2.0, l=2.0, theta=0.4)) == 0.0
+    assert calls == []
+    # inside the reach the clip runs, even for a pair that does not touch
+    assert rotated_iou_bev(a, _box(x=3.6, w=2.0, l=2.0)) == 0.0
+    assert len(calls) == 2
+    assert rotated_iou_bev(a, _box(x=0.5, w=2.0, l=2.0)) > 0.0
+    assert len(calls) == 4
+
+
+def test_far_pair_reject_drops_clip_extrapolation():
+    # a's lower corners lie 3.4e-13 m and 5.1e-13 m below the line of b's
+    # bottom edge, so the first is inside the clip tolerance and the second
+    # is not; the crossing is extrapolated along a's nearly parallel edge
+    # and the clip reports an overlap for boxes 5 m apart
+    b = _box(w=2.0, l=2.0)
+    drop = 3.4e-13
+    theta = math.atan(-drop / 4.0)
+    c, s = math.cos(theta), math.sin(theta)
+    a = _box(x=4.0 + c - s, y=-1.0 - drop + s + c, w=2.0, l=2.0, theta=theta)
+    assert 0.0 < _clip_iou(a, b) < 1e-12
+    assert rotated_iou_bev(a, b) == 0.0
 
 
 def test_match_greedy_takes_best_iou_first():

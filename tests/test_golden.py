@@ -27,6 +27,17 @@ _CONFIGS = {
         "scenario": {"world_size": 48.0},
         "search": {"max_xy": 1.0, "step_xy": 0.5, "max_theta_deg": 5.0, "step_theta_deg": 2.5},
     },
+    # random encoder with 4 heads over 16-dim tokens; an encoder one ulp off
+    # in some attention rows moved this config's pooled AP@0.3 (0.020833 ->
+    # 0.022222), so it pins the encoder bit for bit
+    "random-d16": {
+        "num_scenarios": 3,
+        "frames": 2,
+        "grid": {"width": 16, "height": 16},
+        "encoder": {"mode": "random", "dim": 16, "heads": 4},
+        "head": {"height_floor": -5.0},
+        "scenario": {"world_size": 48.0},
+    },
     # passthrough encoder with the 729-candidate search of criterion 9
     # (+-2 m, +-10 deg), so the digests cover the full offset search
     "wide-search": {
@@ -48,6 +59,12 @@ _DIGESTS = {
         "sweep_summary.json": "8214e58d03e7b23204268792cc75e22c1e53c4a2c0c91c536d1a5dc271786905",
         "alignment_results.csv": "95d0d08c703359de04bcb70031423c2a1f479f7390b17d0a0c43c0b924d0b8f3",
         "alignment_summary.json": "aad0ea198441c49238300a491bf6d4fcd9e88136eb3a6e47cbd2a0b536eeec5e",
+    },
+    "random-d16": {
+        "sweep_results.csv": "c593bd6c687727a0aaeb384266a7f8fc67bcf0bdaeaf5b51295a6068c7144516",
+        "sweep_summary.json": "d831335e8f4ebed01d22d855552c1b68e2e10ea121fffc08e33392e3d6ddae43",
+        "alignment_results.csv": "48a6fb50f2803e43e5fbeedca49be0b7adc4ffbeba216e7c5b4280665dd4068e",
+        "alignment_summary.json": "2d9692d58ce8ea5c9ae54e0c892828c4271f8d4f02a3ef7eccf92e42f7ec2ecd",
     },
     "wide-search": {
         "sweep_results.csv": "67c9fa8f8ad548bc601822ff42df484fb44723804a4c1a03360bd0300016d571",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,72 @@ def test_softmax_rows_and_vjp():
     assert (p > 0).all()
     # large shift must not overflow
     assert np.isfinite(softmax(x + 1e4)).all()
+
+
+def test_softmax_leaves_input_unchanged():
+    rng = np.random.default_rng(68)
+    x = rng.standard_normal((3, 5, 7))
+    before = x.copy()
+    for axis in (-1, 0, 1):
+        p = softmax(x, axis=axis)
+        assert p is not x
+        np.testing.assert_allclose(p.sum(axis=axis), 1.0, atol=1e-12)
+    assert x.tobytes() == before.tobytes()
+
+
+def _layer_forward_out_of_place(layer, x, heads):
+    """_layer_forward_flat with out-of-place attention: four (heads, S, S)
+    arrays alive at once."""
+    dim = x.shape[1]
+    dh = dim // heads
+    ln = temporal._layer_norm_forward
+    u = ln(x, layer.ln1_scale, layer.ln1_shift)
+    qh = temporal._split_heads(u @ layer.wq.T + layer.bq, heads)
+    kh = temporal._split_heads(u @ layer.wk.T + layer.bk, heads)
+    vh = temporal._split_heads(u @ layer.wv.T + layer.bv, heads)
+    scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(dh)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    z1 = temporal._merge_heads(attn @ vh) @ layer.wo.T + layer.bo + x
+    w = ln(z1, layer.ln2_scale, layer.ln2_shift)
+    out = np.tanh(w @ layer.mlp_w1.T + layer.mlp_b1) @ layer.mlp_w2.T + layer.mlp_b2 + z1
+    return out, attn
+
+
+def test_in_place_attention_matches_out_of_place_bitwise():
+    rng = np.random.default_rng(69)
+    cases = [
+        (dim, heads, frames, int(rng.integers(2, 13)))
+        for dim in range(2, 17)
+        for heads in range(1, dim + 1)
+        if dim % heads == 0
+        for frames in (1, 2, 3)
+    ]
+    cases += [(8, 4, frames, side) for frames in (1, 2, 3) for side in range(2, 13)]
+    for dim, heads, frames, side in cases:
+        layer = LayerParams.seeded(dim, 2 * dim, rng, scale=rng.uniform(0.2, 3.0))
+        x = 2.0 * rng.standard_normal((frames * side * side, dim))
+        got, got_attn = _layer_forward_flat(layer, x, heads)
+        want, want_attn = _layer_forward_out_of_place(layer, x, heads)
+        assert got.tobytes() == want.tobytes()
+        assert got_attn.tobytes() == want_attn.tobytes()
+
+
+def test_attention_peak_memory_is_one_score_buffer():
+    rng = np.random.default_rng(70)
+    tokens, dim, heads = 2048, 8, 2
+    layer = LayerParams.seeded(dim, 16, rng)
+    x = rng.standard_normal((tokens, dim))
+    score_bytes = heads * tokens * tokens * 8
+    tracemalloc.start()
+    try:
+        _, attn = _layer_forward_flat(layer, x, heads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert attn.nbytes == score_bytes
+    assert peak <= 1.25 * score_bytes
 
 
 def _layer_forward_scalar(layer, x, heads):
