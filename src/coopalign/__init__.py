@@ -108,14 +108,10 @@ from .localization import (
 from .temporal import (
     EncoderParams,
     LayerParams,
-    TokenSequence,
     encode,
-    layer_attention,
-    project_channels,
+    layer_forward,
     temporal_encoding,
-    tokenize,
     vit_forward,
-    vit_layer_forward,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ overlap, so their IoU is exactly 0.0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -113,7 +112,11 @@ def _polygon_area(poly: np.ndarray) -> float:
 
 
 def _clip_polygon(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """Keep the part of poly on the left of directed edge a -> b."""
+    """Keep the part of poly on the left of directed edge a -> b.
+
+    A crossing is clamped to the segment it splits: when one end lies in the
+    tolerance band outside the edge and the segment is nearly parallel to
+    it, the line crossing can fall beyond the segment's ends."""
     edge = b - a
     out: list[np.ndarray] = []
     n = len(poly)
@@ -129,7 +132,7 @@ def _clip_polygon(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> list[
             denom = edge[0] * seg[1] - edge[1] * seg[0]
             if denom != 0.0:
                 t = (edge[0] * (a[1] - cur[1]) - edge[1] * (a[0] - cur[0])) / denom
-                out.append(cur + t * seg)
+                out.append(cur + min(1.0, max(0.0, t)) * seg)
     return out
 
 
@@ -145,13 +148,7 @@ def rotated_iou_bev(a: RotatedBox3D, b: RotatedBox3D) -> float:
     corners and cross products is about 1e-16 of the scale of the
     coordinates and extents; the margin adds 1e-9 of that scale on top.
     Beyond ``r_a + r_b + margin`` no point of a survives the four clips, so
-    the clip's answer is 0.0 as well.
-
-    One clip artifact is not reproduced. When a corner of a lies in the
-    tolerance band outside an edge of b, and a's next edge is nearly
-    parallel to that edge, the clip extrapolates the crossing beyond a's
-    edge and can report an IoU near 1e-15 for boxes that do not touch. For
-    far pairs the reject returns the true 0.0."""
+    the clip's answer is 0.0 as well."""
     dx = a.x - b.x
     dy = a.y - b.y
     reach = (
@@ -297,29 +294,22 @@ def _peak_mask(values: np.ndarray) -> np.ndarray:
     return peak
 
 
-def decode_head(
-    fused: BevGrid, params: HeadParams, cfg: EvalConfig, nms_iou: float = 0.5,
-    peak_pick: bool = True, center_refine: bool = True,
-) -> list[Detection]:
+def decode_head(fused: BevGrid, params: HeadParams, cfg: EvalConfig, nms_iou: float = 0.5) -> list[Detection]:
     """Decode per-cell boxes from a fused grid with a linear head.
 
     Objectness is the clipped linear response in [0, 1]; cells above
     cfg.score_threshold emit one box with center offset (dx, dy) from the cell
-    center, absolute z, exp-decoded extents, and a yaw. With peak_pick each
-    candidate must also be a 3x3 local maximum of the raw objectness, which
-    collapses an extended object footprint to one box; center_refine then
-    shifts the box center to the score-weighted centroid of the peak's 3x3
-    window, recovering sub-cell localization from the response shape. Greedy
-    NMS finally drops any box whose BEV IoU with a kept higher-scoring box
-    exceeds nms_iou."""
+    center, absolute z, exp-decoded extents, and a yaw. Each candidate must
+    also be a 3x3 local maximum of the raw objectness, which collapses an
+    extended object footprint to one box; the box center then shifts to the
+    score-weighted centroid of the peak's 3x3 window, recovering sub-cell
+    localization from the response shape. Greedy NMS finally drops any box
+    whose BEV IoU with a kept higher-scoring box exceeds nms_iou."""
     if params.weight.shape[1] != fused.data.shape[0]:
         raise ValueError("head weight channel count must match the grid")
     raw = np.einsum("kc,chw->khw", params.weight, fused.data) + params.bias[:, None, None]
     scores = np.clip(raw[0], 0.0, 1.0)
-    keep_mask = scores > cfg.score_threshold
-    if peak_pick:
-        keep_mask &= _peak_mask(raw[0])
-    rows, cols = np.nonzero(keep_mask)
+    rows, cols = np.nonzero((scores > cfg.score_threshold) & _peak_mask(raw[0]))
     spec = fused.spec
     height, width = scores.shape
     candidates: list[Detection] = []
@@ -327,19 +317,18 @@ def decode_head(
         vec = raw[:, r, c]
         cx = spec.origin[0] + c * spec.resolution + vec[1]
         cy = spec.origin[1] + r * spec.resolution + vec[2]
-        if center_refine:
-            acc_w = acc_x = acc_y = 0.0
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < height and 0 <= cc < width:
-                        v = float(scores[rr, cc])
-                        acc_w += v
-                        acc_x += v * dc
-                        acc_y += v * dr
-            if acc_w > 0.0:
-                cx += spec.resolution * acc_x / acc_w
-                cy += spec.resolution * acc_y / acc_w
+        acc_w = acc_x = acc_y = 0.0
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < height and 0 <= cc < width:
+                    v = float(scores[rr, cc])
+                    acc_w += v
+                    acc_x += v * dc
+                    acc_y += v * dr
+        if acc_w > 0.0:
+            cx += spec.resolution * acc_x / acc_w
+            cy += spec.resolution * acc_y / acc_w
         box = RotatedBox3D(
             x=cx,
             y=cy,
@@ -356,9 +345,3 @@ def decode_head(
         if all(rotated_iou_bev(det.box, k.box) <= nms_iou for k in kept):
             kept.append(det)
     return kept
-
-
-def detections_to_json(dets: Sequence[Detection]) -> str:
-    payload = [{"box": d.box.as_list(), "score": d.score} for d in dets]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-

@@ -406,10 +406,7 @@ def _build_encoder(cfg: ExperimentConfig) -> EncoderParams:
             in_channels=channels, dim=cfg.encoder.dim, heads=cfg.encoder.heads,
             num_layers=cfg.encoder.layers, hidden=cfg.encoder.hidden, rng=rng,
         )
-    return EncoderParams.passthrough(
-        in_channels=channels, dim=cfg.encoder.dim, heads=cfg.encoder.heads,
-        num_layers=cfg.encoder.layers, hidden=cfg.encoder.hidden,
-    )
+    return EncoderParams.passthrough(in_channels=channels, dim=cfg.encoder.dim, heads=cfg.encoder.heads)
 
 
 def _box_blur(field: np.ndarray) -> np.ndarray:
@@ -733,16 +730,8 @@ def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int):
     for level_idx, level in enumerate(cfg.noise_levels):
         for method in SWEEP_METHODS:
             result = run_pipeline(scenario, cfg, pose_source=method, noise=level)
-            dets = [d.box.as_list() + [d.score] for d in result.detections]
-            gts = [b.as_list() for b in result.targets]
-            out[(method, level_idx)] = (dets, gts)
+            out[(method, level_idx)] = (result.detections, result.targets)
     return scenario_id, out
-
-
-def _rebuild(dets_rows, gt_rows):
-    dets = [Detection(RotatedBox3D(*row[:7]), row[7]) for row in dets_rows]
-    gts = [RotatedBox3D(*row) for row in gt_rows]
-    return dets, gts
 
 
 def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
@@ -776,8 +765,7 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
         for level_idx, (st, sr) in enumerate(cfg.noise_levels):
             frames = []
             for i in range(cfg.num_scenarios):
-                dets_rows, gt_rows = results[i][(method, level_idx)]
-                dets, gts = _rebuild(dets_rows, gt_rows)
+                dets, gts = results[i][(method, level_idx)]
                 frames.append((dets, gts))
                 for thr in cfg.eval.iou_thresholds:
                     rows.append(SweepRow(i, method, st, sr, thr, average_precision(dets, gts, thr)))
@@ -908,7 +896,7 @@ def selftest() -> list[tuple[str, bool]]:
     from . import detection as det
     from .fusion import GridSpec as GS
     from .localization import kabsch_solve
-    from .temporal import EncoderParams as EP, encode as enc
+    from .temporal import EncoderParams as EP, LayerParams, encode as enc
 
     checks: list[tuple[str, bool]] = []
     rng = np.random.default_rng(12345)
@@ -939,7 +927,12 @@ def selftest() -> list[tuple[str, bool]]:
 
     spec = GS.centered(8, 8, 1.0)
     grid = rasterize_bev(PointCloud(rng.uniform(-3, 3, size=(60, 3))), spec)
-    params = EP.passthrough(dim=6, in_channels=grid.data.shape[0] + 1, heads=2, num_layers=2, hidden=8)
+    # a full layer whose output branches are zero leaves the tokens as they are
+    params = EP.passthrough(dim=6, in_channels=grid.data.shape[0] + 1, heads=2)
+    layer = LayerParams.seeded(6, 8, np.random.default_rng(1))
+    for name in ("wo", "bo", "mlp_w2", "mlp_b2"):
+        setattr(layer, name, np.zeros_like(getattr(layer, name)))
+    params.layers.append(layer)
     embedded = confidence_embed([grid], [2.5])[0]
     out = enc(params, [embedded])
     e_t = temporal_encoding(1.0, 6)

@@ -3,14 +3,8 @@
 Frames become tokens (one per cell) with a sinusoidal frame-index encoding
 added. Layers use pre-norm residual wiring: z' = MSA(LN(z)) + z followed by
 z_out = MLP(LN(z')) + z'. Attention runs over the full (frames x cells)
-sequence. The forward pass is plain numpy.
-
-``vit_forward`` skips a layer whose output weights ``wo``/``mlp_w2`` are zero
-and whose output biases ``bo``/``mlp_b2`` are +0.0: both residual branches
-are then exact +0.0 for finite input (barring overflow inside the skipped
-attention or MLP), so the layer returns ``x + 0.0`` (which maps -0.0 to 0.0,
-as the full layer does) without running LayerNorm, QKV, attention or the
-MLP. Every layer of the passthrough encoder is skipped.
+sequence, held as one flat (frames * cells, D) array from the embedding to
+the output grid. The forward pass is plain numpy.
 """
 
 from __future__ import annotations
@@ -43,65 +37,6 @@ def temporal_encoding(t: int | float, dim: int) -> np.ndarray:
     return enc
 
 
-@dataclass(frozen=True, eq=False)
-class TokenSequence:
-    """Tokens with shape (T, N, D) plus the grid geometry they came from."""
-
-    tokens: np.ndarray
-    height: int
-    width: int
-
-    def __post_init__(self) -> None:
-        tok = np.array(self.tokens, dtype=float)
-        if tok.ndim != 3:
-            raise ValueError("tokens must be (T, N, D)")
-        if tok.shape[2] % 2 != 0:
-            raise ValueError("token dimension must be even")
-        if tok.shape[1] != self.height * self.width:
-            raise ValueError("token count must equal height * width")
-        if not np.isfinite(tok).all():
-            raise ValueError("tokens must be finite")
-        tok.setflags(write=False)
-        object.__setattr__(self, "tokens", tok)
-
-    @property
-    def frames(self) -> int:
-        return int(self.tokens.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.tokens.shape[2])
-
-
-def project_channels(grid: BevGrid, weight: np.ndarray, bias: np.ndarray) -> BevGrid:
-    """Linear per-cell map from the grid's channels to the token dimension."""
-    w = np.asarray(weight, dtype=float)
-    b = np.asarray(bias, dtype=float).reshape(-1)
-    if w.ndim != 2 or w.shape[1] != grid.data.shape[0] or b.shape[0] != w.shape[0]:
-        raise ValueError("weight must be (D, C) with bias (D,)")
-    data = np.einsum("dc,chw->dhw", w, grid.data) + b[:, None, None]
-    return BevGrid(grid.spec, data)
-
-
-def tokenize(frames: Sequence[BevGrid]) -> TokenSequence:
-    """Flatten each frame's cells into tokens and add the frame encoding.
-
-    Frame indices run 1..T. All frames must share geometry and channel
-    count, and the channel count is the token dimension."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    base = frames[0]
-    for f in frames[1:]:
-        if not f.spec.same_geometry(base.spec) or f.channels != base.channels:
-            raise ValueError("frames must share geometry and channel count")
-    dim = base.channels
-    stacked = []
-    for t_idx, f in enumerate(frames, start=1):
-        flat = f.data.reshape(dim, -1).T
-        stacked.append(flat + temporal_encoding(t_idx, dim))
-    return TokenSequence(np.stack(stacked), base.spec.height, base.spec.width)
-
-
 @dataclass(eq=False)
 class LayerParams:
     """One pre-norm transformer layer."""
@@ -122,27 +57,6 @@ class LayerParams:
     mlp_b1: np.ndarray
     mlp_w2: np.ndarray
     mlp_b2: np.ndarray
-
-    @staticmethod
-    def zeros(dim: int, hidden: int) -> "LayerParams":
-        return LayerParams(
-            ln1_scale=np.ones(dim),
-            ln1_shift=np.zeros(dim),
-            wq=np.zeros((dim, dim)),
-            bq=np.zeros(dim),
-            wk=np.zeros((dim, dim)),
-            bk=np.zeros(dim),
-            wv=np.zeros((dim, dim)),
-            bv=np.zeros(dim),
-            wo=np.zeros((dim, dim)),
-            bo=np.zeros(dim),
-            ln2_scale=np.ones(dim),
-            ln2_shift=np.zeros(dim),
-            mlp_w1=np.zeros((hidden, dim)),
-            mlp_b1=np.zeros(hidden),
-            mlp_w2=np.zeros((dim, hidden)),
-            mlp_b2=np.zeros(dim),
-        )
 
     @staticmethod
     def seeded(dim: int, hidden: int, rng: np.random.Generator, scale: float = 0.2) -> "LayerParams":
@@ -205,21 +119,14 @@ class EncoderParams:
         )
 
     @staticmethod
-    def passthrough(in_channels: int, dim: int, heads: int, num_layers: int, hidden: int) -> "EncoderParams":
-        """Identity-style encoder: the embedding copies the input channels into
-        the first slots and every layer has zero branch weights, so the stack
-        is an exact residual identity. ``vit_forward`` skips such layers, so
-        they cost nothing to run."""
+    def passthrough(in_channels: int, dim: int, heads: int) -> "EncoderParams":
+        """Identity encoder: the embedding copies the input channels into the
+        first token slots, and there are no layers."""
         if dim < in_channels:
             raise ValueError("dim must be at least the input channel count")
         embed_w = np.zeros((dim, in_channels))
         embed_w[:in_channels, :in_channels] = np.eye(in_channels)
-        return EncoderParams(
-            embed_w=embed_w,
-            embed_b=np.zeros(dim),
-            layers=[LayerParams.zeros(dim, hidden) for _ in range(num_layers)],
-            heads=heads,
-        )
+        return EncoderParams(embed_w=embed_w, embed_b=np.zeros(dim), layers=[], heads=heads)
 
 
 def _softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -255,8 +162,9 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(s, h * dh)
 
 
-def _layer_forward_flat(layer: LayerParams, x: np.ndarray, heads: int):
-    """One layer over flat (S, D) tokens; returns the output and attention.
+def layer_forward(layer: LayerParams, x: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """One layer over flat (S, D) tokens; returns the output and the
+    (heads, S, S) attention, whose rows sum to 1.
 
     Attention holds one (heads, S, S) buffer: the scores are scaled, shifted,
     exponentiated and normalized in place. Each step is the elementwise
@@ -285,55 +193,39 @@ def _layer_forward_flat(layer: LayerParams, x: np.ndarray, heads: int):
     return out, attn
 
 
-def vit_layer_forward(layer: LayerParams, z: TokenSequence, heads: int) -> TokenSequence:
-    """One pre-norm layer over the full (frames x cells) token sequence."""
-    t, n, d = z.tokens.shape
-    out, _ = _layer_forward_flat(layer, z.tokens.reshape(t * n, d), heads)
-    return TokenSequence(out.reshape(t, n, d), z.height, z.width)
-
-
-def layer_attention(layer: LayerParams, z: TokenSequence, heads: int) -> np.ndarray:
-    """Attention probabilities (heads, S, S) for diagnostics; rows sum to 1."""
-    t, n, d = z.tokens.shape
-    _, attn = _layer_forward_flat(layer, z.tokens.reshape(t * n, d), heads)
-    return attn
-
-
-def _is_identity_layer(layer: LayerParams) -> bool:
-    """True when both residual branches of the layer are exact +0.0: zero
-    output weights and +0.0 output biases (a -0.0 bias could keep a -0.0
-    token negative, which ``x + 0.0`` would not)."""
-    return not (
-        layer.wo.any() or layer.mlp_w2.any() or layer.bo.any() or layer.mlp_b2.any()
-        or np.signbit(layer.bo).any() or np.signbit(layer.mlp_b2).any()
-    )
-
-
-def vit_forward(params: EncoderParams, z: TokenSequence) -> TokenSequence:
-    """Run the layer stack (the embedding is applied before tokenize).
-
-    A layer with zero ``wo``/``mlp_w2`` and +0.0 ``bo``/``mlp_b2`` is skipped:
-    its output is exactly ``x + 0.0``, bit for bit what the full layer
-    computes whenever its attention and MLP stay finite (they always do for
-    finite input unless the QKV or first MLP weights are large enough to
-    overflow)."""
-    t, n, d = z.tokens.shape
-    flat = z.tokens.reshape(t * n, d)
+def vit_forward(params: EncoderParams, tokens: np.ndarray) -> np.ndarray:
+    """Run the layer stack over flat (S, D) tokens; ``encode`` applies the
+    embedding and frame encoding first."""
     for layer in params.layers:
-        if _is_identity_layer(layer):
-            flat = flat + 0.0
-        else:
-            flat, _ = _layer_forward_flat(layer, flat, params.heads)
-    return TokenSequence(flat.reshape(t, n, d), z.height, z.width)
+        tokens, _ = layer_forward(layer, tokens, params.heads)
+    return tokens
 
 
 def encode(params: EncoderParams, frames: Sequence[BevGrid]) -> BevGrid:
-    """Project frames to the token dimension, tokenize with frame encodings,
-    run the stack, and return the last frame's tokens as a D-channel grid."""
-    projected = [project_channels(f, params.embed_w, params.embed_b) for f in frames]
-    z = tokenize(projected)
-    z = vit_forward(params, z)
-    last = z.tokens[-1]
-    spec = frames[-1].spec
-    return BevGrid(spec, last.T.reshape(params.dim, spec.height, spec.width))
+    """Embed each frame's cells as tokens with frame index t = 1..T encoded,
+    run the stack over all of them, and return the last frame's tokens as a
+    D-channel grid.
 
+    All frames must share geometry and channel count, and the embedding must
+    take that many channels. The tokens are stacked into one C-ordered
+    (T * cells, D) array: the layer GEMMs round differently on an F-ordered
+    one (as ``np.concatenate`` of the transposed frames would give), which
+    moves some outputs by an ulp."""
+    if not frames:
+        raise ValueError("need at least one frame")
+    base = frames[0]
+    for f in frames[1:]:
+        if not f.spec.same_geometry(base.spec) or f.channels != base.channels:
+            raise ValueError("frames must share geometry and channel count")
+    if params.embed_w.shape[1] != base.channels:
+        raise ValueError("embedding width must equal the frames' channel count")
+    dim = params.dim
+    bias = params.embed_b[:, None, None]
+    tokens = np.stack([
+        (np.einsum("dc,chw->dhw", params.embed_w, f.data) + bias).reshape(dim, -1).T + temporal_encoding(t, dim)
+        for t, f in enumerate(frames, start=1)
+    ]).reshape(-1, dim)
+    tokens = vit_forward(params, tokens)
+    spec = frames[-1].spec
+    last = tokens[-spec.height * spec.width:]
+    return BevGrid(spec, last.T.reshape(dim, spec.height, spec.width))

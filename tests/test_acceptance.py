@@ -39,11 +39,9 @@ from coopalign.fusion import serialize_grid
 from coopalign.temporal import (
     EncoderParams,
     LayerParams,
-    TokenSequence,
-    layer_attention,
+    layer_forward,
     temporal_encoding,
     vit_forward,
-    vit_layer_forward,
 )
 
 
@@ -145,16 +143,17 @@ def test_c05_message_size_ordering():
 def test_c07_residual_identity_and_attention_rows():
     with _report(7, "zero branches give the exact identity; attention rows sum to 1"):
         rng = np.random.default_rng(65)
-        tokens = rng.standard_normal((2, 4, 6))
-        z = TokenSequence(tokens, height=2, width=2)
-        layer = LayerParams.zeros(6, 10)
-        out = vit_layer_forward(layer, z, heads=3)
-        assert np.array_equal(out.tokens, tokens)
-        stack = EncoderParams.passthrough(in_channels=6, dim=6, heads=3, num_layers=4, hidden=10)
-        assert np.array_equal(vit_forward(stack, z).tokens, tokens)
+        tokens = rng.standard_normal((8, 6))
+        layer = LayerParams.seeded(6, 10, rng)
+        for name in ("wo", "bo", "mlp_w2", "mlp_b2"):
+            setattr(layer, name, np.zeros_like(getattr(layer, name)))
+        out, _ = layer_forward(layer, tokens, heads=3)
+        assert np.array_equal(out, tokens)
+        stack = EncoderParams(np.eye(6), np.zeros(6), [layer] * 4, heads=3)
+        assert np.array_equal(vit_forward(stack, tokens), tokens)
 
         live = LayerParams.seeded(6, 10, rng)
-        attn = layer_attention(live, z, heads=3)
+        _, attn = layer_forward(live, tokens, heads=3)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 import struct
 
@@ -17,7 +16,6 @@ from coopalign.detection import (
     _peak_mask,
     average_precision,
     decode_head,
-    detections_to_json,
     pooled_average_precision,
     rotated_iou_bev,
 )
@@ -211,18 +209,26 @@ def test_far_pair_builds_no_corners(monkeypatch):
     assert len(calls) == 4
 
 
-def test_far_pair_reject_drops_clip_extrapolation():
-    # a's lower corners lie 3.4e-13 m and 5.1e-13 m below the line of b's
-    # bottom edge, so the first is inside the clip tolerance and the second
-    # is not; the crossing is extrapolated along a's nearly parallel edge
-    # and the clip reports an overlap for boxes 5 m apart
-    b = _box(w=2.0, l=2.0)
-    drop = 3.4e-13
-    theta = math.atan(-drop / 4.0)
+def _dropped_box(left, drop, run):
+    """A 2x2 box whose lower edge starts at x = left, drop m below the line
+    y = -1, and falls a further drop m every run m."""
+    theta = math.atan(-drop / run)
     c, s = math.cos(theta), math.sin(theta)
-    a = _box(x=4.0 + c - s, y=-1.0 - drop + s + c, w=2.0, l=2.0, theta=theta)
-    assert 0.0 < _clip_iou(a, b) < 1e-12
-    assert rotated_iou_bev(a, b) == 0.0
+    return _box(x=left + c - s, y=-1.0 - drop + s + c, w=2.0, l=2.0, theta=theta)
+
+
+def test_far_pair_reject_drops_clip_extrapolation():
+    # a's lower corners lie just below the line of b's bottom edge, the first
+    # inside the clip tolerance and the second beyond it; the crossing of a's
+    # nearly parallel edge with that line lies off the edge, and the clip
+    # clamps it to the edge's end, so disjoint boxes overlap by nothing
+    b = _box(w=2.0, l=2.0)
+    far = _dropped_box(4.0, 3.4e-13, 4.0)  # 5 m apart: the far-pair reject
+    near = _dropped_box(1.5, 4e-13, 1.5)  # 2.5 m apart: the clip decides
+    for a in (far, near):
+        for p, q in ((a, b), (b, a)):
+            assert _clip_iou(p, q) == 0.0
+            assert rotated_iou_bev(p, q) == 0.0
 
 
 def test_match_greedy_takes_best_iou_first():
@@ -382,34 +388,27 @@ def test_decode_head_center_refinement_shifts_toward_mass():
     want_shift = (0.6 - 0.2) / 1.8
     assert abs(dets[0].box.x - (xs[c] + want_shift)) < 1e-12
 
-    plain = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig(), center_refine=False)
-    assert abs(plain[0].box.x - xs[c]) < 1e-12
-
 
 def test_decode_head_peak_pick_collapses_footprint():
     spec = GridSpec.centered(9, 9, 1.0)
     data = np.zeros((8, 9, 9))
     data[0, 4, 3:6] = [0.6, 0.9, 0.6]
-    both = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig(), center_refine=False)
-    assert len(both) == 1
-    raw = decode_head(
-        BevGrid(spec, data), _identity_head(), EvalConfig(), peak_pick=False, center_refine=False, nms_iou=1.0
-    )
-    assert len(raw) == 3
+    # three cells clear the threshold, and no-overlap NMS would keep them all
+    dets = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig(), nms_iou=1.0)
+    assert [d.score for d in dets] == [0.9]
 
 
 def test_decode_head_nms_drops_duplicates():
     spec = GridSpec.centered(9, 9, 1.0)
     data = np.zeros((8, 9, 9))
-    data[5] = math.log(4.0)
-    data[6] = math.log(4.0)
-    data[0, 4, 3] = 0.9
-    data[0, 4, 4] = 0.7  # adjacent cells, 4 m boxes overlap at IoU 0.6
-    dets = decode_head(
-        BevGrid(spec, data), _identity_head(), EvalConfig(), peak_pick=False, center_refine=False
-    )
-    assert len(dets) == 1
-    assert dets[0].score == 0.9
+    data[5] = math.log(8.0)
+    data[6] = math.log(8.0)
+    data[0, 4, 2] = 0.9
+    data[0, 4, 4] = 0.7  # two peaks 2 m apart, 8 m boxes overlap at IoU 0.6
+    both = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig(), nms_iou=0.61)
+    assert [d.score for d in both] == [0.9, 0.7]
+    dets = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig())
+    assert [d.score for d in dets] == [0.9]
 
 
 def test_decode_head_respects_threshold_and_channel_check():
@@ -419,9 +418,3 @@ def test_decode_head_respects_threshold_and_channel_check():
     assert decode_head(BevGrid(spec, data), _identity_head(), EvalConfig()) == []
     with pytest.raises(ValueError):
         decode_head(BevGrid(spec, data[:5]), _identity_head(), EvalConfig())
-
-
-def test_json_serialization_layout():
-    dets = [Detection(_box(x=1.0), 0.5)]
-    payload = json.loads(detections_to_json(dets))
-    assert payload == [{"box": dets[0].box.as_list(), "score": 0.5}]

@@ -34,7 +34,6 @@ from coopalign.harness import (
 )
 from coopalign.localization import pose_message_json
 from coopalign.temporal import temporal_encoding
-from coopalign.detection import detections_to_json
 
 
 def _small_params(**kw):
@@ -255,7 +254,7 @@ def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):
     monkeypatch.setattr(harness, "estimate_offset", lambda ego, nbr, search: Pose2D(0.0, 0.0, 0.0))
     zero = run_pipeline(flat, cfg, pose_source="gt")
     np.testing.assert_array_equal(result.fused.data, zero.fused.data)
-    assert detections_to_json(list(result.detections)) == detections_to_json(list(zero.detections))
+    assert result.detections == zero.detections
 
 
 def test_run_pipeline_rejects_unknown_source():
@@ -271,7 +270,7 @@ def test_pipeline_noise_blind_sources_are_bitwise_stable():
     for source in ("pgc", "gt", "none"):
         lo = run_pipeline(scenario, cfg, pose_source=source, noise=(0.0, 0.0))
         hi = run_pipeline(scenario, cfg, pose_source=source, noise=(4.0, 4.0))
-        assert detections_to_json(list(lo.detections)) == detections_to_json(list(hi.detections))
+        assert lo.detections == hi.detections
         np.testing.assert_array_equal(lo.fused.data, hi.fused.data)
 
 

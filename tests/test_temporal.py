@@ -11,16 +11,11 @@ from coopalign.harness import _build_encoder, emit_sweep_report, run_noise_sweep
 from coopalign.temporal import (
     EncoderParams,
     LayerParams,
-    TokenSequence,
-    _layer_forward_flat,
     encode,
-    layer_attention,
-    project_channels,
+    layer_forward,
     softmax,
     temporal_encoding,
-    tokenize,
     vit_forward,
-    vit_layer_forward,
 )
 from conftest import blob_grid
 
@@ -72,53 +67,84 @@ def test_temporal_encoding_validation():
         temporal_encoding(-1, 4)
 
 
-def test_token_sequence_validation():
-    with pytest.raises(ValueError):
-        TokenSequence(np.zeros((2, 5, 4)), height=2, width=2)
-    with pytest.raises(ValueError):
-        TokenSequence(np.zeros((2, 4, 3)), height=2, width=2)
-    with pytest.raises(ValueError):
-        TokenSequence(np.full((1, 4, 4), np.nan), height=2, width=2)
-    z = TokenSequence(np.zeros((3, 4, 6)), height=2, width=2)
-    assert z.frames == 3 and z.dim == 6
-
-
-def test_project_channels_matches_scalar_oracle():
+def test_encode_embedding_matches_scalar_oracle():
     rng = np.random.default_rng(60)
     spec = GridSpec.centered(4, 3, 1.0)
     grid = BevGrid(spec, rng.standard_normal((2, 3, 4)))
-    w = rng.standard_normal((5, 2))
-    b = rng.standard_normal(5)
-    out = project_channels(grid, w, b)
-    assert out.data.shape == (5, 3, 4)
-    for d in range(5):
+    w = rng.standard_normal((6, 2))
+    b = rng.standard_normal(6)
+    out = encode(EncoderParams(w, b, [], heads=2), [grid])
+    assert out.data.shape == (6, 3, 4)
+    enc = temporal_encoding(1, 6)
+    for d in range(6):
         for i in range(3):
             for j in range(4):
-                want = b[d] + sum(w[d, c] * grid.data[c, i, j] for c in range(2))
+                want = b[d] + sum(w[d, c] * grid.data[c, i, j] for c in range(2)) + enc[d]
                 assert abs(out.data[d, i, j] - want) < 1e-12
-    with pytest.raises(ValueError):
-        project_channels(grid, rng.standard_normal((5, 3)), b)
 
 
-def test_tokenize_adds_frame_encoding():
-    rng = np.random.default_rng(61)
-    spec = GridSpec.centered(3, 2, 1.0)
-    frames = [BevGrid(spec, rng.standard_normal((4, 2, 3))) for _ in range(3)]
-    z = tokenize(frames)
-    assert z.tokens.shape == (3, 6, 4)
-    for t_idx, f in enumerate(frames, start=1):
-        flat = f.data.reshape(4, -1).T
-        np.testing.assert_array_equal(z.tokens[t_idx - 1], flat + temporal_encoding(t_idx, 4))
+def _encode_unwrapped(params, frames, skipped_layers=0):
+    """encode as it ran through validated wrappers: each frame projected into
+    its own BevGrid, the tokens stacked as (T, N, D), copied, and run as a
+    reshaped (T * N, D) view, then the last frame read back. The old
+    passthrough encoder had zero-branch layers that the stack replaced by
+    ``x + 0.0``; ``skipped_layers`` replays them."""
+    projected = [
+        BevGrid(f.spec, np.einsum("dc,chw->dhw", params.embed_w, f.data) + params.embed_b[:, None, None])
+        for f in frames
+    ]
+    dim = params.dim
+    stacked = [f.data.reshape(dim, -1).T + temporal_encoding(t, dim) for t, f in enumerate(projected, start=1)]
+    tokens = np.array(np.stack(stacked), dtype=float)
+    t, n, d = tokens.shape
+    flat = tokens.reshape(t * n, d)
+    for _ in range(skipped_layers):
+        flat = flat + 0.0
+    for layer in params.layers:
+        flat, _ = layer_forward(layer, flat, params.heads)
+    last = flat.reshape(t, n, d)[-1]
+    spec = frames[-1].spec
+    return BevGrid(spec, last.T.reshape(dim, spec.height, spec.width))
 
 
-def test_tokenize_rejects_mismatched_frames():
+def test_encode_matches_unwrapped_path_bitwise():
+    rng = np.random.default_rng(77)
+    shapes = [
+        (dim, heads, frames, int(rng.integers(2, 17)), int(rng.integers(2, 17)))
+        for dim in (4, 8, 16)
+        for heads in range(1, dim + 1)
+        if dim % heads == 0
+        for frames in (1, 2, 3)
+    ]
+    shapes += [(8, 2, 2, side, side) for side in range(2, 17)]
+    for dim, heads, frames, height, width in shapes:
+        channels = int(rng.integers(1, 5))
+        spec = GridSpec.centered(width, height, 1.0)
+        grids = [BevGrid(spec, rng.standard_normal((channels, height, width))) for _ in range(frames)]
+        random = EncoderParams.seeded(channels, dim, heads, 2, 2 * dim, rng)
+        assert encode(random, grids).data.tobytes() == _encode_unwrapped(random, grids).data.tobytes()
+        passthrough = EncoderParams.passthrough(channels, dim, heads)
+        want = _encode_unwrapped(passthrough, grids, skipped_layers=int(rng.integers(0, 3)))
+        assert encode(passthrough, grids).data.tobytes() == want.data.tobytes()
+
+
+def test_encode_validation():
     rng = np.random.default_rng(62)
-    a = BevGrid(GridSpec.centered(3, 2, 1.0), rng.standard_normal((4, 2, 3)))
-    b = BevGrid(GridSpec.centered(3, 2, 1.0), rng.standard_normal((2, 2, 3)))
-    with pytest.raises(ValueError):
-        tokenize([a, b])
-    with pytest.raises(ValueError):
-        tokenize([])
+    spec = GridSpec.centered(3, 2, 1.0)
+    params = EncoderParams.passthrough(in_channels=4, dim=4, heads=2)
+    good = BevGrid(spec, rng.standard_normal((4, 2, 3)))
+    encode(params, [good, good])
+    with pytest.raises(ValueError, match="at least one frame"):
+        encode(params, [])
+    for other in (
+        BevGrid(GridSpec.centered(2, 3, 1.0), rng.standard_normal((4, 3, 2))),
+        BevGrid(GridSpec.centered(3, 2, 0.5), rng.standard_normal((4, 2, 3))),
+        BevGrid(spec, rng.standard_normal((2, 2, 3))),
+    ):
+        with pytest.raises(ValueError, match="share geometry and channel count"):
+            encode(params, [good, other])
+    with pytest.raises(ValueError, match="embedding width"):
+        encode(EncoderParams.passthrough(in_channels=3, dim=4, heads=2), [good])
 
 
 def test_softmax_rows_and_vjp():
@@ -143,7 +169,7 @@ def test_softmax_leaves_input_unchanged():
 
 
 def _layer_forward_out_of_place(layer, x, heads):
-    """_layer_forward_flat with out-of-place attention: four (heads, S, S)
+    """layer_forward with out-of-place attention: four (heads, S, S)
     arrays alive at once."""
     dim = x.shape[1]
     dh = dim // heads
@@ -175,7 +201,7 @@ def test_in_place_attention_matches_out_of_place_bitwise():
     for dim, heads, frames, side in cases:
         layer = LayerParams.seeded(dim, 2 * dim, rng, scale=rng.uniform(0.2, 3.0))
         x = 2.0 * rng.standard_normal((frames * side * side, dim))
-        got, got_attn = _layer_forward_flat(layer, x, heads)
+        got, got_attn = layer_forward(layer, x, heads)
         want, want_attn = _layer_forward_out_of_place(layer, x, heads)
         assert got.tobytes() == want.tobytes()
         assert got_attn.tobytes() == want_attn.tobytes()
@@ -189,7 +215,7 @@ def test_attention_peak_memory_is_one_score_buffer():
     score_bytes = heads * tokens * tokens * 8
     tracemalloc.start()
     try:
-        _, attn = _layer_forward_flat(layer, x, heads)
+        _, attn = layer_forward(layer, x, heads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -230,27 +256,24 @@ def _layer_forward_scalar(layer, x, heads):
 def test_layer_forward_matches_scalar_oracle():
     rng = np.random.default_rng(64)
     layer = LayerParams.seeded(4, 6, rng)
-    tokens = rng.standard_normal((2, 3, 4))
-    z = TokenSequence(tokens, height=1, width=3)
-    got = vit_layer_forward(layer, z, heads=2).tokens
-    want = _layer_forward_scalar(layer, tokens.reshape(6, 4), 2).reshape(2, 3, 4)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    tokens = rng.standard_normal((6, 4))
+    got, _ = layer_forward(layer, tokens, heads=2)
+    np.testing.assert_allclose(got, _layer_forward_scalar(layer, tokens, 2), atol=1e-12)
 
 
 def test_passthrough_stack_is_exact_identity():
     rng = np.random.default_rng(65)
-    params = EncoderParams.passthrough(in_channels=3, dim=4, heads=2, num_layers=3, hidden=8)
-    tokens = rng.standard_normal((2, 4, 4))
-    z = TokenSequence(tokens, height=2, width=2)
-    out = vit_forward(params, z)
-    np.testing.assert_array_equal(out.tokens, tokens)
+    params = EncoderParams.passthrough(in_channels=3, dim=4, heads=2)
+    assert params.layers == []
+    tokens = rng.standard_normal((8, 4))
+    assert vit_forward(params, tokens).tobytes() == tokens.tobytes()
 
 
 def test_passthrough_encode_is_input_plus_frame_code():
     rng = np.random.default_rng(66)
     spec = GridSpec.centered(4, 4, 1.0)
     frames = [BevGrid(spec, rng.standard_normal((3, 4, 4))) for _ in range(2)]
-    params = EncoderParams.passthrough(in_channels=3, dim=4, heads=2, num_layers=2, hidden=8)
+    params = EncoderParams.passthrough(in_channels=3, dim=4, heads=2)
     out = encode(params, frames)
     assert out.data.shape == (4, 4, 4)
     enc = temporal_encoding(2, 4)
@@ -262,15 +285,14 @@ def test_passthrough_encode_is_input_plus_frame_code():
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(67)
     layer = LayerParams.seeded(8, 12, rng)
-    z = TokenSequence(rng.standard_normal((2, 6, 8)), height=2, width=3)
-    attn = layer_attention(layer, z, heads=4)
+    _, attn = layer_forward(layer, rng.standard_normal((12, 8)), heads=4)
     assert attn.shape == (4, 12, 12)
     np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_encoder_params_validation():
     with pytest.raises(ValueError):
-        EncoderParams.passthrough(in_channels=5, dim=4, heads=2, num_layers=1, hidden=4)
+        EncoderParams.passthrough(in_channels=5, dim=4, heads=2)
     with pytest.raises(ValueError):
         EncoderParams(np.zeros((6, 2)), np.zeros(6), [], heads=4)
 
@@ -280,8 +302,8 @@ def test_layer_is_permutation_equivariant():
     layer = LayerParams.seeded(6, 10, rng)
     x = rng.standard_normal((8, 6))
     perm = rng.permutation(8)
-    out, _ = _layer_forward_flat(layer, x, heads=3)
-    out_p, _ = _layer_forward_flat(layer, x[perm], heads=3)
+    out, _ = layer_forward(layer, x, heads=3)
+    out_p, _ = layer_forward(layer, x[perm], heads=3)
     np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
 
@@ -295,24 +317,15 @@ def _branchless_layer(rng, dim=4, hidden=6):
     return layer
 
 
-def _tokens_with_negative_zeros(rng, shape=(2, 4, 4)):
-    tokens = rng.standard_normal(shape)
-    tokens.reshape(-1)[::3] = -0.0
-    return tokens
-
-
-def test_skipped_layer_matches_full_layer_bitwise():
+def test_zero_branch_layer_is_exact_residual_identity():
     rng = np.random.default_rng(73)
-    layers = [_branchless_layer(rng) for _ in range(2)]
-    tokens = _tokens_with_negative_zeros(rng)
+    tokens = rng.standard_normal((8, 4))
+    tokens.reshape(-1)[::3] = -0.0
     assert np.signbit(tokens).any() and (tokens == 0.0).any()
-    params = EncoderParams(np.eye(4), np.zeros(4), layers, heads=2)
-    got = vit_forward(params, TokenSequence(tokens, height=2, width=2)).tokens
-    want = tokens.reshape(8, 4)
-    for layer in layers:
-        want, _ = _layer_forward_flat(layer, want, heads=2)
-    assert got.tobytes() == want.reshape(2, 4, 4).tobytes()
-    assert not np.signbit(got[got == 0.0]).any()
+    out, _ = layer_forward(_branchless_layer(rng), tokens, heads=2)
+    # both residual branches add +0.0, which also maps -0.0 tokens to 0.0
+    assert out.tobytes() == (tokens + 0.0).tobytes()
+    assert not np.signbit(out[out == 0.0]).any()
 
 
 def _count_layer_calls(monkeypatch):
@@ -320,25 +333,26 @@ def _count_layer_calls(monkeypatch):
 
     def counted(layer, x, heads):
         calls.append(1)
-        return _layer_forward_flat(layer, x, heads)
+        return layer_forward(layer, x, heads)
 
-    monkeypatch.setattr(temporal, "_layer_forward_flat", counted)
+    monkeypatch.setattr(temporal, "layer_forward", counted)
     return calls
 
 
+# vit_forward runs every layer it is given, near-identity ones included
 @pytest.mark.parametrize("name", ["wo", "bo", "mlp_w2", "mlp_b2"])
 def test_one_nonzero_branch_entry_runs_the_layer(monkeypatch, name):
     rng = np.random.default_rng(74)
     layer = _branchless_layer(rng)
     tensor = getattr(layer, name)
     tensor.reshape(-1)[rng.integers(tensor.size)] = 1e-3
-    tokens = rng.standard_normal((2, 4, 4))
-    want, _ = _layer_forward_flat(layer, tokens.reshape(8, 4), heads=2)
+    tokens = rng.standard_normal((8, 4))
+    want, _ = layer_forward(layer, tokens, heads=2)
     calls = _count_layer_calls(monkeypatch)
     params = EncoderParams(np.eye(4), np.zeros(4), [layer], heads=2)
-    got = vit_forward(params, TokenSequence(tokens, height=2, width=2)).tokens
+    got = vit_forward(params, tokens)
     assert len(calls) == 1
-    assert got.tobytes() == want.reshape(2, 4, 4).tobytes()
+    assert got.tobytes() == want.tobytes()
     assert not np.array_equal(got, tokens)
 
 
@@ -347,9 +361,11 @@ def test_negative_zero_bias_runs_the_layer(monkeypatch, name):
     rng = np.random.default_rng(75)
     layer = _branchless_layer(rng)
     setattr(layer, name, np.full_like(getattr(layer, name), -0.0))
+    tokens = rng.standard_normal((4, 4))
+    want, _ = layer_forward(layer, tokens, heads=2)
     calls = _count_layer_calls(monkeypatch)
     params = EncoderParams(np.eye(4), np.zeros(4), [layer], heads=2)
-    vit_forward(params, TokenSequence(rng.standard_normal((1, 4, 4)), height=2, width=2))
+    assert vit_forward(params, tokens).tobytes() == want.tobytes()
     assert len(calls) == 1
 
 

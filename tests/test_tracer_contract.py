@@ -46,3 +46,5 @@ def test_tracer_wraps_a_sweep_and_an_alignment(tmp_path, capsys):
     metrics = t.metrics(2, 1.0, 1.0)
     assert {name for name, _, _ in tracer.PER_LAYER} == set(metrics)
     assert metrics["fusion.estimate_offset.candidates"] > 0
+    # the default passthrough encoder has no layers, so it computes no attention
+    assert metrics["temporal.encode.attn_bytes_computed"] == 0
