@@ -208,13 +208,14 @@ class ExperimentConfig:
         thresholds = self.eval.iou_thresholds
         if len({threshold_key(t) for t in thresholds}) != len(thresholds):
             raise ConfigError("iou_thresholds must differ when printed with :g (the summary keys)")
-        # the largest float64 array the sizes imply: a weight matrix, the
-        # token features of all frames, or one layer's attention scores
+        # the largest float64 array the sizes imply: the token features of
+        # all frames, or a layer's weight matrix or attention scores (the
+        # passthrough encoder builds no layer)
         enc = self.encoder
         tokens = self.frames * self.grid.width * self.grid.height
-        entries = [enc.dim * enc.dim, enc.dim * enc.hidden, tokens * enc.dim]
+        entries = [tokens * enc.dim]
         if enc.mode == "random" and enc.layers > 0:
-            entries.append(enc.heads * tokens * tokens)
+            entries += [enc.dim * enc.dim, enc.dim * enc.hidden, enc.heads * tokens * tokens]
         if 8 * max(entries) > ARRAY_BUDGET_BYTES:
             raise ConfigError(
                 f"these sizes imply an array of {8 * max(entries)} bytes, "

@@ -84,6 +84,8 @@ _TAG_BENCH_GNSS = 22
 _TAG_BENCH_RANSAC = 23
 _TAG_ENCODER = 31
 
+_ZERO_OFFSET = Pose2D(0.0, 0.0, 0.0)
+
 
 class ScenarioGenerationError(RuntimeError):
     """Placement constraints could not be satisfied after bounded retries."""
@@ -530,11 +532,12 @@ def run_pipeline(
                 ledger.add(k, ego.agent_id, "features", len(serialize_grid(grids[k])))
                 neighbor_grids.append((grids[k], poses[k]))
             warped = coarse_align(poses[ego.agent_id], neighbor_grids)
+            moved: list[int] = []
             deltas = []
             # correlate on blurred max height: ground sits at z = 0 in that
             # channel, so the disk-shaped sensing footprints cannot dominate
             ego_search = _search_grid(grids[ego.agent_id], 2)
-            for k, grid in zip(neighbor_ids, warped):
+            for i, (k, grid) in enumerate(zip(neighbor_ids, warped)):
                 try:
                     delta = estimate_offset(ego_search, _search_grid(grid, 2), cfg.search)
                 except NoSignalError:
@@ -542,9 +545,15 @@ def run_pipeline(
                         "scenario %d frame %d agent %d: no correlation signal, residual offset left at zero",
                         scenario.seed, frame, k,
                     )
-                    delta = Pose2D(0.0, 0.0, 0.0)
-                deltas.append(delta.inverse())
-            corrected = apply_offset(warped, deltas)
+                    continue
+                if delta != _ZERO_OFFSET:
+                    moved.append(i)
+                    deltas.append(delta.inverse())
+            # a zero offset keeps the coarse grid: coarse_align output holds no
+            # -0.0, so the identity warp would reproduce it bitwise
+            corrected = list(warped)
+            for i, grid in zip(moved, apply_offset([warped[i] for i in moved], deltas)):
+                corrected[i] = grid
             fused_inputs = [grids[ego.agent_id]] + corrected
             weights = [sigmas[ego.agent_id]] + [sigmas[k] for k in neighbor_ids]
 

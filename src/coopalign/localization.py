@@ -25,6 +25,12 @@ from .geometry import (
 )
 
 
+# Most RANSAC hypotheses one block holds. A block keeps an (n, b, 3) residual
+# array, so this bounds the working set; a larger block also computes more
+# hypotheses past the early stop.
+_BLOCK_CAP = 16
+
+
 class DegenerateSampleError(ValueError):
     """Raised when a rigid fit is attempted on a rank-deficient point set."""
 
@@ -155,16 +161,24 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     if len(cloud) == 0:
         return PointCloud(np.zeros((0, 3)))
     keys = np.floor(pts / voxel).astype(np.int64)
-    _, inverse_idx, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
+    # a stable sort keeps each voxel's points in input order, so bincount
+    # adds them in the order np.add.at would and the first point of a run
+    # is the voxel's first occurrence
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    boundary = np.empty(pts.shape[0], dtype=bool)
+    boundary[0] = True
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=boundary[1:])
+    group = np.cumsum(boundary) - 1
+    starts = np.flatnonzero(boundary)
+    counts = np.diff(starts, append=pts.shape[0])
+    sorted_pts = pts[order]
+    sums = np.stack(
+        [np.bincount(group, weights=sorted_pts[:, c], minlength=starts.shape[0]) for c in range(3)],
+        axis=1,
     )
-    inverse_idx = inverse_idx.reshape(-1)
-    sums = np.zeros((counts.shape[0], 3))
-    np.add.at(sums, inverse_idx, pts)
     centroids = sums / counts[:, None]
-    first_seen = np.full(counts.shape[0], pts.shape[0], dtype=np.int64)
-    np.minimum.at(first_seen, inverse_idx, np.arange(pts.shape[0]))
-    return PointCloud(centroids[np.argsort(first_seen, kind="stable")])
+    return PointCloud(centroids[np.argsort(order[starts], kind="stable")])
 
 
 def oracle_predict(
@@ -197,19 +211,36 @@ def oracle_predict(
     )
 
 
+def _kabsch_stack(local: np.ndarray, world: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares rigid fits of a stack of (b, m, 3) point sets: rotations
+    (b, 3, 3), translations (b, 3) and a (b,) mask of the fits whose set is
+    neither collinear nor coincident. Every fit is bitwise the 2-D solve of
+    its own set: the stacked matmul, svd and det run the same LAPACK/BLAS
+    call per matrix, and scaling the last column of V by the reflection sign
+    (plus 0.0, which maps -0.0 to +0.0 as a product with diag(1, 1, d)
+    does) is exactly V @ diag(1, 1, d)."""
+    centroid_l = local.mean(axis=1)
+    centroid_w = world.mean(axis=1)
+    h = (local - centroid_l[:, None]).transpose(0, 2, 1) @ (world - centroid_w[:, None])
+    u, s, vt = np.linalg.svd(h)
+    ok = ~((s[:, 0] <= 0.0) | (s[:, 1] <= 1e-9 * s[:, 0]))
+    v = vt.transpose(0, 2, 1)
+    ut = u.transpose(0, 2, 1)
+    d = np.sign(np.linalg.det(v @ ut))
+    v[:, :, 2] *= d[:, None]
+    v += 0.0
+    rot = v @ ut
+    return rot, centroid_w - (rot @ centroid_l[:, :, None])[:, :, 0], ok
+
+
 def _kabsch_arrays(local: np.ndarray, world: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotation and translation of the least-squares rigid fit."""
     if local.shape[0] < 3:
         raise DegenerateSampleError("rigid fit needs at least 3 points")
-    centroid_l = local.mean(axis=0)
-    centroid_w = world.mean(axis=0)
-    h = (local - centroid_l).T @ (world - centroid_w)
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
+    rot, trans, ok = _kabsch_stack(local[None], world[None])
+    if not ok[0]:
         raise DegenerateSampleError("point set is collinear or coincident")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return rot, centroid_w - rot @ centroid_l
+    return rot[0], trans[0]
 
 
 def kabsch_solve(local: PointCloud | np.ndarray, world: PointCloud | np.ndarray) -> Pose:
@@ -224,6 +255,18 @@ def kabsch_solve(local: PointCloud | np.ndarray, world: PointCloud | np.ndarray)
     return Pose(*_kabsch_arrays(lp, wp))
 
 
+def _residuals(local: np.ndarray, world: np.ndarray, rots: np.ndarray, transs: np.ndarray) -> np.ndarray:
+    """(n, b) array whose column k is bitwise
+    norm(local @ rots[k].T + transs[k] - world, axis=1): one (n, 3) @ (3, 3b)
+    product, then the same elementwise steps, in place on one (n, b, 3)
+    buffer that is freed on return."""
+    diff = (local @ rots.transpose(2, 0, 1).reshape(3, -1)).reshape(local.shape[0], -1, 3)
+    diff += transs
+    diff -= world[:, None, :]
+    resid = np.add.reduce(np.square(diff, out=diff), axis=2)
+    return np.sqrt(resid, out=resid)
+
+
 def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) -> PoseEstimate | None:
     """RANSAC rigid solve over predicted correspondences.
 
@@ -231,8 +274,17 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
     substream of seed, so results are bitwise reproducible and independent
     of evaluation order. The best hypothesis is the one with the most inliers,
     ties broken by lower mean inlier residual, then earlier iteration. Stops
-    early once the standard (1 - (1 - w^s)^k) bound reaches confidence_stop.
-    Returns None when the best consensus set is smaller than min_inliers."""
+    early once the standard (1 - (1 - w^s)^k) bound reaches confidence_stop;
+    an iteration whose sample is degenerate is skipped before that check.
+    Returns None when the best consensus set is smaller than min_inliers.
+
+    Hypotheses are drawn, solved and scored in blocks: one stacked Kabsch
+    solve and one (n, 3) @ (3, 3b) residual product per block, each bitwise
+    the per-hypothesis computation. The rule above is then replayed over the
+    block in iteration order, so the chosen hypothesis and the stopping
+    iteration are those of a one-at-a-time loop; only hypotheses past the
+    stop are computed in vain: a block runs to the current stopping bound and
+    holds at most _BLOCK_CAP hypotheses."""
     local = pred.local_points.points
     world = pred.predicted_world.points
     n = local.shape[0]
@@ -245,31 +297,42 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
     best_rt: tuple[np.ndarray, np.ndarray] | None = None
     needed = float(cfg.max_iterations)
 
-    for it in range(cfg.max_iterations):
-        rng_it = np.random.default_rng((seed, it))
-        idx = rng_it.choice(n, size=cfg.sample_size, replace=False)
-        try:
-            rot, trans = _kabsch_arrays(local[idx], world[idx])
-        except DegenerateSampleError:
-            continue
-        resid = np.linalg.norm(local @ rot.T + trans - world, axis=1)
-        mask = resid < cfg.inlier_threshold
-        count = int(mask.sum())
-        mean_resid = float(resid[mask].mean()) if count else math.inf
-        if count > best_count or (count == best_count and mean_resid < best_mean):
-            best_count = count
-            best_mean = mean_resid
-            best_mask = mask
-            best_rt = (rot, trans)
-            w = best_count / n
-            if w >= 1.0:
-                needed = 0.0
-            else:
-                hit = w ** cfg.sample_size
-                if hit > 0.0 and cfg.confidence_stop < 1.0:
-                    needed = math.log(1.0 - cfg.confidence_stop) / math.log(1.0 - hit)
-        if it + 1 >= needed:
-            break
+    start = 0
+    done = False
+    while not done and start < cfg.max_iterations:
+        # no block runs past the current stopping bound
+        end = min(cfg.max_iterations, start + _BLOCK_CAP, max(start + 1, math.ceil(needed)))
+        its = range(start, end)
+        idx = np.stack([
+            np.random.default_rng((seed, it)).choice(n, size=cfg.sample_size, replace=False)
+            for it in its
+        ])
+        rots, transs, ok = _kabsch_stack(local[idx], world[idx])
+        resid = _residuals(local, world, rots, transs)
+        masks = resid < cfg.inlier_threshold
+        counts = masks.sum(axis=0)
+        for k, it in enumerate(its):
+            if not ok[k]:
+                continue
+            count = int(counts[k])
+            if count >= best_count:
+                mean_resid = float(resid[:, k][masks[:, k]].mean()) if count else math.inf
+                if count > best_count or mean_resid < best_mean:
+                    best_count = count
+                    best_mean = mean_resid
+                    best_mask = masks[:, k]
+                    best_rt = (rots[k], transs[k])
+                    w = best_count / n
+                    if w >= 1.0:
+                        needed = 0.0
+                    else:
+                        hit = w ** cfg.sample_size
+                        if hit > 0.0 and cfg.confidence_stop < 1.0:
+                            needed = math.log(1.0 - cfg.confidence_stop) / math.log(1.0 - hit)
+            if it + 1 >= needed:
+                done = True
+                break
+        start = end
 
     if best_rt is None or best_mask is None or best_count < cfg.min_inliers:
         return None

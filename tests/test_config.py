@@ -79,6 +79,16 @@ def test_oracle_range_error_names_the_json_key():
     assert str(info.value).startswith("oracle: error_fidelity")
 
 
+def test_array_budget_counts_layer_weights_only_when_layers_run():
+    # a 2**27-wide hidden layer is 8 GiB of float64 weights; the passthrough
+    # encoder builds no layer, so only a random encoder with layers is refused
+    wide = {"hidden": 134217728}
+    assert config_from_dict({"encoder": wide}).encoder.hidden == 134217728
+    assert config_from_dict({"encoder": {**wide, "mode": "random", "layers": 0}}).encoder.layers == 0
+    with pytest.raises(ConfigError, match="budget"):
+        config_from_dict({"encoder": {**wide, "mode": "random"}})
+
+
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     raw = ExperimentConfig(seed=11).to_dict()

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopalign import harness
+from coopalign import fusion, harness
 from coopalign.config import EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
-from coopalign.fusion import OffsetSearch, serialize_grid, rasterize_bev
+from coopalign.fusion import NoSignalError, OffsetSearch, serialize_grid, rasterize_bev
 from coopalign.geometry import PointCloud, Pose, Pose2D
 from coopalign.harness import (
     AlignmentReport,
@@ -255,6 +255,48 @@ def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):
     zero = run_pipeline(flat, cfg, pose_source="gt")
     np.testing.assert_array_equal(result.fused.data, zero.fused.data)
     assert result.detections == zero.detections
+
+
+def test_zero_residual_offset_skips_an_identity_warp_bitwise(monkeypatch):
+    cfg = _small_cfg(frames=2, scenario=_small_params(num_agents=3))
+    scenario = generate_scenario(cfg.scenario, 44)
+    neighbors = cfg.frames * (cfg.scenario.num_agents - 1)
+    coarse = []
+    original_align = harness.coarse_align
+
+    def recording_align(*args):
+        grids = original_align(*args)
+        coarse.extend(grids)
+        return grids
+
+    def search(replies):
+        def estimate_offset(ego, nbr, params):
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+        return estimate_offset
+
+    monkeypatch.setattr(harness, "coarse_align", recording_align)
+    warps = _count_calls(monkeypatch, fusion, "warp_grid")
+    # per frame, the first neighbor finds no signal and the second keeps the
+    # zero offset: neither takes a second warp
+    monkeypatch.setattr(harness, "estimate_offset", search(iter([NoSignalError("flat"), Pose2D(0.0, -0.0, 0.0)] * cfg.frames)))
+    skipped = run_pipeline(scenario, cfg, pose_source="gt-noise", noise=(0.5, 1.0))
+    assert len(warps) == len(coarse) == neighbors
+    # coarse grids hold no -0.0, so the identity warp reproduces them bitwise
+    for grid in coarse:
+        assert not (np.signbit(grid.data) & (grid.data == 0.0)).any()
+        assert fusion.warp_grid(grid, Pose2D(0.0, 0.0, 0.0)).data.tobytes() == grid.data.tobytes()
+    # with no offset equal to the skip sentinel, every neighbor takes the
+    # identity warp, as a NoSignalError fallback or a zero offset once did
+    monkeypatch.setattr(harness, "_ZERO_OFFSET", None)
+    monkeypatch.setattr(harness, "estimate_offset", search(iter([Pose2D(0.0, 0.0, 0.0)] * neighbors)))
+    del warps[:]
+    warped = run_pipeline(scenario, cfg, pose_source="gt-noise", noise=(0.5, 1.0))
+    assert len(warps) == 2 * neighbors
+    assert warped.fused.data.tobytes() == skipped.fused.data.tobytes()
+    assert warped.detections == skipped.detections
 
 
 def test_run_pipeline_rejects_unknown_source():

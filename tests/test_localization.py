@@ -1,14 +1,20 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopalign.geometry import PointCloud, Pose, StructuredLocNoise, pose_error, transform_points
 from coopalign.localization import (
+    _BLOCK_CAP,
     DegenerateSampleError,
     OracleErrorModel,
     RansacConfig,
     SceneCoordPrediction,
+    _kabsch_arrays,
     confidence_from_error,
     kabsch_solve,
     oracle_predict,
@@ -265,3 +271,227 @@ def test_ransac_config_validation():
         RansacConfig(min_inliers=2)
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the one-hypothesis-at-a-time solver and the np.unique
+# voxel grouping; the batched code must match them bitwise
+
+
+def _ref_kabsch(local, world):
+    if local.shape[0] < 3:
+        raise DegenerateSampleError("rigid fit needs at least 3 points")
+    centroid_l = local.mean(axis=0)
+    centroid_w = world.mean(axis=0)
+    h = (local - centroid_l).T @ (world - centroid_w)
+    u, s, vt = np.linalg.svd(h)
+    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
+        raise DegenerateSampleError("point set is collinear or coincident")
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return rot, centroid_w - rot @ centroid_l
+
+
+def _ref_ransac(pred, cfg, seed):
+    """The per-iteration loop; returns (estimate fields or None, number of
+    degenerate samples skipped)."""
+    local = pred.local_points.points
+    world = pred.predicted_world.points
+    n = local.shape[0]
+    best_count = -1
+    best_mean = math.inf
+    best_mask = None
+    best_rt = None
+    needed = float(cfg.max_iterations)
+    degenerate = 0
+    for it in range(cfg.max_iterations):
+        idx = np.random.default_rng((seed, it)).choice(n, size=cfg.sample_size, replace=False)
+        try:
+            rot, trans = _ref_kabsch(local[idx], world[idx])
+        except DegenerateSampleError:
+            degenerate += 1
+            continue
+        resid = np.linalg.norm(local @ rot.T + trans - world, axis=1)
+        mask = resid < cfg.inlier_threshold
+        count = int(mask.sum())
+        mean_resid = float(resid[mask].mean()) if count else math.inf
+        if count > best_count or (count == best_count and mean_resid < best_mean):
+            best_count = count
+            best_mean = mean_resid
+            best_mask = mask
+            best_rt = (rot, trans)
+            w = best_count / n
+            if w >= 1.0:
+                needed = 0.0
+            else:
+                hit = w ** cfg.sample_size
+                if hit > 0.0 and cfg.confidence_stop < 1.0:
+                    needed = math.log(1.0 - cfg.confidence_stop) / math.log(1.0 - hit)
+        if it + 1 >= needed:
+            break
+    if best_rt is None or best_count < cfg.min_inliers:
+        return None, degenerate
+    inlier_idx = np.flatnonzero(best_mask)
+    try:
+        rot, trans = _ref_kabsch(local[inlier_idx], world[inlier_idx])
+    except DegenerateSampleError:
+        rot, trans = best_rt
+    agg = float(pred.predicted_error[inlier_idx].mean())
+    fields = (rot.tobytes(), trans.tobytes(), agg, confidence_from_error(agg),
+              inlier_idx.tobytes(), best_count / n)
+    return fields, degenerate
+
+
+def _outcome(fn):
+    """fn()'s value, or the type of the exception it raised."""
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def _fields(est):
+    if est is None:
+        return None
+    return (est.pose.rotation.tobytes(), est.pose.translation.tobytes(), est.aggregated_error,
+            est.confidence, est.inlier_indices.astype(np.intp).tobytes(), est.inlier_ratio)
+
+
+def _odd_cloud(rng, n, kind, outliers):
+    """A correspondence set whose locals are random, integer-valued, mostly
+    one repeated point, or mostly on one line; world points are a rigid motion
+    of them with a share of gross outliers."""
+    local = rng.uniform(-6.0, 6.0, size=(n, 3))
+    if kind == "integer":
+        local = np.round(local)
+    elif kind == "duplicate":
+        local[: max(n - 4, 1)] = local[0]
+    elif kind == "collinear":
+        keep = max(n // 5, 1)
+        local[keep:] = np.outer(rng.uniform(-6.0, 6.0, n - keep), rng.normal(size=3))
+    pose = random_full_pose(rng, span=5.0)
+    world = local @ pose.rotation.T + pose.translation + rng.normal(scale=0.02, size=(n, 3))
+    bad = rng.uniform(size=n) < outliers
+    world[bad] += rng.normal(scale=4.0, size=(int(bad.sum()), 3))
+    return SceneCoordPrediction(PointCloud(local), PointCloud(world), rng.uniform(0.0, 1.0, size=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 90),
+    kind=st.sampled_from(["random", "integer", "duplicate", "collinear"]),
+    outliers=st.sampled_from([0.0, 0.3, 0.7]),
+    sample_size=st.integers(3, 6),
+    max_iterations=st.integers(1, 300),
+    confidence_stop=st.sampled_from([0.0, 0.5, 0.99, 0.999, 1.0]),
+    log_threshold=st.floats(-12.0, 3.0),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_ransac_matches_per_iteration_loop_bitwise(
+    data_seed, n, kind, outliers, sample_size, max_iterations, confidence_stop, log_threshold, seed
+):
+    pred = _odd_cloud(np.random.default_rng(data_seed), n, kind, outliers)
+    cfg = RansacConfig(
+        max_iterations=max_iterations,
+        inlier_threshold=10.0 ** log_threshold,
+        sample_size=sample_size,
+        min_inliers=sample_size,
+        confidence_stop=confidence_stop,
+    )
+    expected = _outcome(lambda: _ref_ransac(pred, cfg, seed)[0])
+    assert _outcome(lambda: _fields(ransac_pose(pred, cfg, seed))) == expected
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "collinear"])
+def test_ransac_skips_degenerate_samples_like_the_loop(kind):
+    # mostly one repeated point or one line: many samples are degenerate,
+    # which skips the early-stop check of their iteration
+    pred = _odd_cloud(np.random.default_rng(31), 40, kind, 0.2)
+    for stop in (0.0, 0.9, 1.0):
+        cfg = RansacConfig(max_iterations=120, inlier_threshold=0.2, confidence_stop=stop)
+        for seed in range(4):
+            expected, degenerate = _ref_ransac(pred, cfg, seed)
+            assert degenerate > 0
+            assert _fields(ransac_pose(pred, cfg, seed)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(data_seed=st.integers(0, 2**32 - 1), m=st.integers(3, 1500), planar=st.booleans())
+def test_stacked_kabsch_matches_2d_kernel_bitwise(data_seed, m, planar):
+    rng = np.random.default_rng(data_seed)
+    local = rng.normal(scale=rng.uniform(0.1, 20.0), size=(m, 3))
+    if planar:
+        local[:, 2] = 0.0
+    pose = random_full_pose(rng)
+    world = local @ pose.rotation.T + pose.translation + rng.normal(scale=0.1, size=(m, 3))
+    expected = _outcome(lambda: tuple(a.tobytes() for a in _ref_kabsch(local, world)))
+    assert _outcome(lambda: tuple(a.tobytes() for a in _kabsch_arrays(local, world))) == expected
+
+
+def test_stacked_kabsch_keeps_signed_zeros_of_the_2d_kernel():
+    # axis-aligned sets give exact zeros in U and V, a quarter of them -0.0,
+    # and exact rotations whose zero entries keep their sign
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        m = int(rng.integers(3, 9))
+        local = np.zeros((m, 3))
+        local[:, trial % 3] = rng.integers(-3, 4, m)
+        local[:, (trial + 1) % 3] = rng.integers(-3, 4, m)
+        world = local[:, [1, 0, 2]] if trial % 2 else local * np.array([1.0, 1.0, -1.0])
+        expected = _outcome(lambda: tuple(a.tobytes() for a in _ref_kabsch(local, world)))
+        assert _outcome(lambda: tuple(a.tobytes() for a in _kabsch_arrays(local, world))) == expected
+
+
+def _ref_voxel(pts, voxel):
+    keys = np.floor(pts / voxel).astype(np.int64)
+    _, inverse_idx, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    inverse_idx = inverse_idx.reshape(-1)
+    sums = np.zeros((counts.shape[0], 3))
+    np.add.at(sums, inverse_idx, pts)
+    centroids = sums / counts[:, None]
+    first_seen = np.full(counts.shape[0], pts.shape[0], dtype=np.int64)
+    np.minimum.at(first_seen, inverse_idx, np.arange(pts.shape[0]))
+    return centroids[np.argsort(first_seen, kind="stable")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    log_voxel=st.floats(-6.0, 2.0),
+    scale=st.floats(0.01, 50.0),
+    shift=st.floats(-100.0, 100.0),
+    snap=st.booleans(),
+    repeat=st.booleans(),
+)
+def test_voxel_downsample_matches_unique_grouping_bitwise(data_seed, n, log_voxel, scale, shift, snap, repeat):
+    rng = np.random.default_rng(data_seed)
+    pts = rng.normal(scale=scale, size=(n, 3)) + shift
+    if snap:
+        pts = np.round(pts, 1)
+    if repeat:
+        pts[: n // 2] = pts[-1]
+        pts[0] = -0.0
+    expected = _ref_voxel(pts, 10.0 ** log_voxel)
+    out = voxel_downsample(PointCloud(pts), 10.0 ** log_voxel).points
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_ransac_working_set_is_bounded_by_the_block_cap():
+    # every one of 256 iterations runs (no early stop), yet the peak stays a
+    # small multiple of one block's (n, _BLOCK_CAP, 3) residual array
+    n = 5000
+    pred = _odd_cloud(np.random.default_rng(8), n, "random", 0.5)
+    cfg = RansacConfig(max_iterations=256, confidence_stop=1.0)
+    ransac_pose(pred, cfg, seed=0)
+    block_bytes = n * _BLOCK_CAP * 3 * 8
+    tracemalloc.start()
+    try:
+        est = ransac_pose(pred, cfg, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est is not None
+    assert peak < 2 * block_bytes
