@@ -86,7 +86,6 @@ from .harness import (
     emit_sweep_report,
     generate_and_emit,
     generate_scenario,
-    load_scenario,
     run_alignment_benchmark,
     run_noise_sweep,
     run_pipeline,

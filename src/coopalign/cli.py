@@ -17,15 +17,15 @@ from pathlib import Path
 
 from .config import BENCHMARK_METHODS, ConfigError, ExperimentConfig, level_key, load_config
 from .harness import (
+    ego_frame_targets,
     emit_alignment_report,
     emit_sweep_report,
     generate_and_emit,
-    generate_scenario,
     run_alignment_benchmark,
     run_noise_sweep,
     run_pipeline,
+    scenario_at,
     selftest,
-    _derived_seed,
 )
 
 logger = logging.getLogger("coopalign.cli")
@@ -122,21 +122,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    scenario = generate_scenario(cfg.scenario, _derived_seed(cfg.seed, 1, args.scenario))
+    scenario = scenario_at(cfg, args.scenario)
     result = run_pipeline(scenario, cfg, pose_source=args.pose_source)
+    targets = ego_frame_targets(scenario, cfg.grid_spec())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "scenario": args.scenario,
         "pose_source": args.pose_source,
         "detections": [dict(box=d.box.as_list(), score=d.score) for d in result.detections],
-        "targets": [b.as_list() for b in result.targets],
+        "targets": [b.as_list() for b in targets],
         "messages": [dataclasses.asdict(r) for r in result.ledger.records],
         "total_bytes": result.ledger.total_bytes(),
     }
     path = out / "pipeline_result.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"{len(result.detections)} detections, {len(result.targets)} targets, "
+    print(f"{len(result.detections)} detections, {len(targets)} targets, "
           f"{result.ledger.total_bytes()} bytes exchanged")
     print(f"result: {path}")
     return 0

@@ -219,16 +219,9 @@ def average_precision(
     gts: Sequence[RotatedBox3D],
     iou_thr: float,
 ) -> float:
-    """Average precision at one IoU threshold for a single frame.
-
-    Empty ground truth scores 1.0 with no detections (nothing to find,
-    nothing hallucinated) and 0.0 otherwise."""
-    if len(gts) == 0:
-        return 1.0 if len(dets) == 0 else 0.0
-    if len(dets) == 0:
-        return 0.0
-    tp = _match_detections(dets, gts, iou_thr)
-    return _ap_from_counts(tp, len(gts))
+    """Average precision at one IoU threshold for a single frame: the pooled
+    AP of that one frame."""
+    return pooled_average_precision([(dets, gts)], iou_thr)
 
 
 def pooled_average_precision(
@@ -236,7 +229,10 @@ def pooled_average_precision(
     iou_thr: float,
 ) -> float:
     """Average precision pooled over frames: matching stays within each frame,
-    the precision-recall curve is built over all detections jointly."""
+    the precision-recall curve is built over all detections jointly.
+
+    With no ground truth in any frame the AP is 1.0 when no frame has a
+    detection (nothing to find, nothing hallucinated) and 0.0 otherwise."""
     scores: list[float] = []
     flags: list[bool] = []
     num_gt = 0

@@ -119,9 +119,6 @@ class Pose2D:
         s = math.sin(self.theta)
         return Pose2D(-(c * self.x + s * self.y), -(-s * self.x + c * self.y), -self.theta)
 
-    def as_pose(self) -> Pose:
-        return Pose.from_planar(self.x, self.y, self.theta)
-
     def norm(self) -> float:
         """Euclidean norm of (x, y, theta), mixing meters and radians."""
         return math.sqrt(self.x**2 + self.y**2 + self.theta**2)

@@ -49,7 +49,6 @@ from .geometry import (
     Pose2D,
     compose,
     inverse,
-    load_point_cloud,
     normalize_angle,
     perturb_pose,
     pose_error,
@@ -293,17 +292,27 @@ def generate_scenario(params, seed: int) -> Scenario:
     return Scenario(seed=seed, agents=tuple(agents), world_objects=tuple(boxes))
 
 
+def _boxes_in_frame(boxes, pose: Pose) -> list[RotatedBox3D]:
+    """Express world-frame boxes in the local frame of a planar pose; the
+    pose is inverted once for all of them."""
+    inv = inverse(pose)
+    yaw = pose.yaw
+    out = []
+    for box in boxes:
+        center = inv.rotation @ np.array([box.x, box.y, box.z]) + inv.translation
+        theta = normalize_angle(box.theta - yaw)
+        out.append(RotatedBox3D(float(center[0]), float(center[1]), float(center[2]), box.h, box.w, box.l, theta))
+    return out
+
+
 def box_in_frame(box: RotatedBox3D, pose: Pose) -> RotatedBox3D:
     """Express a world-frame box in the local frame of a planar pose."""
-    inv = inverse(pose)
-    center = inv.rotation @ np.array([box.x, box.y, box.z]) + inv.translation
-    theta = normalize_angle(box.theta - pose.yaw)
-    return RotatedBox3D(float(center[0]), float(center[1]), float(center[2]), box.h, box.w, box.l, theta)
+    return _boxes_in_frame((box,), pose)[0]
 
 
 def agent_box_observation(scenario: Scenario, agent_idx: int) -> BoxObservation:
     agent = scenario.agents[agent_idx]
-    return BoxObservation(tuple(box_in_frame(scenario.world_objects[i], agent.gt_pose) for i in agent.visible))
+    return BoxObservation(tuple(_boxes_in_frame([scenario.world_objects[i] for i in agent.visible], agent.gt_pose)))
 
 
 _ROI_MARGIN_CELLS = 2.0
@@ -329,13 +338,8 @@ def ego_frame_targets(scenario: Scenario, spec: GridSpec) -> list[RotatedBox3D]:
     straddling the border shed points into edge cells without being fairly
     detectable, so both targets and detections are cropped to the same
     region."""
-    ego = scenario.agents[0]
-    out = []
-    for box in scenario.world_objects:
-        local = box_in_frame(box, ego.gt_pose)
-        if _in_roi(local.x, local.y, spec):
-            out.append(local)
-    return out
+    local = _boxes_in_frame(scenario.world_objects, scenario.agents[0].gt_pose)
+    return [box for box in local if _in_roi(box.x, box.y, spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +384,20 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
+def scenario_at(cfg: ExperimentConfig, index: int) -> Scenario:
+    """Scenario number index of the run that cfg describes."""
+    return generate_scenario(cfg.scenario, _derived_seed(cfg.seed, 1, index))
+
+
 def _estimate_agent_pose(
     scenario: Scenario, agent_idx: int, cfg: ExperimentConfig, tag_oracle: int, tag_ransac: int, frame: int = 0
 ) -> PoseEstimate | None:
+    """None when the solve fails, or when the downsampled cloud is empty or
+    holds fewer points than one RANSAC sample."""
     agent = scenario.agents[agent_idx]
     sampled = voxel_downsample(agent.cloud, cfg.downsample_voxel)
+    if len(sampled) < cfg.ransac.sample_size:
+        return None
     rng = np.random.default_rng((scenario.seed, tag_oracle, frame, agent_idx))
     pred = oracle_predict(sampled, agent.gt_pose, cfg.oracle.build(), rng)
     return ransac_pose(pred, cfg.ransac, _derived_seed(scenario.seed, tag_ransac, frame, agent_idx))
@@ -458,7 +471,6 @@ def build_head(cfg: ExperimentConfig) -> HeadParams:
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     detections: tuple[Detection, ...]
-    targets: tuple[RotatedBox3D, ...]
     fused: BevGrid
     ledger: CommLedger
     pose_estimates: dict
@@ -478,7 +490,8 @@ def run_pipeline(
     true poses by the given noise level, "gt" uses exact poses, and "none"
     disables fusion entirely (single-agent baseline). The "pgc", "gt" and
     "none" paths never consume the noise argument, so their outputs are
-    unchanged across noise levels by construction.
+    unchanged across noise levels by construction. Ground truth is not an
+    input: evaluation scores the detections against ego_frame_targets.
     """
     if pose_source not in ("pgc", "gt-noise", "gt", "none"):
         raise ValueError(f"unknown pose_source {pose_source!r}")
@@ -486,18 +499,15 @@ def run_pipeline(
     ego = scenario.agents[0]
     ledger = CommLedger()
     pose_estimates: dict = {}
+    agent_ids = [ego.agent_id] if pose_source == "none" else [a.agent_id for a in scenario.agents]
+    # the clouds are static, so every frame fuses the same rasters
+    grids = {k: rasterize_bev(scenario.agents[k].cloud, spec) for k in agent_ids}
 
     frames = []
     for frame in range(cfg.frames):
-        grids = {a.agent_id: rasterize_bev(a.cloud, spec) for a in scenario.agents}
-
         poses: dict[int, Pose] = {}
         sigmas: dict[int, float] = {}
         msg_bytes: dict[int, int] = {}
-        agent_ids = [a.agent_id for a in scenario.agents]
-        if pose_source == "none":
-            agent_ids = [ego.agent_id]
-
         for k in agent_ids:
             if pose_source == "pgc":
                 est = _estimate_agent_pose(scenario, k, cfg, _TAG_ORACLE, _TAG_RANSAC, frame)
@@ -569,14 +579,7 @@ def run_pipeline(
     head = build_head(cfg)
     dets = decode_head(fused, head, cfg.eval, nms_iou=cfg.head.nms_iou)
     dets = [d for d in dets if _in_roi(d.box.x, d.box.y, spec)]
-    targets = tuple(ego_frame_targets(scenario, spec))
-    return PipelineResult(
-        detections=tuple(dets),
-        targets=targets,
-        fused=fused,
-        ledger=ledger,
-        pose_estimates=pose_estimates,
-    )
+    return PipelineResult(detections=tuple(dets), fused=fused, ledger=ledger, pose_estimates=pose_estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +634,7 @@ def _timed(fn):
 
 
 def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[AlignmentRow]:
-    scenario = generate_scenario(cfg.scenario, _derived_seed(cfg.seed, 1, scenario_id))
+    scenario = scenario_at(cfg, scenario_id)
     ego = scenario.agents[0]
     rows: list[AlignmentRow] = []
     obs_cache = {a.agent_id: agent_box_observation(scenario, a.agent_id) for a in scenario.agents}
@@ -690,24 +693,22 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
     return rows
 
 
-def _check_parallel(parallel: int) -> None:
+def _map_scenarios(worker, cfg: ExperimentConfig, parallel: int) -> list:
+    """[worker(cfg, i) for each scenario index i], in index order, computed
+    by parallel worker processes when parallel is above 1."""
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
+    if parallel == 1:
+        return [worker(cfg, i) for i in range(cfg.num_scenarios)]
+    with ProcessPoolExecutor(max_workers=parallel) as pool:
+        return list(pool.map(functools.partial(worker, cfg), range(cfg.num_scenarios)))
 
 
 def run_alignment_benchmark(cfg: ExperimentConfig, parallel: int = 1) -> AlignmentReport:
     """Relative pose estimation across methods over generated scenarios."""
-    _check_parallel(parallel)
     logger.info("alignment benchmark: %d scenarios, %d worker(s)", cfg.num_scenarios, parallel)
-    rows: list[AlignmentRow] = []
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for chunk in pool.map(functools.partial(_benchmark_scenario, cfg), range(cfg.num_scenarios)):
-                rows.extend(chunk)
-    else:
-        for i in range(cfg.num_scenarios):
-            rows.extend(_benchmark_scenario(cfg, i))
-    return AlignmentReport(rows=rows)
+    per_scenario = _map_scenarios(_benchmark_scenario, cfg, parallel)
+    return AlignmentReport(rows=[row for rows in per_scenario for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +735,15 @@ class SweepReport:
 
 
 def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int):
-    scenario = generate_scenario(cfg.scenario, _derived_seed(cfg.seed, 1, scenario_id))
-    out = {}
-    for level_idx, level in enumerate(cfg.noise_levels):
-        for method in SWEEP_METHODS:
-            result = run_pipeline(scenario, cfg, pose_source=method, noise=level)
-            out[(method, level_idx)] = (result.detections, result.targets)
-    return scenario_id, out
+    """The scenario's ego-frame targets, and the detections of each
+    (method, level index) pipeline run on it."""
+    scenario = scenario_at(cfg, scenario_id)
+    dets = {
+        (method, level_idx): run_pipeline(scenario, cfg, pose_source=method, noise=level).detections
+        for level_idx, level in enumerate(cfg.noise_levels)
+        for method in SWEEP_METHODS
+    }
+    return ego_frame_targets(scenario, cfg.grid_spec()), dets
 
 
 def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
@@ -751,21 +754,11 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
     cannot depend on the level, which makes their flatness an observed
     property of the run rather than an assumption baked into the report.
     """
-    _check_parallel(parallel)
     logger.info(
         "noise sweep: %d scenarios x %d levels, %d worker(s)",
         cfg.num_scenarios, len(cfg.noise_levels), parallel,
     )
-    results = {}
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for scenario_id, data in pool.map(functools.partial(_sweep_scenario, cfg), range(cfg.num_scenarios)):
-                results[scenario_id] = data
-    else:
-        for i in range(cfg.num_scenarios):
-            scenario_id, data = _sweep_scenario(cfg, i)
-            results[scenario_id] = data
-            logger.debug("sweep scenario %d done", scenario_id)
+    results = _map_scenarios(_sweep_scenario, cfg, parallel)
 
     rows: list[SweepRow] = []
     pooled: dict = {}
@@ -773,8 +766,8 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
         pooled[method] = {}
         for level_idx, (st, sr) in enumerate(cfg.noise_levels):
             frames = []
-            for i in range(cfg.num_scenarios):
-                dets, gts = results[i][(method, level_idx)]
+            for i, (gts, dets_by_run) in enumerate(results):
+                dets = dets_by_run[(method, level_idx)]
                 frames.append((dets, gts))
                 for thr in cfg.eval.iou_thresholds:
                     rows.append(SweepRow(i, method, st, sr, thr, average_precision(dets, gts, thr)))
@@ -869,30 +862,9 @@ def emit_scenario(scenario: Scenario, out_dir: str | Path) -> Path:
     return path
 
 
-def load_scenario(directory: str | Path) -> Scenario:
-    d = Path(directory)
-    manifest = json.loads((d / "scenario.json").read_text())
-    boxes = tuple(RotatedBox3D(*row) for row in manifest["world_objects"])
-    agents = []
-    for entry in manifest["agents"]:
-        cloud = load_point_cloud(d / entry["cloud_file"])
-        agents.append(
-            AgentObservation(
-                agent_id=int(entry["id"]),
-                gt_pose=Pose.from_flat_rt(entry["pose_rt"]),
-                cloud=cloud,
-                visible=tuple(int(i) for i in entry["visible"]),
-            )
-        )
-    return Scenario(seed=int(manifest["seed"]), agents=tuple(agents), world_objects=boxes)
-
-
 def generate_and_emit(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
-    paths = []
-    for i in range(cfg.num_scenarios):
-        scenario = generate_scenario(cfg.scenario, _derived_seed(cfg.seed, 1, i))
-        paths.append(emit_scenario(scenario, Path(out_dir) / f"scenario_{i:03d}"))
-    return paths
+    out = Path(out_dir)
+    return [emit_scenario(scenario_at(cfg, i), out / f"scenario_{i:03d}") for i in range(cfg.num_scenarios)]
 
 
 # ---------------------------------------------------------------------------

@@ -326,9 +326,11 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
                     if w >= 1.0:
                         needed = 0.0
                     else:
-                        hit = w ** cfg.sample_size
-                        if hit > 0.0 and cfg.confidence_stop < 1.0:
-                            needed = math.log(1.0 - cfg.confidence_stop) / math.log(1.0 - hit)
+                        # a hit probability of 2**-54 or less rounds 1.0 - hit
+                        # to 1.0, whose log is 0.0: the bound stays as it is
+                        miss_log = math.log(1.0 - w ** cfg.sample_size)
+                        if miss_log < 0.0 and cfg.confidence_stop < 1.0:
+                            needed = math.log(1.0 - cfg.confidence_stop) / miss_log
             if it + 1 >= needed:
                 done = True
                 break

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -279,3 +280,29 @@ def test_parallel_below_one_exits_one(tmp_path, tiny_config, capsys, command, pa
     assert "config error: --parallel must be at least 1" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Valid configs that once exited 2 with a traceback: agents whose clouds are
+# empty (no ground points) or sparser than one RANSAC sample, and a RANSAC
+# stop bound whose miss probability rounds to 1.0
+_SPARSE_OR_STALLED = {
+    "no ground points": {"num_scenarios": 20, "scenario": {"ground_points": 0}},
+    "one point per box": {
+        "num_scenarios": 5, "scenario": {"ground_points": 1, "points_per_box": 1, "num_objects": 1},
+    },
+    "tight ransac threshold": {"num_scenarios": 20, "ransac": {"inlier_threshold": 0.01, "sample_size": 6}},
+}
+
+
+@pytest.mark.parametrize("raw", _SPARSE_OR_STALLED.values(), ids=list(_SPARSE_OR_STALLED))
+def test_sparse_clouds_and_stalled_ransac_run(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    for command in ("align", "sweep", "pipeline"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0, command
+    assert "Traceback" not in capsys.readouterr().err
+    if raw.get("scenario", {}).get("points_per_box") == 1:
+        # at most two points per cloud: every pgc estimate fails
+        with open(tmp_path / "align" / "alignment_results.csv") as fh:
+            pgc = [row for row in csv.DictReader(fh) if row["method"] == "pgc"]
+        assert pgc and all(row["success"] == "false" and row["translation_error_m"] == "inf" for row in pgc)

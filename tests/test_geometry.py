@@ -113,11 +113,6 @@ def test_pose2d_inverse_round_trip():
         np.testing.assert_allclose(back, pts, atol=1e-12)
 
 
-def test_pose2d_as_pose_consistent_with_from_planar():
-    d = Pose2D(0.5, 1.5, -1.0)
-    np.testing.assert_allclose(d.as_pose().matrix(), Pose.from_planar(0.5, 1.5, -1.0).matrix())
-
-
 def test_transform_points_manual_oracle():
     rng = np.random.default_rng(16)
     p = random_full_pose(rng)

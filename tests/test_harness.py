@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from coopalign import fusion, harness
 from coopalign.config import EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
 from coopalign.fusion import NoSignalError, OffsetSearch, serialize_grid, rasterize_bev
-from coopalign.geometry import PointCloud, Pose, Pose2D
+from coopalign.geometry import PointCloud, Pose, Pose2D, load_point_cloud
 from coopalign.harness import (
     AlignmentReport,
     AlignmentRow,
@@ -26,7 +26,6 @@ from coopalign.harness import (
     emit_sweep_report,
     generate_and_emit,
     generate_scenario,
-    load_scenario,
     run_alignment_benchmark,
     run_noise_sweep,
     run_pipeline,
@@ -211,7 +210,7 @@ def test_run_pipeline_gt_poses_detects_in_roi():
     cfg = _small_cfg()
     scenario = generate_scenario(cfg.scenario, 41)
     result = run_pipeline(scenario, cfg, pose_source="gt")
-    assert len(result.targets) > 0
+    assert len(ego_frame_targets(scenario, cfg.grid_spec())) > 0
     assert len(result.detections) > 0
     spec = cfg.grid_spec()
     half_w = spec.width * spec.resolution / 2.0
@@ -391,6 +390,13 @@ def test_single_timing_keeps_rows(monkeypatch):
     ]
 
 
+def test_sweep_builds_targets_once_per_scenario(monkeypatch):
+    cfg = ExperimentConfig(num_scenarios=2)
+    calls = _count_calls(monkeypatch, harness, "ego_frame_targets")
+    run_noise_sweep(cfg)
+    assert len(calls) == cfg.num_scenarios
+
+
 @pytest.mark.parametrize("parallel", [0, -3])
 def test_parallel_below_one_is_refused(parallel):
     cfg = _small_cfg(num_scenarios=1)
@@ -499,18 +505,23 @@ def test_noise_sweep_parallel_matches_serial_for_drawn_configs(cfg):
     assert serial.pooled == par.pooled
 
 
-def test_scenario_emit_load_round_trip(tmp_path):
+def test_scenario_emit_format(tmp_path):
     scenario = generate_scenario(_small_params(), 47)
-    emit_scenario(scenario, tmp_path)
-    loaded = load_scenario(tmp_path)
-    assert loaded.seed == scenario.seed
-    assert [b.as_list() for b in loaded.world_objects] == [b.as_list() for b in scenario.world_objects]
-    for got, src in zip(loaded.agents, scenario.agents):
-        assert got.agent_id == src.agent_id
-        assert got.visible == src.visible
-        np.testing.assert_allclose(got.gt_pose.matrix(), src.gt_pose.matrix(), atol=1e-15)
+    path = emit_scenario(scenario, tmp_path)
+    assert path == tmp_path / "scenario.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["seed"] == scenario.seed
+    assert manifest["world_objects"] == [b.as_list() for b in scenario.world_objects]
+    assert len(manifest["agents"]) == len(scenario.agents)
+    for entry, src in zip(manifest["agents"], scenario.agents):
+        assert entry["id"] == src.agent_id
+        assert tuple(entry["visible"]) == src.visible
+        np.testing.assert_allclose(
+            Pose.from_flat_rt(entry["pose_rt"]).matrix(), src.gt_pose.matrix(), atol=1e-15
+        )
         np.testing.assert_array_equal(
-            got.cloud.points, src.cloud.points.astype("<f4").astype(float)
+            load_point_cloud(tmp_path / entry["cloud_file"]).points,
+            src.cloud.points.astype("<f4").astype(float),
         )
 
 

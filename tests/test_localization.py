@@ -229,6 +229,20 @@ def test_ransac_returns_none_without_consensus():
     assert est is None
 
 
+def test_ransac_stop_bound_survives_a_hit_share_below_one_ulp():
+    # while the best hypothesis holds 1 of the 1000 points, w ** 6 is 1e-18,
+    # so 1.0 - w ** 6 rounds to 1.0 and its log is 0.0: the stop bound stays
+    # as it was instead of dividing by zero, and the solve finds no consensus
+    rng = np.random.default_rng(30)
+    n = 1000
+    local = PointCloud(rng.uniform(-5, 5, size=(n, 3)))
+    world = PointCloud(rng.uniform(-50, 50, size=(n, 3)))
+    pred = SceneCoordPrediction(local, world, np.ones(n))
+    cfg = RansacConfig(sample_size=6, min_inliers=6, inlier_threshold=3.0)
+    assert ransac_pose(pred, cfg, seed=0) is None
+    assert _ref_ransac(pred, cfg, 0)[0] is None
+
+
 def test_ransac_rejects_tiny_input():
     local = PointCloud(np.random.default_rng(0).uniform(-1, 1, size=(2, 3)))
     pred = SceneCoordPrediction(local, local, np.zeros(2))
@@ -324,9 +338,9 @@ def _ref_ransac(pred, cfg, seed):
             if w >= 1.0:
                 needed = 0.0
             else:
-                hit = w ** cfg.sample_size
-                if hit > 0.0 and cfg.confidence_stop < 1.0:
-                    needed = math.log(1.0 - cfg.confidence_stop) / math.log(1.0 - hit)
+                miss_log = math.log(1.0 - w ** cfg.sample_size)
+                if miss_log < 0.0 and cfg.confidence_stop < 1.0:
+                    needed = math.log(1.0 - cfg.confidence_stop) / miss_log
         if it + 1 >= needed:
             break
     if best_rt is None or best_count < cfg.min_inliers:
