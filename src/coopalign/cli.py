@@ -21,6 +21,7 @@ from .harness import (
     emit_alignment_report,
     emit_sweep_report,
     generate_and_emit,
+    log_pipeline_fallbacks,
     run_alignment_benchmark,
     run_noise_sweep,
     run_pipeline,
@@ -124,6 +125,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _load(args)
     scenario = scenario_at(cfg, args.scenario)
     result = run_pipeline(scenario, cfg, pose_source=args.pose_source)
+    log_pipeline_fallbacks(args.scenario, result.dropped, result.no_signal)
     targets = ego_frame_targets(scenario, cfg.grid_spec())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

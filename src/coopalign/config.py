@@ -82,6 +82,11 @@ class OracleParams:
         )
 
 
+# The encoder's input channels per cell: occupancy, density, max height and
+# the confidence plane.
+BEV_CHANNELS = 4
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     dim: int = 8
@@ -91,8 +96,8 @@ class EncoderConfig:
     mode: str = "passthrough"
 
     def __post_init__(self) -> None:
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ConfigError("encoder dim must be even and at least 2")
+        if self.dim < BEV_CHANNELS or self.dim % 2 != 0:
+            raise ConfigError(f"encoder dim must be even and at least {BEV_CHANNELS}, the input channel count")
         if self.heads < 1 or self.dim % self.heads != 0:
             raise ConfigError("encoder heads must divide dim")
         if self.layers < 0 or self.hidden < 1:

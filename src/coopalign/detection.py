@@ -174,30 +174,56 @@ def rotated_iou_bev(a: RotatedBox3D, b: RotatedBox3D) -> float:
     return float(min(1.0, max(0.0, inter / union)))
 
 
-def _match_detections(
-    dets: Sequence[Detection], gts: Sequence[RotatedBox3D], iou_thr: float
-) -> np.ndarray:
-    """Greedy score-descending matching, one detection per ground-truth box.
+@dataclass(frozen=True, eq=False)
+class ScoredSet:
+    """One detection set matched against its targets at several IoU
+    thresholds. ``scores`` holds the detection scores in rank order (score
+    descending, ties by detection index), ``tp[t, rank]`` is True where the
+    detection at that rank is a true positive at threshold number t, and
+    ``num_gt`` counts the targets."""
 
-    Returns a bool array, True where the detection (in score order) is a true
-    positive. Ties in score break by detection index."""
+    scores: np.ndarray
+    tp: np.ndarray
+    num_gt: int
+
+
+def score_detection_set(
+    dets: Sequence[Detection], gts: Sequence[RotatedBox3D], iou_thresholds: Sequence[float]
+) -> ScoredSet:
+    """Greedy score-descending matching of dets to gts at every threshold,
+    from one pass of detection x target IoUs.
+
+    Each detection, in rank order, takes the untaken target of highest IoU
+    above 0 (the lowest target index wins ties), and is a true positive when
+    that IoU reaches the threshold; below it, the detection takes nothing.
+    Only the nonzero IoUs of each detection are kept, as (target index, IoU)
+    pairs in ascending target order, so memory grows with the overlapping
+    pairs, not with detections x targets."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    taken = [False] * len(gts)
-    tp = np.zeros(len(dets), dtype=bool)
-    for rank, i in enumerate(order):
-        best_iou = 0.0
-        best_j = -1
+    overlaps: list[list[tuple[int, float]]] = []
+    for i in order:
+        box = dets[i].box
+        row = []
         for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            iou = rotated_iou_bev(dets[i].box, gt)
-            if iou > best_iou:
-                best_iou = iou
-                best_j = j
-        if best_j >= 0 and best_iou >= iou_thr:
-            taken[best_j] = True
-            tp[rank] = True
-    return tp
+            iou = rotated_iou_bev(box, gt)
+            if iou > 0.0:
+                row.append((j, iou))
+        overlaps.append(row)
+    tp = np.zeros((len(iou_thresholds), len(dets)), dtype=bool)
+    for t, thr in enumerate(iou_thresholds):
+        taken = [False] * len(gts)
+        for rank, row in enumerate(overlaps):
+            best_iou = 0.0
+            best_j = -1
+            for j, iou in row:
+                if iou > best_iou and not taken[j]:
+                    best_iou = iou
+                    best_j = j
+            if best_j >= 0 and best_iou >= thr:
+                taken[best_j] = True
+                tp[t, rank] = True
+    scores = np.array([dets[i].score for i in order], dtype=float)
+    return ScoredSet(scores=scores, tp=tp, num_gt=len(gts))
 
 
 def _ap_from_counts(tp: np.ndarray, num_gt: int) -> float:
@@ -208,10 +234,28 @@ def _ap_from_counts(tp: np.ndarray, num_gt: int) -> float:
     precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.shape[0] - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     changed = np.flatnonzero(mrec[1:] != mrec[:-1])
     return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
+
+
+def pooled_ap_from_sets(sets: Sequence[ScoredSet], threshold_index: int) -> float:
+    """Average precision pooled over scored sets at threshold number
+    threshold_index: matching stays within each set, the precision-recall
+    curve is built over all detections jointly, ranked by score with ties
+    broken by set order and then by rank within the set.
+
+    With no target in any set the AP is 1.0 when no set has a detection
+    (nothing to find, nothing hallucinated) and 0.0 otherwise."""
+    num_gt = sum(s.num_gt for s in sets)
+    nonempty = [s for s in sets if len(s.scores)]
+    if num_gt == 0:
+        return 1.0 if not nonempty else 0.0
+    if not nonempty:
+        return 0.0
+    scores = np.concatenate([s.scores for s in nonempty])
+    flags = np.concatenate([s.tp[threshold_index] for s in nonempty])
+    return _ap_from_counts(flags[np.argsort(-scores, kind="stable")], num_gt)
 
 
 def average_precision(
@@ -228,31 +272,9 @@ def pooled_average_precision(
     frames: Sequence[tuple[Sequence[Detection], Sequence[RotatedBox3D]]],
     iou_thr: float,
 ) -> float:
-    """Average precision pooled over frames: matching stays within each frame,
-    the precision-recall curve is built over all detections jointly.
-
-    With no ground truth in any frame the AP is 1.0 when no frame has a
-    detection (nothing to find, nothing hallucinated) and 0.0 otherwise."""
-    scores: list[float] = []
-    flags: list[bool] = []
-    num_gt = 0
-    any_det = False
-    for dets, gts in frames:
-        num_gt += len(gts)
-        if len(dets) == 0:
-            continue
-        any_det = True
-        tp = _match_detections(dets, gts, iou_thr)
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-        scores.extend(dets[i].score for i in order)
-        flags.extend(bool(v) for v in tp)
-    if num_gt == 0:
-        return 1.0 if not any_det else 0.0
-    if not flags:
-        return 0.0
-    pooled = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    tp_sorted = np.array([flags[i] for i in pooled], dtype=bool)
-    return _ap_from_counts(tp_sorted, num_gt)
+    """Average precision pooled over (detections, targets) frames; see
+    pooled_ap_from_sets for the ranking and the empty-set conventions."""
+    return pooled_ap_from_sets([score_detection_set(dets, gts, (iou_thr,)) for dets, gts in frames], 0)
 
 
 def _peak_mask(values: np.ndarray) -> np.ndarray:

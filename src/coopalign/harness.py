@@ -20,16 +20,22 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BoxObservation, GraphMatchConfig, graph_match_align, icp_align
-from .config import ExperimentConfig, SWEEP_METHODS, level_key, threshold_key
+from .config import BEV_CHANNELS, ConfigError, ExperimentConfig, SWEEP_METHODS, level_key, threshold_key
 from .detection import (
     Detection,
     EvalConfig,
     HeadParams,
     RotatedBox3D,
+    ScoredSet,
     decode_head,
-    pooled_average_precision,
-    average_precision,
+    pooled_ap_from_sets,
+    score_detection_set,
 )
+
+# The sweep scores through score_detection_set and pooled_ap_from_sets. These
+# two stay bound here because the benchmark's tracer (bench/tracer.py) looks
+# them up in this module by name.
+from .detection import average_precision, pooled_average_precision  # noqa: F401
 from .fusion import (
     BevGrid,
     GridSpec,
@@ -86,8 +92,9 @@ _TAG_ENCODER = 31
 _ZERO_OFFSET = Pose2D(0.0, 0.0, 0.0)
 
 
-class ScenarioGenerationError(RuntimeError):
-    """Placement constraints could not be satisfied after bounded retries."""
+class ScenarioGenerationError(ConfigError):
+    """Placement constraints could not be satisfied after bounded retries:
+    the scenario parameters ask for a scene too crowded to draw."""
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +421,13 @@ def _noisy_agent_pose(
 
 
 def _build_encoder(cfg: ExperimentConfig) -> EncoderParams:
-    channels = 4  # occupancy, density, max height, confidence plane
     if cfg.encoder.mode == "random":
         rng = np.random.default_rng((cfg.seed, _TAG_ENCODER))
         return EncoderParams.seeded(
-            in_channels=channels, dim=cfg.encoder.dim, heads=cfg.encoder.heads,
+            in_channels=BEV_CHANNELS, dim=cfg.encoder.dim, heads=cfg.encoder.heads,
             num_layers=cfg.encoder.layers, hidden=cfg.encoder.hidden, rng=rng,
         )
-    return EncoderParams.passthrough(in_channels=channels, dim=cfg.encoder.dim, heads=cfg.encoder.heads)
+    return EncoderParams.passthrough(in_channels=BEV_CHANNELS, dim=cfg.encoder.dim, heads=cfg.encoder.heads)
 
 
 def _box_blur(field: np.ndarray) -> np.ndarray:
@@ -470,10 +476,30 @@ def build_head(cfg: ExperimentConfig) -> HeadParams:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
+    """dropped lists the (frame, agent) pairs whose "pgc" pose estimate
+    failed, so the agent was left out; no_signal lists those whose residual
+    offset search found no signal and kept the coarse alignment."""
+
     detections: tuple[Detection, ...]
     fused: BevGrid
     ledger: CommLedger
     pose_estimates: dict
+    dropped: tuple[tuple[int, int], ...]
+    no_signal: tuple[tuple[int, int], ...]
+
+
+def log_pipeline_fallbacks(scenario_id: int, dropped, no_signal) -> None:
+    """Log the (frame, agent) fallbacks of pipeline runs on scenario number
+    scenario_id, the index the result files use: one warning per dropped
+    agent, however many runs dropped it, and one info line per residual
+    search without signal."""
+    for frame, k in sorted(set(dropped)):
+        logger.warning("scenario %d frame %d agent %d: pose estimation failed, agent dropped", scenario_id, frame, k)
+    for frame, k in no_signal:
+        logger.info(
+            "scenario %d frame %d agent %d: no correlation signal, residual offset left at zero",
+            scenario_id, frame, k,
+        )
 
 
 def run_pipeline(
@@ -492,6 +518,8 @@ def run_pipeline(
     "none" paths never consume the noise argument, so their outputs are
     unchanged across noise levels by construction. Ground truth is not an
     input: evaluation scores the detections against ego_frame_targets.
+    Dropped agents and searches without signal are recorded in the result,
+    not logged: log_pipeline_fallbacks names them by scenario index.
     """
     if pose_source not in ("pgc", "gt-noise", "gt", "none"):
         raise ValueError(f"unknown pose_source {pose_source!r}")
@@ -499,6 +527,8 @@ def run_pipeline(
     ego = scenario.agents[0]
     ledger = CommLedger()
     pose_estimates: dict = {}
+    dropped: list[tuple[int, int]] = []
+    no_signal: list[tuple[int, int]] = []
     agent_ids = [ego.agent_id] if pose_source == "none" else [a.agent_id for a in scenario.agents]
     # the clouds are static, so every frame fuses the same rasters
     grids = {k: rasterize_bev(scenario.agents[k].cloud, spec) for k in agent_ids}
@@ -513,7 +543,7 @@ def run_pipeline(
                 est = _estimate_agent_pose(scenario, k, cfg, _TAG_ORACLE, _TAG_RANSAC, frame)
                 pose_estimates[(frame, k)] = est
                 if est is None:
-                    logger.warning("scenario %d agent %d: pose estimation failed, agent dropped", scenario.seed, k)
+                    dropped.append((frame, k))
                     continue
                 poses[k] = est.pose
                 sigmas[k] = est.confidence
@@ -551,10 +581,7 @@ def run_pipeline(
                 try:
                     delta = estimate_offset(ego_search, _search_grid(grid, 2), cfg.search)
                 except NoSignalError:
-                    logger.info(
-                        "scenario %d frame %d agent %d: no correlation signal, residual offset left at zero",
-                        scenario.seed, frame, k,
-                    )
+                    no_signal.append((frame, k))
                     continue
                 if delta != _ZERO_OFFSET:
                     moved.append(i)
@@ -579,7 +606,10 @@ def run_pipeline(
     head = build_head(cfg)
     dets = decode_head(fused, head, cfg.eval, nms_iou=cfg.head.nms_iou)
     dets = [d for d in dets if _in_roi(d.box.x, d.box.y, spec)]
-    return PipelineResult(detections=tuple(dets), fused=fused, ledger=ledger, pose_estimates=pose_estimates)
+    return PipelineResult(
+        detections=tuple(dets), fused=fused, ledger=ledger, pose_estimates=pose_estimates,
+        dropped=tuple(dropped), no_signal=tuple(no_signal),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -734,16 +764,23 @@ class SweepReport:
         return self.pooled[method][level_key(level)][threshold_key(threshold)]
 
 
-def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int):
-    """The scenario's ego-frame targets, and the detections of each
-    (method, level index) pipeline run on it."""
+def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int) -> dict[tuple[str, int], ScoredSet]:
+    """Each (method, level index) pipeline run on the scenario, scored
+    against the scenario's ego-frame targets at every IoU threshold."""
     scenario = scenario_at(cfg, scenario_id)
-    dets = {
-        (method, level_idx): run_pipeline(scenario, cfg, pose_source=method, noise=level).detections
-        for level_idx, level in enumerate(cfg.noise_levels)
-        for method in SWEEP_METHODS
-    }
-    return ego_frame_targets(scenario, cfg.grid_spec()), dets
+    targets = ego_frame_targets(scenario, cfg.grid_spec())
+    scored = {}
+    dropped: list[tuple[int, int]] = []
+    no_signal: list[tuple[int, int]] = []
+    for level_idx, level in enumerate(cfg.noise_levels):
+        for method in SWEEP_METHODS:
+            result = run_pipeline(scenario, cfg, pose_source=method, noise=level)
+            scored[(method, level_idx)] = score_detection_set(result.detections, targets, cfg.eval.iou_thresholds)
+            dropped += result.dropped
+            no_signal += result.no_signal
+            del result  # free this run's grids before the next run allocates its own
+    log_pipeline_fallbacks(scenario_id, dropped, no_signal)
+    return scored
 
 
 def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
@@ -753,26 +790,31 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
     no-fusion pipelines are also rerun per level even though their outputs
     cannot depend on the level, which makes their flatness an observed
     property of the run rather than an assumption baked into the report.
+
+    Each scenario worker matches every detection set once, from one pass of
+    detection x target IoUs, at all thresholds (score_detection_set), and
+    returns only the ranked scores and true-positive flags. The per-scenario
+    rows and the pooled AP are both built here from those flags, so they
+    equal average_precision and pooled_average_precision of the detections.
     """
     logger.info(
         "noise sweep: %d scenarios x %d levels, %d worker(s)",
         cfg.num_scenarios, len(cfg.noise_levels), parallel,
     )
-    results = _map_scenarios(_sweep_scenario, cfg, parallel)
+    scored = _map_scenarios(_sweep_scenario, cfg, parallel)
+    thresholds = cfg.eval.iou_thresholds
 
     rows: list[SweepRow] = []
     pooled: dict = {}
     for method in SWEEP_METHODS:
         pooled[method] = {}
         for level_idx, (st, sr) in enumerate(cfg.noise_levels):
-            frames = []
-            for i, (gts, dets_by_run) in enumerate(results):
-                dets = dets_by_run[(method, level_idx)]
-                frames.append((dets, gts))
-                for thr in cfg.eval.iou_thresholds:
-                    rows.append(SweepRow(i, method, st, sr, thr, average_precision(dets, gts, thr)))
+            sets = [by_run[(method, level_idx)] for by_run in scored]
+            for i, one in enumerate(sets):
+                for t, thr in enumerate(thresholds):
+                    rows.append(SweepRow(i, method, st, sr, thr, pooled_ap_from_sets([one], t)))
             pooled[method][level_key((st, sr))] = {
-                threshold_key(thr): pooled_average_precision(frames, thr) for thr in cfg.eval.iou_thresholds
+                threshold_key(thr): pooled_ap_from_sets(sets, t) for t, thr in enumerate(thresholds)
             }
     return SweepReport(rows=rows, pooled=pooled)
 

@@ -8,9 +8,12 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import coopalign
 from coopalign.cli import main
+from coopalign.config import ConfigError, config_from_dict
 
 _TINY = {
     "seed": 3,
@@ -183,6 +186,10 @@ _INVALID_CONFIGS = {
     # arrays that cannot fit: a dim x dim weight matrix, and about 4.3 GB of
     # (heads, tokens, tokens) attention scores for 4 frames of 64 x 64 cells
     "encoder dim too large for memory": {"num_scenarios": 1, "encoder": {"dim": 4611686018427387904}},
+    # the passthrough embedding and the decode head read four input channels
+    "encoder dim below the input channels": {"num_scenarios": 1, "encoder": {"dim": 2}},
+    # a second agent 12 to 20 m from the ego cannot fit in a 10 m world
+    "scene too crowded to place": {"num_scenarios": 1, "scenario": {"world_size": 10.0}},
     "attention scores over the budget": {
         "frames": 4, "grid": {"width": 64, "height": 64}, "encoder": {"mode": "random"},
     },
@@ -306,3 +313,123 @@ def test_sparse_clouds_and_stalled_ransac_run(tmp_path, capsys, raw):
         with open(tmp_path / "align" / "alignment_results.csv") as fh:
             pgc = [row for row in csv.DictReader(fh) if row["method"] == "pgc"]
         assert pgc and all(row["success"] == "false" and row["translation_error_m"] == "inf" for row in pgc)
+
+
+# Small configs over the grid, scenario, RANSAC, oracle, voxel, search,
+# encoder, head and eval keys. Every key is optional and most draws are valid.
+# A draw that config_from_dict refuses must exit 1 on both commands; a valid
+# one exits 0, or 1 when its scenes are too crowded to place.
+def _section(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_FUZZ_CONFIGS = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "num_scenarios": st.integers(1, 2),
+        "noise_levels": st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 1.0, 3.0])),
+            min_size=1, max_size=2, unique=True,
+        ),
+    },
+    optional={
+        "frames": st.integers(1, 2),
+        "downsample_voxel": st.sampled_from([0.05, 0.3, 1.0, 4.0]),
+        "grid": _section(
+            width=st.integers(4, 16), height=st.integers(4, 16), resolution=st.sampled_from([0.5, 1.25, 3.0]),
+        ),
+        "scenario": _section(
+            num_agents=st.integers(1, 3),
+            num_objects=st.integers(0, 5),
+            world_size=st.sampled_from([40.0, 60.0, 80.0]),
+            sensing_range=st.sampled_from([4.0, 12.0, 25.0]),
+            co_visible=st.none() | st.integers(0, 3),
+            points_per_box=st.integers(1, 60),
+            ground_points=st.integers(0, 150),
+            occluder_radius=st.sampled_from([0.0, 1.2, 4.0]),
+        ),
+        "ransac": _section(
+            max_iterations=st.integers(1, 64),
+            inlier_threshold=st.sampled_from([0.01, 0.2, 0.5, 2.0]),
+            sample_size=st.integers(3, 6),
+            min_inliers=st.integers(3, 30),
+            confidence_stop=st.sampled_from([0.0, 0.9, 0.999, 1.0]),
+        ),
+        "oracle": _section(
+            inlier_sigma=st.sampled_from([0.0, 0.02, 0.5]),
+            outlier_fraction=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+            outlier_scale=st.sampled_from([0.0, 5.0]),
+            bias_correlation_length=st.sampled_from([0.0, 20.0]),
+            error_fidelity=st.sampled_from([0.0, 0.9, 1.0]),
+        ),
+        "search": _section(
+            max_xy=st.sampled_from([0.0, 0.625, 1.25]),
+            step_xy=st.sampled_from([0.3, 0.625]),
+            max_theta_deg=st.sampled_from([0.0, 3.0]),
+            step_theta_deg=st.sampled_from([1.5, 2.0]),
+            min_gain=st.sampled_from([0.0, 0.02, 0.5]),
+        ),
+        "encoder": _section(
+            dim=st.sampled_from([2, 4, 8]),
+            heads=st.sampled_from([1, 2]),
+            layers=st.integers(0, 2),
+            hidden=st.integers(1, 8),
+            mode=st.sampled_from(["passthrough", "random"]),
+        ),
+        "head": _section(
+            height_gain=st.sampled_from([0.5, 2.0, 8.0]),
+            height_floor=st.sampled_from([-1.0, 0.4, 2.0]),
+            nms_iou=st.sampled_from([0.1, 0.5, 0.9]),
+        ),
+        "eval": _section(
+            iou_thresholds=st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.95]), min_size=1, max_size=3, unique=True),
+            score_threshold=st.sampled_from([0.0, 0.25, 0.9]),
+        ),
+    },
+)
+
+# the files each command writes that reruns reproduce byte for byte
+_DETERMINISTIC = {
+    "align": ("alignment_results.csv", "alignment_summary.json"),
+    "sweep": ("sweep_results.csv", "sweep_summary.json"),
+}
+
+
+def _run_fuzzed(tmp, raw, name, *flags):
+    """{command: (exit code, {file: bytes})} for align and sweep on raw."""
+    path = tmp / "config.json"
+    path.write_text(json.dumps(raw))
+    out = {}
+    for command, files in _DETERMINISTIC.items():
+        target = tmp / name / command
+        code = main([command, "--config", str(path), "--out", str(target), *flags])
+        out[command] = (code, {f: (target / f).read_bytes() for f in files} if code == 0 else None)
+    return out
+
+
+def _accepted(raw) -> bool:
+    try:
+        config_from_dict(raw)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=_FUZZ_CONFIGS)
+def test_fuzzed_configs_run_or_are_refused_and_rerun_bitwise(tmp_path_factory, raw):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    first = _run_fuzzed(tmp, raw, "first")
+    codes = {command: code for command, (code, _) in first.items()}
+    assert set(codes.values()) <= {0, 1}, (raw, codes)
+    if not _accepted(raw):
+        assert codes == {"align": 1, "sweep": 1}, raw
+    elif 0 in codes.values():
+        assert _run_fuzzed(tmp, raw, "again") == first, raw
+
+
+@settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=_FUZZ_CONFIGS.filter(_accepted))
+def test_fuzzed_configs_parallel_matches_serial(tmp_path_factory, raw):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    assert _run_fuzzed(tmp, raw, "parallel", "--parallel", "2") == _run_fuzzed(tmp, raw, "serial"), raw

@@ -12,12 +12,14 @@ from coopalign.detection import (
     EvalConfig,
     HeadParams,
     RotatedBox3D,
-    _match_detections,
+    _ap_from_counts,
     _peak_mask,
     average_precision,
     decode_head,
+    pooled_ap_from_sets,
     pooled_average_precision,
     rotated_iou_bev,
+    score_detection_set,
 )
 from coopalign.fusion import BevGrid, GridSpec
 
@@ -231,12 +233,75 @@ def test_far_pair_reject_drops_clip_extrapolation():
             assert rotated_iou_bev(p, q) == 0.0
 
 
+def _match_detections(dets, gts, iou_thr):
+    """One greedy matching pass at one threshold, recomputing every IoU: the
+    rule score_detection_set must reproduce. Each detection in score order
+    (ties by index) takes the untaken target of highest IoU above 0, the
+    lowest index winning ties, and is a true positive when that IoU reaches
+    the threshold."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    taken = [False] * len(gts)
+    tp = np.zeros(len(dets), dtype=bool)
+    for rank, i in enumerate(order):
+        best_iou = 0.0
+        best_j = -1
+        for j, gt in enumerate(gts):
+            if taken[j]:
+                continue
+            iou = rotated_iou_bev(dets[i].box, gt)
+            if iou > best_iou:
+                best_iou = iou
+                best_j = j
+        if best_j >= 0 and best_iou >= iou_thr:
+            taken[best_j] = True
+            tp[rank] = True
+    return tp
+
+
+def _envelope_ap(tp, num_gt):
+    """_ap_from_counts with the precision envelope built by a Python loop."""
+    tp_cum = np.cumsum(tp.astype(float))
+    fp_cum = np.cumsum((~tp).astype(float))
+    recall = tp_cum / num_gt
+    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.shape[0] - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    changed = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
+
+
+def _reference_pooled_ap(frames, iou_thr):
+    """Pooled AP matched one threshold at a time, with a Python pooled sort."""
+    scores, flags, num_gt, any_det = [], [], 0, False
+    for dets, gts in frames:
+        num_gt += len(gts)
+        if len(dets) == 0:
+            continue
+        any_det = True
+        tp = _match_detections(dets, gts, iou_thr)
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        scores.extend(dets[i].score for i in order)
+        flags.extend(bool(v) for v in tp)
+    if num_gt == 0:
+        return 1.0 if not any_det else 0.0
+    if not flags:
+        return 0.0
+    pooled = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return _envelope_ap(np.array([flags[i] for i in pooled], dtype=bool), num_gt)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
 def test_match_greedy_takes_best_iou_first():
     gt_a = _box(x=0.0)
     gt_b = _box(x=0.6)
     d1 = Detection(_box(x=0.1), 0.9)
     d2 = Detection(_box(x=0.05), 0.8)
-    tp = _match_detections([d1, d2], [gt_a, gt_b], iou_thr=0.5)
+    tp = score_detection_set([d1, d2], [gt_a, gt_b], (0.5,)).tp[0]
     assert tp.tolist() == [True, False]
 
 
@@ -244,9 +309,85 @@ def test_match_score_ties_break_by_index():
     gt = [_box(x=0.0)]
     d1 = Detection(_box(x=0.05), 0.5)
     d2 = Detection(_box(x=0.0), 0.5)
-    tp = _match_detections([d1, d2], gt, iou_thr=0.5)
+    tp = score_detection_set([d1, d2], gt, (0.5,)).tp[0]
     # d1 is ranked first by index, claims the box despite lower IoU
     assert tp.tolist() == [True, False]
+
+
+def test_match_below_threshold_takes_nothing():
+    # d1 overlaps the box too little at 0.5, so the box stays free for d2;
+    # at 0.1 d1 takes it and d2 finds nothing left
+    gt = [_box(x=0.0)]
+    d1 = Detection(_box(x=0.7), 0.9)
+    d2 = Detection(_box(x=0.1), 0.8)
+    scored = score_detection_set([d1, d2], gt, (0.1, 0.5))
+    assert scored.tp.tolist() == [[True, False], [False, True]]
+    assert scored.scores.tolist() == [0.9, 0.8]
+    assert scored.num_gt == 1
+
+
+def test_match_iou_ties_break_by_target_index():
+    # d1 overlaps both boxes by exactly 1/3 and takes the first; d2 sits on
+    # the first box, so it finds only the second, which it does not overlap
+    gts = [_box(x=-0.5), _box(x=0.5)]
+    d1 = Detection(_box(x=0.0), 0.9)
+    d2 = Detection(_box(x=-0.5), 0.8)
+    assert rotated_iou_bev(d1.box, gts[0]) == rotated_iou_bev(d1.box, gts[1]) > 0.0
+    assert score_detection_set([d1, d2], gts, (0.3,)).tp.tolist() == [[True, False]]
+    assert score_detection_set([d1, d2], gts[::-1], (0.3,)).tp.tolist() == [[True, True]]
+
+
+# Boxes on a coarse lattice with few extents and yaws, and scores from a short
+# list: equal boxes, equal IoUs and equal scores all come up often.
+_lattice_boxes = st.builds(
+    lambda x, y, l, w, t: _box(x=0.5 * x, y=0.5 * y, l=l, w=w, theta=t),
+    st.integers(-3, 3), st.integers(-1, 1),
+    st.sampled_from([1.0, 2.0]), st.sampled_from([1.0, 1.5]), st.sampled_from([0.0, math.pi / 2, 0.3]),
+)
+_frames = st.tuples(
+    st.lists(st.builds(Detection, _lattice_boxes, st.sampled_from([0.2, 0.5, 0.5, 0.9, 1.0])), max_size=8),
+    st.lists(_lattice_boxes, max_size=6),
+)
+_thresholds = st.lists(
+    st.sampled_from([0.3, 0.5, 0.7, 1.0 / 3.0, 0.25, 0.6, 0.999]), min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_frames, thresholds=_thresholds)
+def test_scored_set_flags_equal_one_pass_per_threshold(frame, thresholds):
+    dets, gts = frame
+    scored = score_detection_set(dets, gts, thresholds)
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    assert scored.scores.tolist() == [dets[i].score for i in order]
+    assert scored.num_gt == len(gts)
+    assert scored.tp.shape == (len(thresholds), len(dets))
+    for t, thr in enumerate(thresholds):
+        assert scored.tp[t].tolist() == _match_detections(dets, gts, thr).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=st.lists(_frames, max_size=4), thresholds=_thresholds)
+def test_ap_from_scored_sets_equals_reference(frames, thresholds):
+    sets = [score_detection_set(dets, gts, thresholds) for dets, gts in frames]
+    for t, thr in enumerate(thresholds):
+        for frame, one in zip(frames, sets):
+            want = _reference_pooled_ap([frame], thr)
+            assert _bits(pooled_ap_from_sets([one], t)) == _bits(want)
+            assert _bits(average_precision(*frame, thr)) == _bits(want)
+        want = _reference_pooled_ap(frames, thr)
+        assert _bits(pooled_ap_from_sets(sets, t)) == _bits(want)
+        assert _bits(pooled_average_precision(frames, thr)) == _bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=st.lists(st.booleans(), max_size=40), extra=st.integers(0, 5))
+def test_precision_envelope_is_bitwise_the_loop(flags, extra):
+    tp = np.array(flags, dtype=bool)
+    num_gt = int(tp.sum()) + extra
+    if num_gt == 0:
+        num_gt = 1
+    assert _bits(_ap_from_counts(tp, num_gt)) == _bits(_envelope_ap(tp, num_gt))
 
 
 def _brute_force_ap(tp, num_gt):
@@ -293,10 +434,8 @@ def test_ap_random_agreement_with_brute_force():
             x = 10.0 * rng.integers(0, num_gt) + (0.05 if hit else 500.0 + j)
             dets.append(Detection(_box(x=float(x)), float(rng.uniform(0.05, 1.0))))
         got = average_precision(dets, gts, iou_thr=0.5)
-        tp = _match_detections(dets, gts, 0.5)
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+        tp = score_detection_set(dets, gts, (0.5,)).tp[0]
         assert abs(got - _brute_force_ap(tp, num_gt)) < 1e-12
-        del order
 
 
 def test_pooled_ap_differs_from_frame_mean():

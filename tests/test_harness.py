@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopalign import fusion, harness
+from coopalign import detection, fusion, harness
 from coopalign.config import EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
 from coopalign.fusion import NoSignalError, OffsetSearch, serialize_grid, rasterize_bev
 from coopalign.geometry import PointCloud, Pose, Pose2D, load_point_cloud
@@ -26,6 +26,7 @@ from coopalign.harness import (
     emit_sweep_report,
     generate_and_emit,
     generate_scenario,
+    log_pipeline_fallbacks,
     run_alignment_benchmark,
     run_noise_sweep,
     run_pipeline,
@@ -243,9 +244,13 @@ def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):
     flat = dataclasses.replace(scenario, agents=(ego, dataclasses.replace(nbr, cloud=PointCloud(points))))
     with caplog.at_level(logging.INFO, logger="coopalign.harness"):
         result = run_pipeline(flat, cfg, pose_source="gt")
-    fallbacks = [r for r in caplog.records if "no correlation signal" in r.getMessage()]
-    assert [(r.levelno, r.getMessage()) for r in fallbacks] == [
-        (logging.INFO, f"scenario 41 frame {frame} agent 1: no correlation signal, residual offset left at zero")
+        # the pipeline records the fallback; its caller logs it by row index
+        assert caplog.records == []
+        log_pipeline_fallbacks(7, result.dropped, result.no_signal)
+    assert result.dropped == ()
+    assert result.no_signal == tuple((frame, 1) for frame in range(cfg.frames))
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, f"scenario 7 frame {frame} agent 1: no correlation signal, residual offset left at zero")
         for frame in range(cfg.frames)
     ]
     # the neighbor is still fused, with a zero residual offset
@@ -395,6 +400,60 @@ def test_sweep_builds_targets_once_per_scenario(monkeypatch):
     calls = _count_calls(monkeypatch, harness, "ego_frame_targets")
     run_noise_sweep(cfg)
     assert len(calls) == cfg.num_scenarios
+
+
+def test_sweep_warns_once_per_dropped_agent_by_row_index(caplog):
+    # at most two points per cloud: every pgc estimate fails, at every level
+    sparse = _small_params(ground_points=1, points_per_box=1, num_objects=1)
+    cfg = _small_cfg(num_scenarios=2, frames=2, scenario=sparse, noise_levels=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
+    with caplog.at_level(logging.WARNING, logger="coopalign.harness"):
+        run_noise_sweep(cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"scenario {i} frame {frame} agent {k}: pose estimation failed, agent dropped"
+        for i in range(cfg.num_scenarios)
+        for frame in range(cfg.frames)
+        for k in range(sparse.num_agents)
+    ]
+
+
+def test_sweep_scores_each_set_from_one_iou_pass(monkeypatch):
+    cfg = _small_cfg(num_scenarios=2, noise_levels=((0.0, 0.0), (2.0, 2.0)))
+    iou_calls = _count_calls(monkeypatch, detection, "rotated_iou_bev")
+    original = harness.score_detection_set
+    scored = []
+
+    def recording(dets, gts, thresholds):
+        before = len(iou_calls)
+        result = original(dets, gts, thresholds)
+        scored.append((list(dets), list(gts), len(iou_calls) - before))
+        return result
+
+    monkeypatch.setattr(harness, "score_detection_set", recording)
+    report = run_noise_sweep(cfg)
+    runs = [(i, method, level_idx) for i in range(cfg.num_scenarios)
+            for level_idx in range(len(cfg.noise_levels)) for method in harness.SWEEP_METHODS]
+    assert len(scored) == len(runs)
+    # one IoU per detection x target pair; matching each threshold and the
+    # pooled table on its own once took up to 6 times that
+    assert all(calls <= len(dets) * len(gts) for dets, gts, calls in scored)
+    assert any(calls > 0 for _, _, calls in scored)
+    # the rows and the pooled AP built from the shipped flags are the AP of
+    # the detections themselves
+    frames = dict(zip(runs, ((dets, gts) for dets, gts, _ in scored)))
+    expected_rows = []
+    for method in harness.SWEEP_METHODS:
+        for level_idx, (st_, sr) in enumerate(cfg.noise_levels):
+            pooled_frames = [frames[(i, method, level_idx)] for i in range(cfg.num_scenarios)]
+            for i, (dets, gts) in enumerate(pooled_frames):
+                for thr in cfg.eval.iou_thresholds:
+                    expected_rows.append(
+                        harness.SweepRow(i, method, st_, sr, thr, detection.average_precision(dets, gts, thr))
+                    )
+            for thr in cfg.eval.iou_thresholds:
+                assert report.pooled_ap(method, (st_, sr), thr) == detection.pooled_average_precision(
+                    pooled_frames, thr
+                )
+    assert report.rows == expected_rows
 
 
 @pytest.mark.parametrize("parallel", [0, -3])
