@@ -45,6 +45,15 @@ _CONFIGS = {
         "scenario": {"world_size": 48.0},
         "search": {"max_xy": 2.0, "step_xy": 0.5, "max_theta_deg": 10.0, "step_theta_deg": 2.5},
     },
+    # three agents over 2 frames with the 729-candidate search: each pipeline
+    # run scores two neighbors per frame against one ego search template, so
+    # the digests pin the template's reuse across neighbors and frames
+    "three-agent": {
+        "num_scenarios": 2,
+        "frames": 2,
+        "scenario": {"num_agents": 3, "world_size": 48.0},
+        "search": {"max_xy": 2.0, "step_xy": 0.5, "max_theta_deg": 10.0, "step_theta_deg": 2.5},
+    },
 }
 
 _DIGESTS = {
@@ -71,6 +80,12 @@ _DIGESTS = {
         "sweep_summary.json": "1234be7f05b85cb6ca911691e6521700d84741f0051935c4eb6b44f41c2ad5f3",
         "alignment_results.csv": "95d0d08c703359de04bcb70031423c2a1f479f7390b17d0a0c43c0b924d0b8f3",
         "alignment_summary.json": "aad0ea198441c49238300a491bf6d4fcd9e88136eb3a6e47cbd2a0b536eeec5e",
+    },
+    "three-agent": {
+        "sweep_results.csv": "fcef97d5efe9a51d4ff5a41545feb6925908e606a66537f35114cede1517eb4a",
+        "sweep_summary.json": "073fb54d563135b87e17d24f952a0d8a09eb664386a95e21e1ec861bd2729661",
+        "alignment_results.csv": "529e578c488c66b89e8e17e32b5319ab1d215bfb43a75fd81b6c6ad898ec25f4",
+        "alignment_summary.json": "1d43af66825e2d5b2169eab674be4389965d79b8c209ec77513a71068c620ac5",
     },
 }
 
