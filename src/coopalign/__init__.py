@@ -39,11 +39,13 @@ from .fusion import (
     GridSpec,
     NoSignalError,
     OffsetSearch,
+    OffsetTemplate,
     apply_offset,
     coarse_align,
     confidence_embed,
     deserialize_grid,
     estimate_offset,
+    offset_template,
     rasterize_bev,
     serialize_grid,
     warp_grid,

@@ -123,6 +123,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    if not 0 <= args.scenario < cfg.num_scenarios:
+        raise ConfigError(f"--scenario must lie in [0, {cfg.num_scenarios}), the config's scenario indices")
     scenario = scenario_at(cfg, args.scenario)
     result = run_pipeline(scenario, cfg, pose_source=args.pose_source)
     log_pipeline_fallbacks(args.scenario, result.dropped, result.no_signal)

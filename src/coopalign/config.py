@@ -214,11 +214,16 @@ class ExperimentConfig:
         if len({threshold_key(t) for t in thresholds}) != len(thresholds):
             raise ConfigError("iou_thresholds must differ when printed with :g (the summary keys)")
         # the largest float64 array the sizes imply: the token features of
-        # all frames, or a layer's weight matrix or attention scores (the
-        # passthrough encoder builds no layer)
+        # all frames, the residual offset search's ego template (one warped
+        # grid per candidate, built only when there are neighbors), or a
+        # layer's weight matrix or attention scores (the passthrough encoder
+        # builds no layer)
         enc = self.encoder
-        tokens = self.frames * self.grid.width * self.grid.height
+        cells = self.grid.width * self.grid.height
+        tokens = self.frames * cells
         entries = [tokens * enc.dim]
+        if self.scenario.num_agents > 1:
+            entries.append(self.search.candidate_count() * cells)
         if enc.mode == "random" and enc.layers > 0:
             entries += [enc.dim * enc.dim, enc.dim * enc.hidden, enc.heads * tokens * tokens]
         if 8 * max(entries) > ARRAY_BUDGET_BYTES:

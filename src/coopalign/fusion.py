@@ -8,11 +8,14 @@ sampling with zero fill outside the source.
 
 One array kernel, _sample, does all warping: it samples a stack of
 translations that share one rotation. warp_grid, apply_offset and
-coarse_align call it with one translation, and the residual offset search
-with a whole row of candidates at once (every dx for one (theta, dy)), then
-scores the row with reductions along its last axis. Batching changes no
-value: each sample and each score is computed with the same elementwise
-arithmetic, in the same order, as a call for one candidate.
+coarse_align call it with one translation. The residual offset search is
+split in two: offset_template warps the ego grid by a whole row of
+candidates per call (every dx for one (theta, dy)) and keeps every
+candidate's centered warp, and estimate_offset scores a neighbor against
+those rows with reductions along their last axis. One template serves every
+neighbor correlated with the same ego grid. Batching changes no value: each
+sample and each score is computed with the same elementwise arithmetic, in
+the same order, as a call for one candidate.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .geometry import Pose, Pose2D, PointCloud, normalize_angle, relative
 BEV_GRID_MAGIC = b"CPALBG01"
 
 _SNAP = 1e-9
+
+# Template rows multiplied and summed at a time when a neighbor is scored.
+_SCORE_BLOCK = 64
 
 
 class NoSignalError(ValueError):
@@ -237,18 +243,86 @@ class OffsetSearch:
         if self.min_gain < 0.0:
             raise ValueError("min_gain must be non-negative")
 
+    def _half_counts(self) -> tuple[int, int]:
+        """(n_xy, n_theta): each axis runs over steps -n..n."""
+        n_xy = int(round(self.max_xy / self.step_xy))
+        n_theta = int(round(math.radians(self.max_theta_deg) / math.radians(self.step_theta_deg)))
+        return n_xy, n_theta
+
     def xy_values(self) -> np.ndarray:
-        n = int(round(self.max_xy / self.step_xy))
+        n = self._half_counts()[0]
         return self.step_xy * np.arange(-n, n + 1)
 
     def theta_values(self) -> np.ndarray:
         """Candidate rotations in radians."""
-        step = math.radians(self.step_theta_deg)
-        n = int(round(math.radians(self.max_theta_deg) / step))
-        return step * np.arange(-n, n + 1)
+        n = self._half_counts()[1]
+        return math.radians(self.step_theta_deg) * np.arange(-n, n + 1)
+
+    def candidate_count(self) -> int:
+        """Candidates per search: theta count times xy count squared."""
+        n_xy, n_theta = self._half_counts()
+        return (2 * n_theta + 1) * (2 * n_xy + 1) ** 2
 
 
-def estimate_offset(ego: BevGrid, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
+@dataclass(frozen=True, eq=False)
+class OffsetTemplate:
+    """The ego side of the residual offset search, a pure function of the
+    ego grid and the search.
+
+    candidates holds each candidate's (x, y, theta, norm) in search order:
+    theta outermost, then dy, then dx. Row k of centered is the ego grid
+    warped by the inverse of candidate k, flattened and minus its mean, and
+    sq[k] is that row's sum of squares. centered and sq are None when the
+    ego grid has zero variance, so every neighbor scored against it raises
+    NoSignalError."""
+
+    spec: GridSpec
+    search: OffsetSearch
+    candidates: tuple[tuple[float, float, float, float], ...]
+    centered: np.ndarray | None
+    sq: tuple[float, ...] | None
+
+
+def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
+    """Warp, center and square-sum the one-channel ego grid for every
+    candidate of the search.
+
+    A single _sample call warps the ego grid by every dx of one (theta, dy),
+    and its rows are centered straight into one preallocated
+    (candidates, H*W) array. Rows, not whole rotations, keep each temporary
+    to a few grids: a rotation holds 81 at criterion 9 settings (+-2 m in
+    0.5 m steps)."""
+    if ego.channels != 1:
+        raise ValueError("offset search correlates grids of exactly one channel")
+    xy = search.xy_values()
+    n_xy = len(xy)
+    thetas = [normalize_angle(float(dtheta)) for dtheta in search.theta_values()]
+    candidates = tuple(
+        (x, y, theta, math.sqrt(x**2 + y**2 + theta**2))
+        for theta in thetas for y in xy.tolist() for x in xy.tolist()
+    )
+    if float(ego.data[0].std()) == 0.0:
+        return OffsetTemplate(ego.spec, search, candidates, None, None)
+    centered = np.empty((len(candidates), ego.data[0].size))
+    sq = np.empty(len(candidates))
+    row = 0
+    for theta in thetas:
+        # the inverse of each candidate, as Pose2D.inverse() computes it
+        c = math.cos(theta)
+        s = math.sin(theta)
+        inv_theta = normalize_angle(-theta)
+        for y in xy.tolist():
+            warped = _sample(ego.data, ego.spec, -(c * xy + s * y), -(-s * xy + c * y), inv_theta)
+            a = warped.reshape(n_xy, -1)
+            ac = centered[row : row + n_xy]
+            np.subtract(a, a.mean(axis=1)[:, None], out=ac)
+            sq[row : row + n_xy] = (ac * ac).sum(axis=1)
+            row += n_xy
+    centered.setflags(write=False)
+    return OffsetTemplate(ego.spec, search, candidates, centered, tuple(sq.tolist()))
+
+
+def estimate_offset(ego: BevGrid | OffsetTemplate, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
     """Exhaustively search for the planar offset that carries the ego grid
     onto the neighbor's.
 
@@ -262,51 +336,45 @@ def estimate_offset(ego: BevGrid, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
     returns); raw occupancy correlates the two sensing footprints instead of
     the scene content when a dominant uniform background is present.
 
-    Candidates are scored one row at a time: a single _sample call warps
-    the ego grid by every dx of one (theta, dy), and the row's scores come
-    from mean and sum reductions along the last axis of its (K, H*W) view.
-    Each score is bitwise what warp_grid and a scalar NCC give for that
-    candidate alone, so the choice is too. Rows, not whole rotations, keep
-    each temporary to a few grids: a rotation holds 81 at criterion 9
-    settings (+-2 m in 0.5 m steps)."""
+    ego is the ego grid or its offset_template for this search; a template
+    built once serves every neighbor of that ego grid, so only the neighbor
+    side is computed here. The cross terms are summed along the last axis
+    of _SCORE_BLOCK template rows at a time. Each score is bitwise what
+    warp_grid and a scalar NCC give for that candidate alone, so the choice
+    is too."""
     if not ego.spec.same_geometry(nbr.spec):
         raise ValueError("grids must share one GridSpec")
-    if ego.channels != 1 or nbr.channels != 1:
+    if nbr.channels != 1:
         raise ValueError("offset search correlates grids of exactly one channel")
-    ego_occ = ego.data[0]
+    template = ego if isinstance(ego, OffsetTemplate) else offset_template(ego, search)
+    if template.search != search:
+        raise ValueError("the offset template was built for another search")
     nbr_occ = nbr.data[0]
-    if float(ego_occ.std()) == 0.0 or float(nbr_occ.std()) == 0.0:
+    if template.centered is None or float(nbr_occ.std()) == 0.0:
         raise NoSignalError("correlation channel has zero variance")
     b_centered = (nbr_occ - nbr_occ.mean()).reshape(-1)
     b_norm = math.sqrt(float((b_centered * b_centered).sum()))
-    xy = search.xy_values()
+    rows = template.centered
+    cross = np.empty(len(rows))
+    prod = np.empty((min(_SCORE_BLOCK, len(rows)), rows.shape[1]))
+    for start in range(0, len(rows), _SCORE_BLOCK):
+        block = rows[start : start + _SCORE_BLOCK]
+        part = prod[: len(block)]
+        np.multiply(block, b_centered, out=part)
+        cross[start : start + len(block)] = part.sum(axis=1)
     best_score = -math.inf
     best_norm = math.inf
     best = (0.0, 0.0, 0.0)
     zero_score = -math.inf
-    for dtheta in search.theta_values():
-        # the inverse of each candidate, as Pose2D.inverse() computes it
-        theta = normalize_angle(float(dtheta))
-        c = math.cos(theta)
-        s = math.sin(theta)
-        inv_theta = normalize_angle(-theta)
-        for dy in xy:
-            y = float(dy)
-            warped = _sample(ego.data, ego.spec, -(c * xy + s * y), -(-s * xy + c * y), inv_theta)
-            a = warped.reshape(len(xy), -1)
-            ac = a - a.mean(axis=1)[:, None]
-            sq = (ac * ac).sum(axis=1)
-            cross = (ac * b_centered).sum(axis=1)
-            for x, sq_k, cross_k in zip(xy.tolist(), sq.tolist(), cross.tolist()):
-                denom = math.sqrt(sq_k) * b_norm
-                score = cross_k / denom if denom != 0.0 else -math.inf
-                norm = math.sqrt(x**2 + y**2 + theta**2)
-                if norm == 0.0:
-                    zero_score = score
-                if score > best_score or (score == best_score and norm < best_norm):
-                    best_score = score
-                    best_norm = norm
-                    best = (x, y, theta)
+    for (x, y, theta, norm), sq_k, cross_k in zip(template.candidates, template.sq, cross.tolist()):
+        denom = math.sqrt(sq_k) * b_norm
+        score = cross_k / denom if denom != 0.0 else -math.inf
+        if norm == 0.0:
+            zero_score = score
+        if score > best_score or (score == best_score and norm < best_norm):
+            best_score = score
+            best_norm = norm
+            best = (x, y, theta)
     if not math.isfinite(best_score):
         raise NoSignalError("no candidate produced a finite correlation")
     if search.min_gain > 0.0 and best_norm > 0.0 and best_score < zero_score + search.min_gain:

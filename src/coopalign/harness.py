@@ -40,10 +40,12 @@ from .fusion import (
     BevGrid,
     GridSpec,
     NoSignalError,
+    OffsetTemplate,
     apply_offset,
     coarse_align,
     confidence_embed,
     estimate_offset,
+    offset_template,
     rasterize_bev,
     serialize_grid,
     warp_grid,
@@ -450,6 +452,15 @@ def _search_grid(grid: BevGrid, channel: int) -> BevGrid:
     return BevGrid(grid.spec, _box_blur(grid.data[channel])[None, :, :])
 
 
+def ego_offset_template(ego_raster: BevGrid, cfg: ExperimentConfig) -> OffsetTemplate:
+    """The residual offset search's template of the ego's raster. It
+    correlates blurred max height: ground sits at z = 0 in that channel, so
+    the disk-shaped sensing footprints cannot dominate. The ego raster is
+    the same for every pose source, noise level and frame, so one template
+    serves every run_pipeline call on a scenario."""
+    return offset_template(_search_grid(ego_raster, 2), cfg.search)
+
+
 def build_head(cfg: ExperimentConfig) -> HeadParams:
     """Analytic decode head for the passthrough encoder: objectness is a
     clipped linear ramp in fused max height above a floor, extents and
@@ -507,6 +518,7 @@ def run_pipeline(
     cfg: ExperimentConfig,
     pose_source: str = "pgc",
     noise: tuple[float, float] = (0.0, 0.0),
+    template: OffsetTemplate | None = None,
 ) -> PipelineResult:
     """Run localization, alignment, fusion, encoding and decoding for one
     scenario from the perspective of agent 0.
@@ -520,6 +532,9 @@ def run_pipeline(
     input: evaluation scores the detections against ego_frame_targets.
     Dropped agents and searches without signal are recorded in the result,
     not logged: log_pipeline_fallbacks names them by scenario index.
+    template is ego_offset_template of the ego's raster; when it is None,
+    the first residual search of the call builds it, and every later frame
+    and neighbor reuses it.
     """
     if pose_source not in ("pgc", "gt-noise", "gt", "none"):
         raise ValueError(f"unknown pose_source {pose_source!r}")
@@ -574,12 +589,11 @@ def run_pipeline(
             warped = coarse_align(poses[ego.agent_id], neighbor_grids)
             moved: list[int] = []
             deltas = []
-            # correlate on blurred max height: ground sits at z = 0 in that
-            # channel, so the disk-shaped sensing footprints cannot dominate
-            ego_search = _search_grid(grids[ego.agent_id], 2)
+            if warped and template is None:
+                template = ego_offset_template(grids[ego.agent_id], cfg)
             for i, (k, grid) in enumerate(zip(neighbor_ids, warped)):
                 try:
-                    delta = estimate_offset(ego_search, _search_grid(grid, 2), cfg.search)
+                    delta = estimate_offset(template, _search_grid(grid, 2), cfg.search)
                 except NoSignalError:
                     no_signal.append((frame, k))
                     continue
@@ -766,15 +780,22 @@ class SweepReport:
 
 def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int) -> dict[tuple[str, int], ScoredSet]:
     """Each (method, level index) pipeline run on the scenario, scored
-    against the scenario's ego-frame targets at every IoU threshold."""
+    against the scenario's ego-frame targets at every IoU threshold.
+
+    The ego's offset-search template is built once here and shared by every
+    method, level, frame and neighbor. Each run still does its own pose
+    solve, warps, neighbor scoring, encoding and decoding."""
     scenario = scenario_at(cfg, scenario_id)
     targets = ego_frame_targets(scenario, cfg.grid_spec())
+    template = None
+    if len(scenario.agents) > 1:
+        template = ego_offset_template(rasterize_bev(scenario.agents[0].cloud, cfg.grid_spec()), cfg)
     scored = {}
     dropped: list[tuple[int, int]] = []
     no_signal: list[tuple[int, int]] = []
     for level_idx, level in enumerate(cfg.noise_levels):
         for method in SWEEP_METHODS:
-            result = run_pipeline(scenario, cfg, pose_source=method, noise=level)
+            result = run_pipeline(scenario, cfg, pose_source=method, noise=level, template=template)
             scored[(method, level_idx)] = score_detection_set(result.detections, targets, cfg.eval.iou_thresholds)
             dropped += result.dropped
             no_signal += result.no_signal

@@ -157,22 +157,27 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(s, heads, d // heads).transpose(1, 0, 2)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, s, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(s, h * dh)
+# Score rows scaled and softmaxed at a time: a block of this many rows stays
+# in cache across the scale, shift, exp and normalization passes.
+_SOFTMAX_BLOCK = 64
 
 
-def layer_forward(layer: LayerParams, x: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """One layer over flat (S, D) tokens; returns the output and the
-    (heads, S, S) attention, whose rows sum to 1.
+def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray) -> np.ndarray:
+    """One layer over flat (S, D) tokens, attention one head at a time.
 
-    Attention holds one (heads, S, S) buffer: the scores are scaled, shifted,
-    exponentiated and normalized in place. Each step is the elementwise
-    operation that ``softmax(scores / sqrt(dh))`` runs, in the same order, so
-    the result is bitwise that expression's while no second (heads, S, S)
-    array is alive."""
-    dim = x.shape[1]
+    scores is either a (heads, S, S) array, which receives every head's
+    attention, or one (S, S) buffer that each head overwrites in turn. Per
+    head: one matmul of its queries and keys into the buffer, then, in
+    blocks of _SOFTMAX_BLOCK rows, the scale by 1/sqrt(dh) and the shift,
+    exponentiation and normalization of ``_softmax_in_place``, then the
+    buffer times the head's values into its columns of the context. The
+    matmuls are the per-head products a batched ``(heads, S, S)`` matmul
+    makes, and every softmax step is elementwise or a per-row reduction, so
+    the output is bitwise that of softmax(scores / sqrt(dh)) over all heads
+    at once."""
+    s, dim = x.shape
     dh = dim // heads
+    scale = math.sqrt(dh)
     u = _layer_norm_forward(x, layer.ln1_scale, layer.ln1_shift)
     q = u @ layer.wq.T + layer.bq
     kk = u @ layer.wk.T + layer.bk
@@ -180,24 +185,44 @@ def layer_forward(layer: LayerParams, x: np.ndarray, heads: int) -> tuple[np.nda
     qh = _split_heads(q, heads)
     kh = _split_heads(kk, heads)
     vh = _split_heads(v, heads)
-    scores = qh @ kh.transpose(0, 2, 1)
-    scores /= math.sqrt(dh)
-    attn = _softmax_in_place(scores)
-    ctx = _merge_heads(attn @ vh)
+    ctx = np.empty((s, dim))
+    for h in range(heads):
+        buf = scores[h] if scores.ndim == 3 else scores
+        np.matmul(qh[h], kh[h].T, out=buf)
+        for start in range(0, s, _SOFTMAX_BLOCK):
+            block = buf[start : start + _SOFTMAX_BLOCK]
+            block /= scale
+            _softmax_in_place(block)
+        ctx[:, h * dh : (h + 1) * dh] = buf @ vh[h]
     msa = ctx @ layer.wo.T + layer.bo
     z1 = msa + x
     w = _layer_norm_forward(z1, layer.ln2_scale, layer.ln2_shift)
     a1 = w @ layer.mlp_w1.T + layer.mlp_b1
     h1 = np.tanh(a1)
-    out = h1 @ layer.mlp_w2.T + layer.mlp_b2 + z1
-    return out, attn
+    return h1 @ layer.mlp_w2.T + layer.mlp_b2 + z1
+
+
+def layer_forward(layer: LayerParams, x: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """One layer over flat (S, D) tokens; returns the output and the
+    (heads, S, S) attention, whose rows sum to 1. Each head's attention is
+    computed in its own slice of that stack by the per-head kernel that
+    vit_forward runs."""
+    s = x.shape[0]
+    attn = np.empty((heads, s, s))
+    return _layer(layer, x, heads, attn), attn
 
 
 def vit_forward(params: EncoderParams, tokens: np.ndarray) -> np.ndarray:
     """Run the layer stack over flat (S, D) tokens; ``encode`` applies the
-    embedding and frame encoding first."""
+    embedding and frame encoding first. Every head of every layer reuses one
+    (S, S) score buffer, so attention never holds more than one head's
+    scores."""
+    if not params.layers:
+        return tokens  # no (S, S) buffer: the array budget counts one only when layers run
+    s = tokens.shape[0]
+    buf = np.empty((s, s))
     for layer in params.layers:
-        tokens, _ = layer_forward(layer, tokens, params.heads)
+        tokens = _layer(layer, tokens, params.heads, buf)
     return tokens
 
 

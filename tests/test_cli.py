@@ -57,6 +57,34 @@ def test_pipeline_command(tmp_path, tiny_config, capsys):
     assert "detections" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("index", [-1, 1, 500])
+def test_pipeline_scenario_out_of_range_exits_one(tmp_path, tiny_config, capsys, index):
+    # the tiny config has one scenario, so index 0 is the only valid one
+    out_dir = tmp_path / "pipe"
+    rc = main(["pipeline", "--config", tiny_config, "--out", str(out_dir), "--scenario", str(index)])
+    assert rc == 1
+    assert "--scenario must lie in [0, 1)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# 1024 cells of 8 bytes per candidate: a 361 x 361 search (130321
+# candidates, 1067573248 bytes) fits the 2**30-byte budget, 363 x 363
+# (131769, 1079451648 bytes) does not
+@pytest.mark.parametrize("max_xy, rc", [(90.0, 0), (90.5, 1)])
+def test_offset_template_budget_through_cli(tmp_path, capsys, max_xy, rc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "num_scenarios": 1,
+        "search": {"max_xy": max_xy, "step_xy": 0.5, "max_theta_deg": 0.0},
+    }))
+    assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert "1079451648 bytes, over the 1073741824-byte budget" in err
+    else:
+        assert err == ""
+
+
 def test_align_command_and_reruns_match(tmp_path, tiny_config, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"

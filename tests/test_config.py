@@ -4,10 +4,11 @@ import math
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopalign.config import (
+    ARRAY_BUDGET_BYTES,
     BENCHMARK_METHODS,
     ConfigError,
     EncoderConfig,
@@ -87,6 +88,15 @@ def test_array_budget_counts_layer_weights_only_when_layers_run():
     assert config_from_dict({"encoder": {**wide, "mode": "random", "layers": 0}}).encoder.layers == 0
     with pytest.raises(ConfigError, match="budget"):
         config_from_dict({"encoder": {**wide, "mode": "random"}})
+
+
+def test_array_budget_counts_the_offset_template_only_with_neighbors():
+    # 401 x 401 candidates of 1024 cells is a 1.3 GB ego template; a lone
+    # agent has no neighbor to search against and builds none
+    fine = {"max_xy": 2.0, "step_xy": 0.01, "max_theta_deg": 0.0}
+    assert config_from_dict({"search": fine, "scenario": {"num_agents": 1}}).search.step_xy == 0.01
+    with pytest.raises(ConfigError, match="1317281792 bytes"):
+        config_from_dict({"search": fine})
 
 
 def test_load_config_from_file(tmp_path):
@@ -188,6 +198,16 @@ _half_degrees = st.integers(min_value=1, max_value=199).map(lambda k: k / 2)
 def _valid_configs(draw) -> ExperimentConfig:
     methods = draw(st.permutations(BENCHMARK_METHODS))[: draw(st.integers(min_value=1, max_value=4))]
     num_objects = draw(st.integers(min_value=0, max_value=12))
+    grid = GridParams(draw(st.integers(1, 64)), draw(st.integers(1, 64)), draw(_positive))
+    search = OffsetSearch(
+        max_xy=draw(_nonneg),
+        step_xy=draw(_positive),
+        max_theta_deg=draw(st.just(0.0) | _half_degrees),
+        step_theta_deg=draw(_half_degrees),
+        min_gain=draw(_nonneg),
+    )
+    # a valid config's ego offset template fits the array budget
+    assume(8 * search.candidate_count() * grid.width * grid.height <= ARRAY_BUDGET_BYTES)
     return ExperimentConfig(
         seed=draw(st.integers(min_value=0, max_value=2**64)),
         num_scenarios=draw(st.integers(min_value=1, max_value=500)),
@@ -196,20 +216,14 @@ def _valid_configs(draw) -> ExperimentConfig:
         noise_levels=tuple(draw(st.lists(st.tuples(_nonneg, _nonneg), min_size=1, max_size=4, unique_by=level_key))),
         alignment_noise=draw(st.tuples(_nonneg, _nonneg)),
         downsample_voxel=draw(_positive),
-        grid=GridParams(draw(st.integers(1, 64)), draw(st.integers(1, 64)), draw(_positive)),
+        grid=grid,
         scenario=ScenarioParams(
             num_objects=num_objects,
             co_visible=draw(st.none() | st.integers(min_value=0, max_value=num_objects)),
             world_size=draw(_positive),
             occluder_radius=draw(_nonneg),
         ),
-        search=OffsetSearch(
-            max_xy=draw(_nonneg),
-            step_xy=draw(_positive),
-            max_theta_deg=draw(st.just(0.0) | _half_degrees),
-            step_theta_deg=draw(_half_degrees),
-            min_gain=draw(_nonneg),
-        ),
+        search=search,
         eval=EvalConfig(
             iou_thresholds=tuple(draw(st.lists(
                 st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=3, unique_by=threshold_key

@@ -17,6 +17,7 @@ from coopalign.fusion import (
     confidence_embed,
     deserialize_grid,
     estimate_offset,
+    offset_template,
     rasterize_bev,
     serialize_grid,
     warp_grid,
@@ -446,6 +447,74 @@ def test_estimate_offset_samples_one_row_per_call(monkeypatch):
         estimate_offset(ego, nbr, search)
         per_search.append((len(calls), set(calls)))
     assert per_search == [(5, {5}), (81, {9})]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.one_of(_tie_pairs(), _noise_pairs()),
+    seeds=st.lists(st.integers(0, 2**32 - 1), max_size=2),
+    flat=st.booleans(),
+    n_xy=st.integers(0, 3),
+    step_xy=st.sampled_from([0.25, 0.5, 0.625, 1.0]),
+    n_theta=st.integers(0, 2),
+    step_theta=st.sampled_from([2.0, 2.5, 30.0]),
+    min_gain=st.sampled_from([0.0, 0.02, 0.5]),
+)
+def test_one_template_scores_every_neighbor_as_the_oracle(pair, seeds, flat, n_xy, step_xy, n_theta, step_theta, min_gain):
+    ego, nbr = pair
+    search = OffsetSearch(
+        max_xy=n_xy * step_xy, step_xy=step_xy,
+        max_theta_deg=n_theta * step_theta, step_theta_deg=step_theta,
+        min_gain=min_gain,
+    )
+    # the drawn neighbor, noise neighbors, the ego itself and maybe a
+    # constant grid, all scored against one template
+    neighbors = [nbr, ego] + [
+        BevGrid(ego.spec, np.random.default_rng(seed).normal(size=ego.data.shape)) for seed in seeds
+    ]
+    if flat:
+        neighbors.append(BevGrid(ego.spec, np.ones(ego.data.shape)))
+    template = offset_template(ego, search)
+    for other in neighbors:
+        expected = _oracle_estimate(ego, other, search)
+        if expected is None:
+            with pytest.raises(NoSignalError):
+                estimate_offset(template, other, search)
+        else:
+            got = estimate_offset(template, other, search)
+            assert (got.x, got.y, got.theta) == (expected.x, expected.y, expected.theta)
+
+
+def test_scoring_against_a_template_warps_nothing(monkeypatch):
+    rng = np.random.default_rng(47)
+    ego = blob_grid(rng)
+    nbrs = [warp_grid(ego, Pose2D(0.5, 0.0, 0.0)), warp_grid(ego, Pose2D(0.0, -1.0, math.radians(5.0)))]
+    search = OffsetSearch(max_xy=2.0, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5)
+    template = offset_template(ego, search)
+    assert template.centered.shape == (729, ego.spec.width * ego.spec.height)
+    assert len(template.candidates) == len(template.sq) == search.candidate_count() == 729
+    want = [estimate_offset(ego, nbr, search) for nbr in nbrs]
+    calls = []
+    monkeypatch.setattr(fusion, "_sample", lambda *args: calls.append(args))
+    assert [estimate_offset(template, nbr, search) for nbr in nbrs] == want
+    assert calls == []
+
+
+def test_template_must_match_the_search_and_geometry():
+    rng = np.random.default_rng(48)
+    ego = blob_grid(rng)
+    search = OffsetSearch(max_xy=1.0, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=2.5)
+    template = offset_template(ego, search)
+    with pytest.raises(ValueError, match="another search"):
+        estimate_offset(template, ego, OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=2.5))
+    with pytest.raises(ValueError, match="GridSpec"):
+        estimate_offset(template, blob_grid(rng, GridSpec.centered(8, 8, 0.5)), search)
+    # a constant ego grid gives a template without rows: every neighbor
+    # then finds no signal
+    flat = offset_template(BevGrid(ego.spec, np.ones(ego.data.shape)), search)
+    assert flat.centered is None and flat.sq is None
+    with pytest.raises(NoSignalError):
+        estimate_offset(flat, ego, search)
 
 
 def test_apply_offset_inverts_injected_misalignment():

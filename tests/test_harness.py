@@ -366,6 +366,30 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_offset_template_built_once_per_pipeline_call(monkeypatch):
+    cfg = _small_cfg(frames=2, scenario=_small_params(num_agents=3))
+    scenario = generate_scenario(cfg.scenario, 44)
+    templates = _count_calls(monkeypatch, harness, "offset_template")
+    searches = _count_calls(monkeypatch, harness, "estimate_offset")
+    run_pipeline(scenario, cfg, pose_source="gt")
+    # two neighbors in each of two frames score against one ego template
+    assert (len(templates), len(searches)) == (1, 4)
+    run_pipeline(scenario, cfg, pose_source="none")
+    assert (len(templates), len(searches)) == (1, 4)
+
+
+def test_sweep_scenario_builds_one_offset_template(monkeypatch):
+    # every method, level, frame and neighbor of a sweep scenario shares it
+    cfg = _small_cfg(frames=2, scenario=_small_params(num_agents=3))
+    templates = _count_calls(monkeypatch, harness, "offset_template")
+    searches = _count_calls(monkeypatch, harness, "estimate_offset")
+    scored = harness._sweep_scenario(cfg, 0)
+    assert len(scored) == len(harness.SWEEP_METHODS) * len(cfg.noise_levels)
+    assert len(templates) == 1
+    # pgc and gt-noise, 5 levels, 2 frames, 2 neighbors
+    assert len(searches) == 2 * len(cfg.noise_levels) * 2 * 2
+
+
 def test_alignment_methods_run_once_per_pair(monkeypatch):
     cfg = _small_cfg(scenario=_small_params(co_visible=4))  # no empty ICP cloud
     ransac = _count_calls(monkeypatch, harness, "ransac_pose")

@@ -182,7 +182,8 @@ def _layer_forward_out_of_place(layer, x, heads):
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     attn = e / e.sum(axis=-1, keepdims=True)
-    z1 = temporal._merge_heads(attn @ vh) @ layer.wo.T + layer.bo + x
+    ctx = (attn @ vh).transpose(1, 0, 2).reshape(x.shape)  # heads side by side
+    z1 = ctx @ layer.wo.T + layer.bo + x
     w = ln(z1, layer.ln2_scale, layer.ln2_shift)
     out = np.tanh(w @ layer.mlp_w1.T + layer.mlp_b1) @ layer.mlp_w2.T + layer.mlp_b2 + z1
     return out, attn
@@ -221,6 +222,23 @@ def test_attention_peak_memory_is_one_score_buffer():
         tracemalloc.stop()
     assert attn.nbytes == score_bytes
     assert peak <= 1.25 * score_bytes
+
+
+def test_encoder_peak_memory_is_one_head_buffer():
+    # vit_forward keeps no layer's attention: its heads take turns in one
+    # (S, S) buffer, half of what layer_forward holds at 2 heads
+    rng = np.random.default_rng(71)
+    tokens, dim, heads = 2048, 8, 2
+    params = EncoderParams.seeded(4, dim, heads, num_layers=2, hidden=16, rng=rng)
+    x = rng.standard_normal((tokens, dim))
+    buffer_bytes = tokens * tokens * 8
+    tracemalloc.start()
+    try:
+        vit_forward(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * buffer_bytes
 
 
 def _layer_forward_scalar(layer, x, heads):
@@ -329,13 +347,15 @@ def test_zero_branch_layer_is_exact_residual_identity():
 
 
 def _count_layer_calls(monkeypatch):
+    """Count the per-layer kernel calls that vit_forward makes."""
     calls = []
+    kernel = temporal._layer
 
-    def counted(layer, x, heads):
+    def counted(layer, x, heads, scores):
         calls.append(1)
-        return layer_forward(layer, x, heads)
+        return kernel(layer, x, heads, scores)
 
-    monkeypatch.setattr(temporal, "layer_forward", counted)
+    monkeypatch.setattr(temporal, "_layer", counted)
     return calls
 
 
