@@ -295,11 +295,10 @@ def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
     if ego.channels != 1:
         raise ValueError("offset search correlates grids of exactly one channel")
     xy = search.xy_values()
-    n_xy = len(xy)
+    xs = xy.tolist()
     thetas = [normalize_angle(float(dtheta)) for dtheta in search.theta_values()]
     candidates = tuple(
-        (x, y, theta, math.sqrt(x**2 + y**2 + theta**2))
-        for theta in thetas for y in xy.tolist() for x in xy.tolist()
+        (x, y, theta, math.sqrt(x**2 + y**2 + theta**2)) for theta in thetas for y in xs for x in xs
     )
     if float(ego.data[0].std()) == 0.0:
         return OffsetTemplate(ego.spec, search, candidates, None, None)
@@ -311,13 +310,13 @@ def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
         c = math.cos(theta)
         s = math.sin(theta)
         inv_theta = normalize_angle(-theta)
-        for y in xy.tolist():
+        for y in xs:
             warped = _sample(ego.data, ego.spec, -(c * xy + s * y), -(-s * xy + c * y), inv_theta)
-            a = warped.reshape(n_xy, -1)
-            ac = centered[row : row + n_xy]
+            a = warped.reshape(len(xs), -1)
+            ac = centered[row : row + len(xs)]
             np.subtract(a, a.mean(axis=1)[:, None], out=ac)
-            sq[row : row + n_xy] = (ac * ac).sum(axis=1)
-            row += n_xy
+            sq[row : row + len(xs)] = (ac * ac).sum(axis=1)
+            row += len(xs)
     centered.setflags(write=False)
     return OffsetTemplate(ego.spec, search, candidates, centered, tuple(sq.tolist()))
 
