@@ -102,7 +102,6 @@ from .localization import (
     confidence_from_error,
     kabsch_solve,
     oracle_predict,
-    pose_message_json,
     ransac_pose,
     voxel_downsample,
 )

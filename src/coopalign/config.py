@@ -132,6 +132,11 @@ _SWEEP_METHODS = ("gt-noise", "pgc", "none")
 # refused before any work starts.
 ARRAY_BUDGET_BYTES = 1 << 30
 
+# Largest translation noise sigma (meters) a config may ask for. Far beyond
+# it, the squared pose error overflows and the grid warp's cell indices no
+# longer fit an int64.
+MAX_SIGMA_T = 1e6
+
 
 def level_key(level: tuple[float, float]) -> str:
     """The sweep summary's key for a noise level (sigma_t, sigma_r)."""
@@ -207,6 +212,8 @@ class ExperimentConfig:
                 raise ConfigError("noise_levels entries must be [sigma_t, sigma_r] >= 0")
         if len(self.alignment_noise) != 2 or min(self.alignment_noise) < 0.0:
             raise ConfigError("alignment_noise must be [sigma_t, sigma_r] >= 0")
+        if max(level[0] for level in (*self.noise_levels, self.alignment_noise)) > MAX_SIGMA_T:
+            raise ConfigError(f"a translation sigma must not exceed {MAX_SIGMA_T:g} m")
         # the sweep summary is keyed by these strings; a collision would pool two levels
         if len({level_key(lv) for lv in self.noise_levels}) != len(self.noise_levels):
             raise ConfigError("noise_levels must differ when printed with :g (the summary keys)")
@@ -216,8 +223,8 @@ class ExperimentConfig:
         # the largest float64 array the sizes imply: the token features of
         # all frames, the residual offset search's ego template (one warped
         # grid per candidate, built only when there are neighbors), or a
-        # layer's weight matrix or attention scores (the passthrough encoder
-        # builds no layer)
+        # layer's weight matrix or one head's (tokens, tokens) attention
+        # scores (the passthrough encoder builds no layer)
         enc = self.encoder
         cells = self.grid.width * self.grid.height
         tokens = self.frames * cells
@@ -225,7 +232,7 @@ class ExperimentConfig:
         if self.scenario.num_agents > 1:
             entries.append(self.search.candidate_count() * cells)
         if enc.mode == "random" and enc.layers > 0:
-            entries += [enc.dim * enc.dim, enc.dim * enc.hidden, enc.heads * tokens * tokens]
+            entries += [enc.dim * enc.dim, enc.dim * enc.hidden, tokens * tokens]
         if 8 * max(entries) > ARRAY_BUDGET_BYTES:
             raise ConfigError(
                 f"these sizes imply an array of {8 * max(entries)} bytes, "

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import BevGrid
+from .fusion import BevGrid, box_sum_3x3
 from .geometry import normalize_angle
 
 
@@ -287,12 +287,7 @@ def _peak_mask(values: np.ndarray) -> np.ndarray:
     idx = np.arange(h * w).reshape(h, w)
     vpad = np.full((h + 2, w + 2), -np.inf)
     vpad[1:-1, 1:-1] = values
-    spad = np.zeros((h + 2, w + 2))
-    spad[1:-1, 1:-1] = values
-    nbsum = np.zeros((h, w))
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            nbsum += spad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+    nbsum = box_sum_3x3(values)
     fpad = np.full((h + 2, w + 2), -np.inf)
     fpad[1:-1, 1:-1] = nbsum
     ipad = np.full((h + 2, w + 2), h * w, dtype=np.int64)

@@ -219,6 +219,19 @@ def confidence_embed(grids: Sequence[BevGrid], sigmas: Sequence[float]) -> list[
     return out
 
 
+def box_sum_3x3(field: np.ndarray) -> np.ndarray:
+    """Sum over each cell's 3x3 neighborhood of a 2-D array, with zeros
+    past the border, added in row-major offset order."""
+    h, w = field.shape
+    pad = np.zeros((h + 2, w + 2))
+    pad[1:-1, 1:-1] = field
+    out = np.zeros((h, w))
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            out += pad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+    return out
+
+
 @dataclass(frozen=True)
 class OffsetSearch:
     """Symmetric search grid around zero for the exhaustive offset estimator.

@@ -42,6 +42,7 @@ from .fusion import (
     NoSignalError,
     OffsetTemplate,
     apply_offset,
+    box_sum_3x3,
     coarse_align,
     confidence_embed,
     estimate_offset,
@@ -67,7 +68,6 @@ from .localization import (
     PoseEstimate,
     confidence_from_error,
     oracle_predict,
-    pose_message_json,
     ransac_pose,
     voxel_downsample,
 )
@@ -82,13 +82,10 @@ _VIS_OUTER_MARGIN = 2.0
 _SHARED_LINE_CLEARANCE = 1.5
 _SUCCESS_TRANSLATION_M = 3.0
 
-# integer tags mixed into rng seed tuples; one stream per purpose
-_TAG_ORACLE = 11
-_TAG_GNSS = 12
-_TAG_RANSAC = 13
-_TAG_BENCH_ORACLE = 21
-_TAG_BENCH_GNSS = 22
-_TAG_BENCH_RANSAC = 23
+# integer tags mixed into rng seed tuples; one stream per purpose. The pose
+# step takes (oracle, ransac, gnss) tags: the pipeline's or the benchmark's.
+_PIPELINE_POSE_TAGS = (11, 13, 12)
+_BENCH_POSE_TAGS = (21, 23, 22)
 _TAG_ENCODER = 31
 
 _ZERO_OFFSET = Pose2D(0.0, 0.0, 0.0)
@@ -398,28 +395,30 @@ def scenario_at(cfg: ExperimentConfig, index: int) -> Scenario:
     return generate_scenario(cfg.scenario, _derived_seed(cfg.seed, 1, index))
 
 
-def _estimate_agent_pose(
-    scenario: Scenario, agent_idx: int, cfg: ExperimentConfig, tag_oracle: int, tag_ransac: int, frame: int = 0
+def _agent_estimate(
+    scenario: Scenario, k: int, cfg: ExperimentConfig, source: str, noise: tuple[float, float],
+    tags: tuple[int, int, int], frame: int = 0,
 ) -> PoseEstimate | None:
-    """None when the solve fails, or when the downsampled cloud is empty or
-    holds fewer points than one RANSAC sample."""
-    agent = scenario.agents[agent_idx]
-    sampled = voxel_downsample(agent.cloud, cfg.downsample_voxel)
-    if len(sampled) < cfg.ransac.sample_size:
-        return None
-    rng = np.random.default_rng((scenario.seed, tag_oracle, frame, agent_idx))
-    pred = oracle_predict(sampled, agent.gt_pose, cfg.oracle.build(), rng)
-    return ransac_pose(pred, cfg.ransac, _derived_seed(scenario.seed, tag_ransac, frame, agent_idx))
-
-
-def _noisy_agent_pose(
-    scenario: Scenario, agent_idx: int, cfg: ExperimentConfig, sigma_t: float, sigma_r: float, tag: int, frame: int = 0
-) -> tuple[Pose, float]:
-    agent = scenario.agents[agent_idx]
-    rng = np.random.default_rng((scenario.seed, tag, frame, agent_idx))
-    noisy = perturb_pose(agent.gt_pose, GaussianPoseNoise(sigma_t, sigma_r), rng)
-    t_err, _ = pose_error(noisy, agent.gt_pose)
-    return noisy, confidence_from_error(t_err)
+    """The pose record agent k sends at frame. "pgc" runs the oracle and
+    RANSAC, and is None when the solve fails or the downsampled cloud holds
+    fewer points than one RANSAC sample; "gt-noise" perturbs the true pose by
+    noise (sigma_t, sigma_r) and rates it by its translation error; "gt" and
+    "none" send the true pose at confidence 1."""
+    agent = scenario.agents[k]
+    tag_oracle, tag_ransac, tag_gnss = tags
+    if source == "pgc":
+        sampled = voxel_downsample(agent.cloud, cfg.downsample_voxel)
+        if len(sampled) < cfg.ransac.sample_size:
+            return None
+        rng = np.random.default_rng((scenario.seed, tag_oracle, frame, k))
+        pred = oracle_predict(sampled, agent.gt_pose, cfg.oracle.build(), rng)
+        return ransac_pose(pred, cfg.ransac, _derived_seed(scenario.seed, tag_ransac, frame, k))
+    if source == "gt-noise":
+        rng = np.random.default_rng((scenario.seed, tag_gnss, frame, k))
+        noisy = perturb_pose(agent.gt_pose, GaussianPoseNoise(*noise), rng)
+        t_err, _ = pose_error(noisy, agent.gt_pose)
+        return PoseEstimate(noisy, confidence_from_error(t_err), 0.0, (), 1.0)
+    return PoseEstimate(agent.gt_pose, 1.0, 0.0, (), 1.0)
 
 
 def _build_encoder(cfg: ExperimentConfig) -> EncoderParams:
@@ -432,24 +431,12 @@ def _build_encoder(cfg: ExperimentConfig) -> EncoderParams:
     return EncoderParams.passthrough(in_channels=BEV_CHANNELS, dim=cfg.encoder.dim, heads=cfg.encoder.heads)
 
 
-def _box_blur(field: np.ndarray) -> np.ndarray:
-    """3x3 normalized box filter with zero padding."""
-    h, w = field.shape
-    pad = np.zeros((h + 2, w + 2))
-    pad[1:-1, 1:-1] = field
-    out = np.zeros((h, w))
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            out += pad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-    return out / 9.0
-
-
 def _search_grid(grid: BevGrid, channel: int) -> BevGrid:
     """Single-channel blurred copy used for residual offset search. Both
     sides get the same blur, so the crisp local raster and the already
     interpolation-smoothed warped neighbor present matched sharpness to the
-    correlator."""
-    return BevGrid(grid.spec, _box_blur(grid.data[channel])[None, :, :])
+    correlator. The blur is the 3x3 box mean with zero padding."""
+    return BevGrid(grid.spec, (box_sum_3x3(grid.data[channel]) / 9.0)[None, :, :])
 
 
 def ego_offset_template(ego_raster: BevGrid, cfg: ExperimentConfig) -> OffsetTemplate:
@@ -487,14 +474,15 @@ def build_head(cfg: ExperimentConfig) -> HeadParams:
 
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """dropped lists the (frame, agent) pairs whose "pgc" pose estimate
-    failed, so the agent was left out; no_signal lists those whose residual
-    offset search found no signal and kept the coarse alignment."""
+    """pose_estimates maps each (frame, agent) pair to the PoseEstimate the
+    agent sent, or None when its "pgc" estimate failed. dropped lists those
+    failed pairs, whose agent was left out; no_signal lists the pairs whose
+    residual offset search found no signal and kept the coarse alignment."""
 
     detections: tuple[Detection, ...]
     fused: BevGrid
     ledger: CommLedger
-    pose_estimates: dict
+    pose_estimates: dict[tuple[int, int], PoseEstimate | None]
     dropped: tuple[tuple[int, int], ...]
     no_signal: tuple[tuple[int, int], ...]
 
@@ -523,7 +511,7 @@ def run_pipeline(
     """Run localization, alignment, fusion, encoding and decoding for one
     scenario from the perspective of agent 0.
 
-    pose_source selects how agent poses are obtained: "pgc" runs the
+    pose_source selects the PoseEstimate each agent sends: "pgc" runs the
     scene-coordinate oracle plus the robust solver, "gt-noise" perturbs the
     true poses by the given noise level, "gt" uses exact poses, and "none"
     disables fusion entirely (single-agent baseline). The "pgc", "gt" and
@@ -541,7 +529,7 @@ def run_pipeline(
     spec = cfg.grid_spec()
     ego = scenario.agents[0]
     ledger = CommLedger()
-    pose_estimates: dict = {}
+    pose_estimates: dict[tuple[int, int], PoseEstimate | None] = {}
     dropped: list[tuple[int, int]] = []
     no_signal: list[tuple[int, int]] = []
     agent_ids = [ego.agent_id] if pose_source == "none" else [a.agent_id for a in scenario.agents]
@@ -550,43 +538,27 @@ def run_pipeline(
 
     frames = []
     for frame in range(cfg.frames):
-        poses: dict[int, Pose] = {}
-        sigmas: dict[int, float] = {}
-        msg_bytes: dict[int, int] = {}
+        estimates: dict[int, PoseEstimate] = {}
         for k in agent_ids:
-            if pose_source == "pgc":
-                est = _estimate_agent_pose(scenario, k, cfg, _TAG_ORACLE, _TAG_RANSAC, frame)
-                pose_estimates[(frame, k)] = est
-                if est is None:
-                    dropped.append((frame, k))
-                    continue
-                poses[k] = est.pose
-                sigmas[k] = est.confidence
-                msg_bytes[k] = est.message_bytes()
-            elif pose_source == "gt-noise":
-                noisy, sigma = _noisy_agent_pose(scenario, k, cfg, noise[0], noise[1], _TAG_GNSS, frame)
-                poses[k] = noisy
-                sigmas[k] = sigma
-                msg_bytes[k] = len(pose_message_json(noisy, sigma, 0.0, 1.0).encode("utf-8"))
-                pose_estimates[(frame, k)] = noisy
+            est = _agent_estimate(scenario, k, cfg, pose_source, noise, _PIPELINE_POSE_TAGS, frame)
+            pose_estimates[(frame, k)] = est
+            if est is None:
+                dropped.append((frame, k))
             else:
-                poses[k] = scenario.agents[k].gt_pose
-                sigmas[k] = 1.0
-                msg_bytes[k] = len(pose_message_json(poses[k], 1.0, 0.0, 1.0).encode("utf-8"))
-                pose_estimates[(frame, k)] = poses[k]
+                estimates[k] = est
 
-        if ego.agent_id not in poses:
+        if ego.agent_id not in estimates:
             # no usable ego pose: fall back to the raw single-agent view
             fused_inputs = [grids[ego.agent_id]]
             weights = [1.0]
         else:
-            neighbor_ids = [k for k in poses if k != ego.agent_id]
+            neighbor_ids = [k for k in estimates if k != ego.agent_id]
             neighbor_grids = []
             for k in neighbor_ids:
-                ledger.add(k, ego.agent_id, "pose", msg_bytes[k])
+                ledger.add(k, ego.agent_id, "pose", estimates[k].message_bytes())
                 ledger.add(k, ego.agent_id, "features", len(serialize_grid(grids[k])))
-                neighbor_grids.append((grids[k], poses[k]))
-            warped = coarse_align(poses[ego.agent_id], neighbor_grids)
+                neighbor_grids.append((grids[k], estimates[k].pose))
+            warped = coarse_align(estimates[ego.agent_id].pose, neighbor_grids)
             moved: list[int] = []
             deltas = []
             if warped and template is None:
@@ -606,7 +578,7 @@ def run_pipeline(
             for i, grid in zip(moved, apply_offset([warped[i] for i in moved], deltas)):
                 corrected[i] = grid
             fused_inputs = [grids[ego.agent_id]] + corrected
-            weights = [sigmas[ego.agent_id]] + [sigmas[k] for k in neighbor_ids]
+            weights = [estimates[k].confidence for k in [ego.agent_id, *neighbor_ids]]
 
         embedded = confidence_embed(fused_inputs, weights)
         total = sum(weights)
@@ -685,55 +657,36 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
 
     for nbr in scenario.agents[1:]:
         gt_rel = relative(ego.gt_pose, nbr.gt_pose)
+        for method in cfg.methods:
+            if method in ("pgc", "gt-noise"):
+                # both agents send a pose record; the neighbor's is the message
+                (est_e, est_n), t = _timed(lambda: tuple(
+                    _agent_estimate(scenario, a.agent_id, cfg, method, cfg.alignment_noise, _BENCH_POSE_TAGS)
+                    for a in (ego, nbr)
+                ))
+                failed = est_e is None or est_n is None
+                est_rel = None if failed else relative(est_e.pose, est_n.pose)
+                nbytes = 0 if failed else est_n.message_bytes()
+            else:
+                # box baselines: the neighbor sends its boxes
+                obs_e, obs_n = obs_cache[ego.agent_id], obs_cache[nbr.agent_id]
+                if method == "icp":
+                    src_pts, dst_pts = obs_n.centers(), obs_e.centers()
 
-        def add_row(method: str, est_rel: Pose | None, nbytes: int, t: float) -> None:
-            """One row for a relative pose estimate; None marks a failure."""
-            t_err, r_err = pose_error(est_rel, gt_rel) if est_rel is not None else (math.inf, math.inf)
+                    def run():
+                        if len(src_pts) == 0 or len(dst_pts) == 0:
+                            return None
+                        return icp_align(PointCloud(src_pts), PointCloud(dst_pts), cfg.icp)
+                else:
+                    def run():
+                        return graph_match_align(obs_e, obs_n, cfg.graph)
+
+                result, t = _timed(run)
+                est_rel = None if result is None else result.pose
+                nbytes = obs_n.message_bytes()
+            t_err, r_err = (math.inf, math.inf) if est_rel is None else pose_error(est_rel, gt_rel)
             rows.append(AlignmentRow(scenario_id, method, ego.agent_id, nbr.agent_id,
                                      t_err, r_err, t_err < _SUCCESS_TRANSLATION_M, nbytes, t))
-
-        for method in cfg.methods:
-            if method == "pgc":
-                def run_pgc():
-                    est_e = _estimate_agent_pose(scenario, ego.agent_id, cfg, _TAG_BENCH_ORACLE, _TAG_BENCH_RANSAC)
-                    est_n = _estimate_agent_pose(scenario, nbr.agent_id, cfg, _TAG_BENCH_ORACLE, _TAG_BENCH_RANSAC)
-                    return est_e, est_n
-
-                (est_e, est_n), t = _timed(run_pgc)
-                if est_e is None or est_n is None:
-                    add_row(method, None, 0, t)
-                else:
-                    add_row(method, relative(est_e.pose, est_n.pose), est_n.message_bytes(), t)
-            elif method == "icp":
-                src_pts = obs_cache[nbr.agent_id].centers()
-                dst_pts = obs_cache[ego.agent_id].centers()
-
-                def run_icp():
-                    if len(src_pts) == 0 or len(dst_pts) == 0:
-                        return None
-                    return icp_align(PointCloud(src_pts), PointCloud(dst_pts), cfg.icp)
-
-                result, t = _timed(run_icp)
-                add_row(method, None if result is None else result.pose,
-                        obs_cache[nbr.agent_id].message_bytes(), t)
-            elif method == "graph":
-                def run_graph():
-                    return graph_match_align(obs_cache[ego.agent_id], obs_cache[nbr.agent_id], cfg.graph)
-
-                result, t = _timed(run_graph)
-                add_row(method, None if result is None else result.pose,
-                        obs_cache[nbr.agent_id].message_bytes(), t)
-            elif method == "gt-noise":
-                st, sr = cfg.alignment_noise
-
-                def run_noise():
-                    pe, ce = _noisy_agent_pose(scenario, ego.agent_id, cfg, st, sr, _TAG_BENCH_GNSS)
-                    pn, cn = _noisy_agent_pose(scenario, nbr.agent_id, cfg, st, sr, _TAG_BENCH_GNSS)
-                    return pe, ce, pn, cn
-
-                (pe, _, pn, cn), t = _timed(run_noise)
-                nbytes = len(pose_message_json(pn, cn, 0.0, 1.0).encode("utf-8"))
-                add_row(method, relative(pe, pn), nbytes, t)
     return rows
 
 

@@ -102,7 +102,9 @@ class RansacConfig:
 
 @dataclass(frozen=True, eq=False)
 class PoseEstimate:
-    """RANSAC output: pose, confidence = 1 / (1 + err^2), and bookkeeping."""
+    """The pose record an agent sends. ransac_pose fills in every field, with
+    confidence = 1 / (1 + err^2) of the aggregated error; other pose sources
+    send their own confidence, error 0, no inliers and inlier ratio 1."""
 
     pose: Pose
     confidence: float
@@ -120,26 +122,18 @@ class PoseEstimate:
             raise ValueError("inlier_ratio must lie in [0, 1]")
 
     def to_message_json(self) -> str:
-        return pose_message_json(
-            self.pose, self.confidence, self.aggregated_error, self.inlier_ratio
-        )
+        """Compact deterministic wire format: 12 row-major [R | t] floats
+        plus the three scalar quality fields; the inlier indices stay home."""
+        payload = {
+            "pose": self.pose.flat_rt(),
+            "confidence": float(self.confidence),
+            "aggregated_error": float(self.aggregated_error),
+            "inlier_ratio": float(self.inlier_ratio),
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def message_bytes(self) -> int:
         return len(self.to_message_json().encode("utf-8"))
-
-
-def pose_message_json(
-    pose: Pose, confidence: float, aggregated_error: float, inlier_ratio: float
-) -> str:
-    """Compact deterministic wire format: 12 row-major [R | t] floats plus the
-    three scalar quality fields."""
-    payload = {
-        "pose": pose.flat_rt(),
-        "confidence": float(confidence),
-        "aggregated_error": float(aggregated_error),
-        "inlier_ratio": float(inlier_ratio),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def confidence_from_error(eps: float) -> float:

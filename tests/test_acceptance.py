@@ -29,10 +29,10 @@ from coopalign.harness import (
 )
 from coopalign.localization import (
     OracleErrorModel,
+    PoseEstimate,
     RansacConfig,
     confidence_from_error,
     oracle_predict,
-    pose_message_json,
     ransac_pose,
 )
 from coopalign.fusion import serialize_grid
@@ -133,7 +133,7 @@ def test_c05_message_size_ordering():
         for seed in range(20):
             scenario = generate_scenario(params, 500 + seed)
             for idx, agent in enumerate(scenario.agents):
-                pose_bytes = len(pose_message_json(agent.gt_pose, 1.0, 0.0, 1.0).encode("utf-8"))
+                pose_bytes = PoseEstimate(agent.gt_pose, 1.0, 0.0, (), 1.0).message_bytes()
                 obs = agent_box_observation(scenario, idx)
                 assert len(obs.boxes) >= 5
                 feat_bytes = len(serialize_grid(rasterize_bev(agent.cloud, spec)))

@@ -211,8 +211,8 @@ _INVALID_CONFIGS = {
     "section not an object": {"grid": [32, 32]},
     "root not an object": [1, 2],
     "grid width too large for a float": {"grid": {"width": 10**400}},
-    # arrays that cannot fit: a dim x dim weight matrix, and about 4.3 GB of
-    # (heads, tokens, tokens) attention scores for 4 frames of 64 x 64 cells
+    # arrays that cannot fit: a dim x dim weight matrix, and about 2.1 GB of
+    # (tokens, tokens) attention scores for 4 frames of 64 x 64 cells
     "encoder dim too large for memory": {"num_scenarios": 1, "encoder": {"dim": 4611686018427387904}},
     # the passthrough embedding and the decode head read four input channels
     "encoder dim below the input channels": {"num_scenarios": 1, "encoder": {"dim": 2}},
@@ -221,6 +221,9 @@ _INVALID_CONFIGS = {
     "attention scores over the budget": {
         "frames": 4, "grid": {"width": 64, "height": 64}, "encoder": {"mode": "random"},
     },
+    # the squared pose error of such noise overflows to inf
+    "huge sweep translation noise": {"num_scenarios": 1, "noise_levels": [[1e160, 0.0]]},
+    "huge alignment translation noise": {"num_scenarios": 1, "alignment_noise": [1e160, 0.0]},
 }
 
 # One out-of-range value for every key that has a bound.

@@ -14,6 +14,7 @@ from coopalign.config import (
     EncoderConfig,
     ExperimentConfig,
     GridParams,
+    MAX_SIGMA_T,
     ScenarioParams,
     SWEEP_METHODS,
     config_from_dict,
@@ -97,6 +98,26 @@ def test_array_budget_counts_the_offset_template_only_with_neighbors():
     assert config_from_dict({"search": fine, "scenario": {"num_agents": 1}}).search.step_xy == 0.01
     with pytest.raises(ConfigError, match="1317281792 bytes"):
         config_from_dict({"search": fine})
+
+
+def test_array_budget_counts_one_head_of_attention():
+    # the encoder holds one (tokens, tokens) score buffer whatever the head
+    # count: 6144 tokens is 302 MB of scores, 12288 tokens is 1.2 GB
+    small = {"frames": 2, "grid": {"width": 64, "height": 48}}
+    large = {"frames": 4, "grid": {"width": 64, "height": 48}}
+    for heads in (1, 4):
+        encoder = {"mode": "random", "heads": heads}
+        assert config_from_dict({**small, "encoder": encoder}).encoder.heads == heads
+        with pytest.raises(ConfigError, match="1207959552 bytes"):
+            config_from_dict({**large, "encoder": encoder})
+
+
+def test_translation_sigma_is_bounded():
+    assert config_from_dict({"noise_levels": [[MAX_SIGMA_T, 0.0]]}).noise_levels == ((MAX_SIGMA_T, 0.0),)
+    assert config_from_dict({"alignment_noise": [MAX_SIGMA_T, 1e9]}).alignment_noise == (MAX_SIGMA_T, 1e9)
+    for raw in ({"noise_levels": [[0.0, 0.0], [2 * MAX_SIGMA_T, 0.0]]}, {"alignment_noise": [2 * MAX_SIGMA_T, 0.0]}):
+        with pytest.raises(ConfigError, match="translation sigma"):
+            config_from_dict(raw)
 
 
 def test_load_config_from_file(tmp_path):

@@ -102,3 +102,45 @@ def test_artifacts_match_recorded_digests(tmp_path, capsys, name):
         fname: hashlib.sha256((out / fname).read_bytes()).hexdigest() for fname in _DIGESTS[name]
     }
     assert digests == _DIGESTS[name]
+
+
+# pipeline_result.json of `coopalign pipeline` for each pose source: these
+# pin the ledger's pose message bytes, which no sweep or align artifact holds
+_PIPELINE_RUNS = {
+    "defaults": (None, ["--seed", "7", "--scenario", "3"]),
+    "three-agent": (
+        {"num_scenarios": 2, "frames": 2, "scenario": {"num_agents": 3, "world_size": 48.0}},
+        ["--scenario", "1"],
+    ),
+}
+
+_PIPELINE_DIGESTS = {
+    "defaults": {
+        "pgc": "e55421ebfb7060e1ef3f0c3c9c83b9c181564bad0788f7e424371e487b56848d",
+        "gt-noise": "413e49b40d54c20d21c8719e0bd391c6d4dce57b45f3539d3862618ebf485db7",
+        "gt": "9da8f033b68260eeb0380639a0e1c72b4a873caa6165059899a4e2e7d2002938",
+        "none": "bc69fa408337b286edaaf65663e051b551bba79a7f77f167fe00caea08983d8d",
+    },
+    "three-agent": {
+        "pgc": "289c9bc1531fe5396137b94435cc13a0fc1f9d85071e9266e82f9e197d42bca5",
+        "gt-noise": "4d8c901d2645db6b9f69d4f3144eed36cc6a25d195445f858f21a53fd59ffd5c",
+        "gt": "889c8373274720eebe83f7ee87631ea7e0a20f78b7296cb9acfb606cd891ef42",
+        "none": "fce8f1491308fe75207773c9df97447563de7a2b582fcb08b9ef07426e2a3d23",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIPELINE_RUNS))
+def test_pipeline_results_match_recorded_digests(tmp_path, capsys, name):
+    config, flags = _PIPELINE_RUNS[name]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        flags = ["--config", str(path)] + flags
+    digests = {}
+    for source in _PIPELINE_DIGESTS[name]:
+        out = tmp_path / source
+        assert main(["pipeline", *flags, "--pose-source", source, "--out", str(out)]) == 0
+        digests[source] = hashlib.sha256((out / "pipeline_result.json").read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == _PIPELINE_DIGESTS[name]

@@ -32,7 +32,7 @@ from coopalign.harness import (
     run_pipeline,
     selftest,
 )
-from coopalign.localization import pose_message_json
+from coopalign.localization import PoseEstimate
 from coopalign.temporal import temporal_encoding
 
 
@@ -181,7 +181,7 @@ def test_message_size_ordering():
     scenario = generate_scenario(cfg.scenario, 37)
     spec = cfg.grid_spec()
     for idx, agent in enumerate(scenario.agents):
-        pose_bytes = len(pose_message_json(agent.gt_pose, 1.0, 0.0, 1.0).encode("utf-8"))
+        pose_bytes = PoseEstimate(agent.gt_pose, 1.0, 0.0, (), 1.0).message_bytes()
         obs = agent_box_observation(scenario, idx)
         assert len(obs.boxes) >= 5
         box_bytes = obs.message_bytes()
@@ -231,6 +231,37 @@ def test_run_pipeline_none_is_single_agent():
     assert result.ledger.count() == 0
     # only the ego's own pose enters the record
     assert set(result.pose_estimates) == {(0, 0)}
+
+
+@pytest.mark.parametrize("source", ["pgc", "gt-noise", "gt", "none"])
+@pytest.mark.parametrize(
+    "params",
+    # at most two points per cloud in the sparse scene: every pgc estimate fails
+    [_small_params(num_agents=3), _small_params(ground_points=1, points_per_box=1, num_objects=1)],
+    ids=["three-agent", "sparse"],
+)
+def test_every_pose_source_records_pose_estimates(source, params):
+    cfg = _small_cfg(frames=2, scenario=params)
+    scenario = generate_scenario(params, 41)
+    result = run_pipeline(scenario, cfg, pose_source=source, noise=(1.0, 1.0))
+    agents = [0] if source == "none" else list(range(params.num_agents))
+    assert set(result.pose_estimates) == {(frame, k) for frame in range(cfg.frames) for k in agents}
+    assert result.dropped == tuple(key for key, est in result.pose_estimates.items() if est is None)
+    if source == "pgc" and params.points_per_box == 1:
+        assert set(result.pose_estimates.values()) == {None}
+    for (frame, k), est in result.pose_estimates.items():
+        assert isinstance(est, PoseEstimate) or (est is None and source == "pgc")
+        if source in ("gt", "none"):
+            assert est.confidence == 1.0
+            assert est.pose is scenario.agents[k].gt_pose
+    # the ledger books each neighbor's record, in frames whose ego has a pose
+    sent = [
+        result.pose_estimates[(frame, k)].message_bytes()
+        for frame in range(cfg.frames)
+        for k in agents[1:]
+        if result.pose_estimates[(frame, 0)] is not None and result.pose_estimates[(frame, k)] is not None
+    ]
+    assert [r.size_bytes for r in result.ledger.records if r.kind == "pose"] == sent
 
 
 def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):

@@ -12,13 +12,13 @@ from coopalign.localization import (
     _BLOCK_CAP,
     DegenerateSampleError,
     OracleErrorModel,
+    PoseEstimate,
     RansacConfig,
     SceneCoordPrediction,
     _kabsch_arrays,
     confidence_from_error,
     kabsch_solve,
     oracle_predict,
-    pose_message_json,
     ransac_pose,
     voxel_downsample,
 )
@@ -252,7 +252,7 @@ def test_ransac_rejects_tiny_input():
 
 def test_pose_message_layout():
     pose = Pose.from_planar(1.0, 2.0, 0.5)
-    msg = pose_message_json(pose, 0.9, 0.1, 0.8)
+    msg = PoseEstimate(pose, 0.9, 0.1, (), 0.8).to_message_json()
     payload = json.loads(msg)
     assert set(payload) == {"pose", "confidence", "aggregated_error", "inlier_ratio"}
     assert len(payload["pose"]) == 12
