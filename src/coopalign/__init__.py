@@ -19,7 +19,6 @@ from .config import (
     ExperimentConfig,
     GridParams,
     HeadConfig,
-    OracleParams,
     ScenarioParams,
     config_from_dict,
     load_config,
@@ -51,11 +50,9 @@ from .fusion import (
     warp_grid,
 )
 from .geometry import (
-    GaussianPoseNoise,
     PointCloud,
     Pose,
     Pose2D,
-    StructuredLocNoise,
     compose,
     inverse,
     load_point_cloud,
@@ -64,7 +61,6 @@ from .geometry import (
     pose_error,
     relative,
     rotation_z,
-    sample_structured_offsets,
     save_points_binary,
     transform_points,
 )
@@ -103,6 +99,7 @@ from .localization import (
     kabsch_solve,
     oracle_predict,
     ransac_pose,
+    sample_structured_offsets,
     voxel_downsample,
 )
 from .temporal import (

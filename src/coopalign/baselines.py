@@ -2,9 +2,9 @@
 distance-consistent matching of shared box observations.
 
 Both estimate the rigid transform carrying a neighbor's frame into the ego
-frame. ICP works on raw points with nearest neighbors from a uniform spatial
-hash; the graph matcher needs only box centers exchanged between agents and
-fails outright when too few objects are co-visible.
+frame. ICP pairs each point with its nearest neighbor by a brute-force scan;
+the graph matcher needs only box centers exchanged between agents and fails
+outright when too few objects are co-visible.
 """
 
 from __future__ import annotations
@@ -44,43 +44,20 @@ class IcpResult:
     rmse_history: tuple[float, ...]
 
 
-def _hash_cells(points: np.ndarray, cell: float) -> dict[tuple[int, int, int], list[int]]:
-    table: dict[tuple[int, int, int], list[int]] = {}
-    keys = np.floor(points / cell).astype(np.int64)
-    for idx, key in enumerate(map(tuple, keys)):
-        table.setdefault(key, []).append(idx)
-    return table
-
-
-def _nearest_in_hash(
-    query: np.ndarray,
-    targets: np.ndarray,
-    table: dict[tuple[int, int, int], list[int]],
-    cell: float,
-    max_dist: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of matched (query, target) pairs within max_dist. The cell size
-    equals max_dist, so the 27-cell neighborhood is exhaustive. Distance ties
-    resolve to the lowest target index."""
+def _nearest_within(query: np.ndarray, targets: np.ndarray, max_dist: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of matched (query, target) pairs: each query's nearest target,
+    kept when within max_dist. A brute-force scan, as the clouds ICP aligns
+    here are a handful of box centers. Distance ties resolve to the lowest
+    target index."""
     src_idx: list[int] = []
     dst_idx: list[int] = []
-    keys = np.floor(query / cell).astype(np.int64)
     for qi in range(query.shape[0]):
-        kx, ky, kz = keys[qi]
-        cand: list[int] = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                for oz in (-1, 0, 1):
-                    cand.extend(table.get((kx + ox, ky + oy, kz + oz), ()))
-        if not cand:
-            continue
-        cand.sort()
-        diffs = targets[cand] - query[qi]
+        diffs = targets - query[qi]
         dists = np.einsum("ij,ij->i", diffs, diffs)
         best = int(np.argmin(dists))
         if dists[best] <= max_dist * max_dist:
             src_idx.append(qi)
-            dst_idx.append(cand[best])
+            dst_idx.append(best)
     return np.array(src_idx, dtype=int), np.array(dst_idx, dtype=int)
 
 
@@ -93,15 +70,13 @@ def icp_align(src: PointCloud, dst: PointCloud, cfg: IcpConfig) -> IcpResult | N
     identity in one iteration."""
     if len(src) == 0 or len(dst) == 0:
         raise ValueError("ICP needs non-empty clouds")
-    cell = cfg.max_correspondence_dist
-    table = _hash_cells(dst.points, cell)
     current = src.points.copy()
     rot_total = np.eye(3)
     trans_total = np.zeros(3)
     history: list[float] = []
     iterations = 0
     for _ in range(cfg.max_iterations):
-        si, di = _nearest_in_hash(current, dst.points, table, cell, cfg.max_correspondence_dist)
+        si, di = _nearest_within(current, dst.points, cfg.max_correspondence_dist)
         if si.shape[0] < 3:
             return None
         try:

@@ -18,8 +18,7 @@ from pathlib import Path
 from .baselines import GraphMatchConfig, IcpConfig
 from .detection import EvalConfig
 from .fusion import GridSpec, OffsetSearch
-from .geometry import StructuredLocNoise
-from .localization import OracleErrorModel, RansacConfig
+from .localization import MAX_SIGMA_T, OracleErrorModel, RansacConfig
 
 
 class ConfigError(ValueError):
@@ -55,31 +54,6 @@ class ScenarioParams:
             raise ConfigError("agent distance bounds must satisfy 0 < min <= max")
         if self.occluder_radius < 0.0:
             raise ConfigError("occluder_radius must be non-negative")
-
-
-@dataclass(frozen=True)
-class OracleParams:
-    inlier_sigma: float = 0.02
-    outlier_fraction: float = 0.3
-    outlier_scale: float = 5.0
-    bias_correlation_length: float = 20.0
-    error_fidelity: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.error_fidelity <= 1.0:
-            raise ConfigError("error_fidelity must lie in [0, 1]")
-        self.build()  # the noise model checks the other ranges
-
-    def build(self) -> OracleErrorModel:
-        return OracleErrorModel(
-            noise=StructuredLocNoise(
-                inlier_sigma=self.inlier_sigma,
-                outlier_fraction=self.outlier_fraction,
-                outlier_scale=self.outlier_scale,
-                bias_correlation_length=self.bias_correlation_length,
-            ),
-            error_prediction_fidelity=self.error_fidelity,
-        )
 
 
 # The encoder's input channels per cell: occupancy, density, max height and
@@ -132,10 +106,10 @@ _SWEEP_METHODS = ("gt-noise", "pgc", "none")
 # refused before any work starts.
 ARRAY_BUDGET_BYTES = 1 << 30
 
-# Largest translation noise sigma (meters) a config may ask for. Far beyond
-# it, the squared pose error overflows and the grid warp's cell indices no
-# longer fit an int64.
-MAX_SIGMA_T = 1e6
+# Smallest grid cell and downsampling voxel edge (meters) a config may ask
+# for. Far below it, world coordinates divided by the cell size no longer fit
+# the int64 cell and voxel keys.
+MIN_CELL = 1e-6
 
 
 def level_key(level: tuple[float, float]) -> str:
@@ -155,7 +129,9 @@ class GridParams:
     resolution: float = 1.25
 
     def __post_init__(self) -> None:
-        self.spec()  # GridSpec checks the ranges
+        if self.resolution < MIN_CELL:
+            raise ConfigError(f"resolution must be at least {MIN_CELL:g} m")
+        self.spec()  # GridSpec checks the other ranges
 
     def spec(self) -> GridSpec:
         return GridSpec.centered(self.width, self.height, self.resolution)
@@ -178,7 +154,7 @@ class ExperimentConfig:
     downsample_voxel: float = 0.3
     grid: GridParams = field(default_factory=GridParams)
     scenario: ScenarioParams = field(default_factory=ScenarioParams)
-    oracle: OracleParams = field(default_factory=OracleParams)
+    oracle: OracleErrorModel = field(default_factory=OracleErrorModel)
     ransac: RansacConfig = field(default_factory=RansacConfig)
     icp: IcpConfig = field(default_factory=IcpConfig)
     graph: GraphMatchConfig = field(default_factory=GraphMatchConfig)
@@ -196,8 +172,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if self.num_scenarios < 1 or self.frames < 1:
             raise ConfigError("num_scenarios and frames must be positive")
-        if self.downsample_voxel <= 0.0:
-            raise ConfigError("downsample_voxel must be positive")
+        if self.downsample_voxel < MIN_CELL:
+            raise ConfigError(f"downsample_voxel must be at least {MIN_CELL:g} m")
         if not self.methods:
             raise ConfigError("at least one method is required")
         for m in self.methods:

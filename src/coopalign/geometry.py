@@ -1,4 +1,4 @@
-"""SE(3)/SE(2) pose algebra, point-cloud containers, and pose-noise models.
+"""SE(3)/SE(2) pose algebra, point-cloud containers, and GNSS pose noise.
 
 Conventions: rotation matrices are 3x3 and act on column vectors, translations
 are meters, angles are radians unless the name says degrees. A pose maps local
@@ -144,42 +144,6 @@ class PointCloud:
         return int(self.points.shape[0])
 
 
-@dataclass(frozen=True)
-class GaussianPoseNoise:
-    """Zero-mean GNSS-style pose noise: sigma_t meters per horizontal axis,
-    sigma_r degrees of heading."""
-
-    sigma_t: float
-    sigma_r: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_t < 0.0 or self.sigma_r < 0.0:
-            raise ValueError("noise scales must be non-negative")
-
-
-@dataclass(frozen=True)
-class StructuredLocNoise:
-    """Per-point localization noise: a Gaussian inlier component, a uniform
-    outlier mixture, and a smooth bias field with a spatial correlation length.
-
-    The bias field has standard deviation inlier_sigma per axis and is disabled
-    when bias_correlation_length is zero.
-    """
-
-    inlier_sigma: float
-    outlier_fraction: float
-    outlier_scale: float
-    bias_correlation_length: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.inlier_sigma < 0.0 or self.outlier_scale < 0.0:
-            raise ValueError("noise scales must be non-negative")
-        if not 0.0 <= self.outlier_fraction <= 1.0:
-            raise ValueError("outlier_fraction must lie in [0, 1]")
-        if self.bias_correlation_length < 0.0:
-            raise ValueError("bias_correlation_length must be non-negative")
-
-
 def compose(a: Pose, b: Pose) -> Pose:
     """Composition a . b: the result applies b first, then a."""
     return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
@@ -200,14 +164,14 @@ def transform_points(p: Pose, cloud: PointCloud) -> PointCloud:
     return PointCloud(pts)
 
 
-def perturb_pose(p: Pose, noise: GaussianPoseNoise, rng: np.random.Generator) -> Pose:
+def perturb_pose(p: Pose, sigma_t: float, sigma_r: float, rng: np.random.Generator) -> Pose:
     """Apply world-frame GNSS noise: N(0, sigma_t^2) on x and y, and a heading
     error of N(0, sigma_r^2) degrees about the world z axis. Draw order is
     fixed (dx, dy, dyaw) so results are reproducible for a given generator
-    state."""
-    dx = rng.normal(0.0, noise.sigma_t)
-    dy = rng.normal(0.0, noise.sigma_t)
-    dyaw = math.radians(rng.normal(0.0, noise.sigma_r))
+    state; a negative sigma raises ValueError."""
+    dx = rng.normal(0.0, sigma_t)
+    dy = rng.normal(0.0, sigma_t)
+    dyaw = math.radians(rng.normal(0.0, sigma_r))
     rot = rotation_z(dyaw) @ p.rotation
     trans = p.translation + np.array([dx, dy, 0.0])
     return Pose(rot, trans)
@@ -219,35 +183,6 @@ def pose_error(estimate: Pose, truth: Pose) -> tuple[float, float]:
     cos_ang = (np.trace(truth.rotation.T @ estimate.rotation) - 1.0) / 2.0
     r_err = math.degrees(math.acos(min(1.0, max(-1.0, float(cos_ang)))))
     return t_err, r_err
-
-
-_BIAS_FEATURES = 16
-
-
-def sample_structured_offsets(
-    noise: StructuredLocNoise, positions: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw per-point offsets for the structured localization noise model.
-
-    Returns (offsets, outlier_mask) where offsets has shape (N, 3). Inliers get
-    independent N(0, inlier_sigma^2) per axis, outliers get uniform draws in
-    [-outlier_scale, outlier_scale], and a smooth random bias field (cosine
-    features with the requested correlation length) is added on top of the
-    inlier noise. The draw order is fixed, so results are reproducible."""
-    pts = np.asarray(positions, dtype=float)
-    n = pts.shape[0]
-    outlier_mask = rng.random(n) < noise.outlier_fraction
-    offsets = rng.normal(0.0, noise.inlier_sigma, size=(n, 3))
-    uniform = rng.uniform(-noise.outlier_scale, noise.outlier_scale, size=(n, 3))
-    offsets = np.where(outlier_mask[:, None], uniform, offsets)
-    if noise.bias_correlation_length > 0.0 and noise.inlier_sigma > 0.0:
-        ell = noise.bias_correlation_length
-        freqs = rng.normal(0.0, 1.0 / ell, size=(3, _BIAS_FEATURES, 3))
-        phases = rng.uniform(0.0, _TAU, size=(3, _BIAS_FEATURES))
-        amp = noise.inlier_sigma * math.sqrt(2.0 / _BIAS_FEATURES)
-        for axis in range(3):
-            offsets[:, axis] += amp * np.cos(pts @ freqs[axis].T + phases[axis]).sum(axis=1)
-    return offsets, outlier_mask
 
 
 def save_points_binary(cloud: PointCloud, path: str | Path) -> None:

@@ -52,7 +52,6 @@ from .fusion import (
     warp_grid,
 )
 from .geometry import (
-    GaussianPoseNoise,
     PointCloud,
     Pose,
     Pose2D,
@@ -411,11 +410,11 @@ def _agent_estimate(
         if len(sampled) < cfg.ransac.sample_size:
             return None
         rng = np.random.default_rng((scenario.seed, tag_oracle, frame, k))
-        pred = oracle_predict(sampled, agent.gt_pose, cfg.oracle.build(), rng)
+        pred = oracle_predict(sampled, agent.gt_pose, cfg.oracle, rng)
         return ransac_pose(pred, cfg.ransac, _derived_seed(scenario.seed, tag_ransac, frame, k))
     if source == "gt-noise":
         rng = np.random.default_rng((scenario.seed, tag_gnss, frame, k))
-        noisy = perturb_pose(agent.gt_pose, GaussianPoseNoise(*noise), rng)
+        noisy = perturb_pose(agent.gt_pose, *noise, rng)
         t_err, _ = pose_error(noisy, agent.gt_pose)
         return PoseEstimate(noisy, confidence_from_error(t_err), 0.0, (), 1.0)
     return PoseEstimate(agent.gt_pose, 1.0, 0.0, (), 1.0)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Pose,
-    PointCloud,
-    StructuredLocNoise,
-    sample_structured_offsets,
-    transform_points,
-)
+from .geometry import Pose, PointCloud, transform_points
 
 
 # Most RANSAC hypotheses one block holds. A block keeps an (n, b, 3) residual
@@ -63,20 +57,41 @@ class SceneCoordPrediction:
         return len(self.local_points)
 
 
+# Largest translation noise sigma (meters) a config may ask for: GNSS noise,
+# and the oracle's inlier sigma and outlier scale. Far beyond it, a squared
+# pose or point error overflows and the grid warp's cell indices no longer
+# fit an int64.
+MAX_SIGMA_T = 1e6
+
+
 @dataclass(frozen=True)
 class OracleErrorModel:
-    """Noise model plus the fidelity of the per-point error estimates.
+    """The oracle's per-point localization noise and the fidelity of its error
+    estimates.
 
-    fidelity 1.0 reports each point's true error exactly; fidelity 0.0 reports
-    errors drawn from the right marginal distribution but uncorrelated with
-    which point is actually bad."""
+    Noise: a Gaussian inlier component, a uniform outlier mixture, and a
+    smooth bias field with a spatial correlation length; the bias field has
+    standard deviation inlier_sigma per axis and is disabled when
+    bias_correlation_length is zero. error_fidelity 1.0 reports each point's
+    true error exactly; 0.0 reports errors drawn from the right marginal
+    distribution but uncorrelated with which point is actually bad."""
 
-    noise: StructuredLocNoise
-    error_prediction_fidelity: float = 1.0
+    inlier_sigma: float = 0.02
+    outlier_fraction: float = 0.3
+    outlier_scale: float = 5.0
+    bias_correlation_length: float = 20.0
+    error_fidelity: float = 0.9
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.error_prediction_fidelity <= 1.0:
-            raise ValueError("error_prediction_fidelity must lie in [0, 1]")
+        for name in ("inlier_sigma", "outlier_scale"):
+            if not 0.0 <= getattr(self, name) <= MAX_SIGMA_T:
+                raise ValueError(f"{name} must lie in [0, {MAX_SIGMA_T:g}] m")
+        if not 0.0 <= self.outlier_fraction <= 1.0:
+            raise ValueError("outlier_fraction must lie in [0, 1]")
+        if self.bias_correlation_length < 0.0:
+            raise ValueError("bias_correlation_length must be non-negative")
+        if not 0.0 <= self.error_fidelity <= 1.0:
+            raise ValueError("error_fidelity must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -175,6 +190,35 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(centroids[np.argsort(order[starts], kind="stable")])
 
 
+_BIAS_FEATURES = 16
+
+
+def sample_structured_offsets(
+    model: OracleErrorModel, positions: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw per-point offsets for the oracle's structured noise model.
+
+    Returns (offsets, outlier_mask) where offsets has shape (N, 3). Inliers get
+    independent N(0, inlier_sigma^2) per axis, outliers get uniform draws in
+    [-outlier_scale, outlier_scale], and a smooth random bias field (cosine
+    features with the requested correlation length) is added on top of the
+    inlier noise. The draw order is fixed, so results are reproducible."""
+    pts = np.asarray(positions, dtype=float)
+    n = pts.shape[0]
+    outlier_mask = rng.random(n) < model.outlier_fraction
+    offsets = rng.normal(0.0, model.inlier_sigma, size=(n, 3))
+    uniform = rng.uniform(-model.outlier_scale, model.outlier_scale, size=(n, 3))
+    offsets = np.where(outlier_mask[:, None], uniform, offsets)
+    if model.bias_correlation_length > 0.0 and model.inlier_sigma > 0.0:
+        ell = model.bias_correlation_length
+        freqs = rng.normal(0.0, 1.0 / ell, size=(3, _BIAS_FEATURES, 3))
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=(3, _BIAS_FEATURES))
+        amp = model.inlier_sigma * math.sqrt(2.0 / _BIAS_FEATURES)
+        for axis in range(3):
+            offsets[:, axis] += amp * np.cos(pts @ freqs[axis].T + phases[axis]).sum(axis=1)
+    return offsets, outlier_mask
+
+
 def oracle_predict(
     cloud: PointCloud,
     gt_pose: Pose,
@@ -191,11 +235,11 @@ def oracle_predict(
     if len(cloud) == 0:
         raise ValueError("cannot predict coordinates for an empty cloud")
     gt_world = transform_points(gt_pose, cloud)
-    offsets, _ = sample_structured_offsets(model.noise, gt_world.points, rng)
+    offsets, _ = sample_structured_offsets(model, gt_world.points, rng)
     predicted = PointCloud(gt_world.points + offsets)
     true_err = np.abs(offsets).sum(axis=1)
     shuffled = rng.permutation(true_err)
-    fid = model.error_prediction_fidelity
+    fid = model.error_fidelity
     predicted_error = fid * true_err + (1.0 - fid) * shuffled
     return SceneCoordPrediction(
         local_points=cloud,

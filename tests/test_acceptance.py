@@ -20,7 +20,7 @@ from coopalign.fusion import (
     rasterize_bev,
     warp_grid,
 )
-from coopalign.geometry import PointCloud, Pose, Pose2D, StructuredLocNoise, pose_error
+from coopalign.geometry import PointCloud, Pose, Pose2D, pose_error
 from coopalign.harness import (
     generate_scenario,
     run_alignment_benchmark,
@@ -88,8 +88,7 @@ def test_c02_temporal_encoding_closed_form():
 def test_c03_ransac_recovery_rate():
     with _report(3, "robust pose solve: >= 99/100 trials within 0.1 m / 0.5 deg"):
         model = OracleErrorModel(
-            noise=StructuredLocNoise(inlier_sigma=0.02, outlier_fraction=0.3, outlier_scale=5.0),
-            error_prediction_fidelity=1.0,
+            inlier_sigma=0.02, outlier_fraction=0.3, outlier_scale=5.0, bias_correlation_length=0.0, error_fidelity=1.0
         )
         ok = 0
         for trial in range(100):

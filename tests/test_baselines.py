@@ -7,8 +7,7 @@ from coopalign.baselines import (
     BoxObservation,
     GraphMatchConfig,
     IcpConfig,
-    _hash_cells,
-    _nearest_in_hash,
+    _nearest_within,
     graph_match_align,
     icp_align,
 )
@@ -25,19 +24,28 @@ def test_hash_nearest_matches_brute_force():
     targets = rng.uniform(-10, 10, size=(80, 3))
     query = rng.uniform(-10, 10, size=(40, 3))
     max_dist = 3.0
-    table = _hash_cells(targets, max_dist)
-    si, di = _nearest_in_hash(query, targets, table, max_dist, max_dist)
+    si, di = _nearest_within(query, targets, max_dist)
 
     for qi, ti in zip(si, di):
         d2 = np.sum((targets - query[qi]) ** 2, axis=1)
         assert d2[ti] <= max_dist**2
         assert d2[ti] <= d2.min() + 1e-12
-    # queries the hash skipped really have no target in range
+    # queries left unmatched really have no target in range
     matched = set(si.tolist())
     for qi in range(query.shape[0]):
         if qi not in matched:
             d2 = np.sum((targets - query[qi]) ** 2, axis=1)
             assert d2.min() > max_dist**2
+
+
+def test_nearest_ties_take_the_lowest_index_and_max_dist_is_inclusive():
+    targets = np.array([[5.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    query = np.array([[0.0, 0.0, 0.0], [7.0, 0.0, 0.0], [0.0, 0.0, 9.0]])
+    si, di = _nearest_within(query, targets, 2.0)
+    # three targets lie exactly 2.0 from the origin: the lowest index wins;
+    # (7, 0, 0) is exactly 2.0 from target 0; (0, 0, 9) has none in range
+    assert si.tolist() == [0, 1]
+    assert di.tolist() == [1, 0]
 
 
 def test_icp_identity_converges_immediately():

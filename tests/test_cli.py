@@ -224,6 +224,12 @@ _INVALID_CONFIGS = {
     # the squared pose error of such noise overflows to inf
     "huge sweep translation noise": {"num_scenarios": 1, "noise_levels": [[1e160, 0.0]]},
     "huge alignment translation noise": {"num_scenarios": 1, "alignment_noise": [1e160, 0.0]},
+    # the aggregated oracle error squares to inf, so the pose confidence is 0
+    "huge oracle outlier scale": {"num_scenarios": 3, "oracle": {"outlier_scale": 1e156}},
+    "huge oracle inlier sigma": {"num_scenarios": 1, "oracle": {"inlier_sigma": 2e6}},
+    # world coordinates over such cells overflow the int64 cell and voxel keys
+    "sub-atomic grid resolution": {"num_scenarios": 2, "grid": {"resolution": 1e-300}},
+    "sub-atomic downsample voxel": {"num_scenarios": 1, "downsample_voxel": 1e-300},
 }
 
 # One out-of-range value for every key that has a bound.

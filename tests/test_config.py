@@ -15,6 +15,7 @@ from coopalign.config import (
     ExperimentConfig,
     GridParams,
     MAX_SIGMA_T,
+    MIN_CELL,
     ScenarioParams,
     SWEEP_METHODS,
     config_from_dict,
@@ -118,6 +119,19 @@ def test_translation_sigma_is_bounded():
     for raw in ({"noise_levels": [[0.0, 0.0], [2 * MAX_SIGMA_T, 0.0]]}, {"alignment_noise": [2 * MAX_SIGMA_T, 0.0]}):
         with pytest.raises(ConfigError, match="translation sigma"):
             config_from_dict(raw)
+    for key in ("inlier_sigma", "outlier_scale"):
+        assert getattr(config_from_dict({"oracle": {key: MAX_SIGMA_T}}).oracle, key) == MAX_SIGMA_T
+        with pytest.raises(ConfigError, match=f"^oracle: {key} must lie in"):
+            config_from_dict({"oracle": {key: 2 * MAX_SIGMA_T}})
+
+
+def test_cell_and_voxel_sizes_are_bounded_below():
+    assert config_from_dict({"grid": {"resolution": MIN_CELL}}).grid.resolution == MIN_CELL
+    assert config_from_dict({"downsample_voxel": MIN_CELL}).downsample_voxel == MIN_CELL
+    with pytest.raises(ConfigError, match="^grid: resolution must be at least"):
+        config_from_dict({"grid": {"resolution": MIN_CELL / 2}})
+    with pytest.raises(ConfigError, match="^downsample_voxel must be at least"):
+        config_from_dict({"downsample_voxel": MIN_CELL / 2})
 
 
 def test_load_config_from_file(tmp_path):

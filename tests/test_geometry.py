@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coopalign.geometry import (
-    GaussianPoseNoise,
     PointCloud,
     Pose,
     Pose2D,
-    StructuredLocNoise,
     compose,
     inverse,
     load_point_cloud,
@@ -18,10 +16,10 @@ from coopalign.geometry import (
     pose_error,
     relative,
     rotation_z,
-    sample_structured_offsets,
     save_points_binary,
     transform_points,
 )
+from coopalign.localization import OracleErrorModel, sample_structured_offsets
 from conftest import random_full_pose, random_planar_pose
 
 
@@ -140,7 +138,7 @@ def test_rotation_z_orthonormal():
 
 def test_perturb_pose_zero_noise_is_identity():
     p = Pose.from_planar(1.0, 2.0, 0.3)
-    q = perturb_pose(p, GaussianPoseNoise(0.0, 0.0), np.random.default_rng(0))
+    q = perturb_pose(p, 0.0, 0.0, np.random.default_rng(0))
     t_err, r_err = pose_error(q, p)
     assert t_err == 0.0
     assert r_err < 1e-6
@@ -149,11 +147,10 @@ def test_perturb_pose_zero_noise_is_identity():
 def test_perturb_pose_moments():
     # sample statistics over many draws should match the configured scales
     p = Pose.from_planar(0.0, 0.0, 0.0)
-    noise = GaussianPoseNoise(sigma_t=0.5, sigma_r=2.0)
     rng = np.random.default_rng(77)
     dx, dyaw = [], []
     for _ in range(4000):
-        q = perturb_pose(p, noise, rng)
+        q = perturb_pose(p, 0.5, 2.0, rng)
         dx.append(q.translation[0])
         dyaw.append(math.degrees(q.yaw))
     assert abs(np.std(dx) - 0.5) < 0.03
@@ -172,7 +169,7 @@ def test_pose_error_known_rotation():
 
 
 def test_structured_offsets_outlier_share_and_scales():
-    noise = StructuredLocNoise(inlier_sigma=0.02, outlier_fraction=0.3, outlier_scale=5.0)
+    noise = OracleErrorModel(inlier_sigma=0.02, outlier_fraction=0.3, outlier_scale=5.0, bias_correlation_length=0.0)
     pts = np.random.default_rng(1).uniform(-10, 10, size=(200000, 3))
     offs, mask = sample_structured_offsets(noise, pts, np.random.default_rng(4242))
     assert abs(mask.mean() - 0.3) < 0.01
@@ -183,7 +180,7 @@ def test_structured_offsets_outlier_share_and_scales():
 
 
 def test_structured_offsets_deterministic():
-    noise = StructuredLocNoise(0.05, 0.2, 2.0, bias_correlation_length=10.0)
+    noise = OracleErrorModel(0.05, 0.2, 2.0, bias_correlation_length=10.0)
     pts = np.random.default_rng(2).uniform(-5, 5, size=(500, 3))
     o1, m1 = sample_structured_offsets(noise, pts, np.random.default_rng(9))
     o2, m2 = sample_structured_offsets(noise, pts, np.random.default_rng(9))
@@ -193,8 +190,8 @@ def test_structured_offsets_deterministic():
 
 def test_structured_offsets_bias_field_smooth_and_optional():
     # with a long correlation length, nearby points share nearly the same bias
-    base = StructuredLocNoise(0.01, 0.0, 1.0, bias_correlation_length=0.0)
-    biased = StructuredLocNoise(0.01, 0.0, 1.0, bias_correlation_length=50.0)
+    base = OracleErrorModel(0.01, 0.0, 1.0, bias_correlation_length=0.0)
+    biased = OracleErrorModel(0.01, 0.0, 1.0, bias_correlation_length=50.0)
     pts = np.array([[0.0, 0.0, 0.0], [0.05, 0.0, 0.0]])
     off_b, _ = sample_structured_offsets(biased, np.tile(pts, (1, 1)), np.random.default_rng(3))
     assert np.abs(off_b[0] - off_b[1]).max() < 0.05
@@ -204,11 +201,11 @@ def test_structured_offsets_bias_field_smooth_and_optional():
 
 def test_structured_noise_validation():
     with pytest.raises(ValueError):
-        StructuredLocNoise(-0.1, 0.3, 1.0)
+        OracleErrorModel(-0.1, 0.3, 1.0)
     with pytest.raises(ValueError):
-        StructuredLocNoise(0.1, 1.5, 1.0)
+        OracleErrorModel(0.1, 1.5, 1.0)
     with pytest.raises(ValueError):
-        GaussianPoseNoise(-1.0, 0.0)
+        perturb_pose(Pose.identity(), -1.0, 0.0, np.random.default_rng(0))
 
 
 def test_point_cloud_binary_round_trip(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopalign.geometry import PointCloud, Pose, StructuredLocNoise, pose_error, transform_points
+from coopalign.geometry import PointCloud, Pose, pose_error, transform_points
 from coopalign.localization import (
     _BLOCK_CAP,
     DegenerateSampleError,
@@ -26,10 +26,7 @@ from conftest import counting_constructions, random_full_pose
 
 
 def clean_model(fidelity=1.0):
-    return OracleErrorModel(
-        noise=StructuredLocNoise(0.02, 0.3, 5.0, bias_correlation_length=0.0),
-        error_prediction_fidelity=fidelity,
-    )
+    return OracleErrorModel(0.02, 0.3, 5.0, bias_correlation_length=0.0, error_fidelity=fidelity)
 
 
 def test_confidence_anchors():
@@ -273,7 +270,7 @@ def test_prediction_validation():
     with pytest.raises(ValueError):
         SceneCoordPrediction(local, local, np.array([0.0, -1.0, 0.0]))
     with pytest.raises(ValueError):
-        OracleErrorModel(noise=StructuredLocNoise(0.1, 0.1, 1.0), error_prediction_fidelity=1.5)
+        OracleErrorModel(0.1, 0.1, 1.0, bias_correlation_length=0.0, error_fidelity=1.5)
 
 
 def test_ransac_config_validation():
