@@ -106,7 +106,6 @@ from .temporal import (
     EncoderParams,
     LayerParams,
     encode,
-    layer_forward,
     temporal_encoding,
     vit_forward,
 )

@@ -199,8 +199,9 @@ class ExperimentConfig:
         # the largest float64 array the sizes imply: the token features of
         # all frames, the residual offset search's ego template (one warped
         # grid per candidate, built only when there are neighbors), or a
-        # layer's weight matrix or one head's (tokens, tokens) attention
-        # scores (the passthrough encoder builds no layer)
+        # layer's weight matrix or the one score buffer all heads share:
+        # (cells, tokens) for a lone layer, whose queries are the last
+        # frame's cells, else (tokens, tokens). Passthrough builds no layer.
         enc = self.encoder
         cells = self.grid.width * self.grid.height
         tokens = self.frames * cells
@@ -208,7 +209,8 @@ class ExperimentConfig:
         if self.scenario.num_agents > 1:
             entries.append(self.search.candidate_count() * cells)
         if enc.mode == "random" and enc.layers > 0:
-            entries += [enc.dim * enc.dim, enc.dim * enc.hidden, tokens * tokens]
+            score_rows = cells if enc.layers == 1 else tokens
+            entries += [enc.dim * enc.dim, enc.dim * enc.hidden, score_rows * tokens]
         if 8 * max(entries) > ARRAY_BUDGET_BYTES:
             raise ConfigError(
                 f"these sizes imply an array of {8 * max(entries)} bytes, "

@@ -4,7 +4,9 @@ Frames become tokens (one per cell) with a sinusoidal frame-index encoding
 added. Layers use pre-norm residual wiring: z' = MSA(LN(z)) + z followed by
 z_out = MLP(LN(z')) + z'. Attention runs over the full (frames x cells)
 sequence, held as one flat (frames * cells, D) array from the embedding to
-the output grid. The forward pass is plain numpy.
+the output grid. Only the last frame's tokens become the output grid, so the
+final layer computes queries, softmax, context and MLP for those rows only;
+its keys and values still span every frame. The forward pass is plain numpy.
 """
 
 from __future__ import annotations
@@ -162,16 +164,17 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 _SOFTMAX_BLOCK = 64
 
 
-def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray) -> np.ndarray:
-    """One layer over flat (S, D) tokens, attention one head at a time.
+def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray, rows: int) -> np.ndarray:
+    """One layer over flat (S, D) tokens, attention one head at a time,
+    returning the output of the last ``rows`` tokens: keys and values span
+    all S, queries, softmax, context and MLP the last ``rows`` only.
 
-    scores is either a (heads, S, S) array, which receives every head's
-    attention, or one (S, S) buffer that each head overwrites in turn. Per
-    head: one matmul of its queries and keys into the buffer, then, in
-    blocks of _SOFTMAX_BLOCK rows, the scale by 1/sqrt(dh) and the shift,
-    exponentiation and normalization of ``_softmax_in_place``, then the
-    buffer times the head's values into its columns of the context. The
-    matmuls are the per-head products a batched ``(heads, S, S)`` matmul
+    Each head overwrites the first ``rows`` rows of the (>= rows, S) buffer
+    scores: one matmul of its queries and keys into them, then, in blocks of
+    _SOFTMAX_BLOCK rows, the scale by 1/sqrt(dh) and the shift,
+    exponentiation and normalization of ``_softmax_in_place``, then those
+    rows times the head's values into its columns of the context. The
+    matmuls are the per-head products a batched ``(heads, rows, S)`` matmul
     makes, and every softmax step is elementwise or a per-row reduction, so
     the output is bitwise that of softmax(scores / sqrt(dh)) over all heads
     at once."""
@@ -179,57 +182,53 @@ def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray) ->
     dh = dim // heads
     scale = math.sqrt(dh)
     u = _layer_norm_forward(x, layer.ln1_scale, layer.ln1_shift)
-    q = u @ layer.wq.T + layer.bq
+    q = u[s - rows:] @ layer.wq.T + layer.bq
     kk = u @ layer.wk.T + layer.bk
     v = u @ layer.wv.T + layer.bv
     qh = _split_heads(q, heads)
     kh = _split_heads(kk, heads)
     vh = _split_heads(v, heads)
-    ctx = np.empty((s, dim))
+    buf = scores[:rows]
+    ctx = np.empty((rows, dim))
     for h in range(heads):
-        buf = scores[h] if scores.ndim == 3 else scores
         np.matmul(qh[h], kh[h].T, out=buf)
-        for start in range(0, s, _SOFTMAX_BLOCK):
+        for start in range(0, rows, _SOFTMAX_BLOCK):
             block = buf[start : start + _SOFTMAX_BLOCK]
             block /= scale
             _softmax_in_place(block)
         ctx[:, h * dh : (h + 1) * dh] = buf @ vh[h]
     msa = ctx @ layer.wo.T + layer.bo
-    z1 = msa + x
+    z1 = msa + x[s - rows:]
     w = _layer_norm_forward(z1, layer.ln2_scale, layer.ln2_shift)
     a1 = w @ layer.mlp_w1.T + layer.mlp_b1
     h1 = np.tanh(a1)
     return h1 @ layer.mlp_w2.T + layer.mlp_b2 + z1
 
 
-def layer_forward(layer: LayerParams, x: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """One layer over flat (S, D) tokens; returns the output and the
-    (heads, S, S) attention, whose rows sum to 1. Each head's attention is
-    computed in its own slice of that stack by the per-head kernel that
-    vit_forward runs."""
-    s = x.shape[0]
-    attn = np.empty((heads, s, s))
-    return _layer(layer, x, heads, attn), attn
-
-
-def vit_forward(params: EncoderParams, tokens: np.ndarray) -> np.ndarray:
-    """Run the layer stack over flat (S, D) tokens; ``encode`` applies the
-    embedding and frame encoding first. Every head of every layer reuses one
-    (S, S) score buffer, so attention never holds more than one head's
-    scores."""
-    if not params.layers:
-        return tokens  # no (S, S) buffer: the array budget counts one only when layers run
+def vit_forward(params: EncoderParams, tokens: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Run the layer stack over flat (S, D) tokens and return the last
+    ``rows`` rows of its output (all S by default); ``encode`` embeds the
+    frames first and reads out the last frame's rows. Only the final layer
+    narrows its queries, softmax, context and MLP to those rows. Every head
+    of every layer takes turns in one score buffer: (rows, S) for a
+    one-layer stack, else (S, S), whose first rows the final layer uses."""
     s = tokens.shape[0]
-    buf = np.empty((s, s))
-    for layer in params.layers:
-        tokens = _layer(layer, tokens, params.heads, buf)
-    return tokens
+    rows = s if rows is None else rows
+    if not 1 <= rows <= s:
+        raise ValueError("rows must lie in [1, number of tokens]")
+    if not params.layers:
+        return tokens[s - rows:]  # no score buffer: the array budget counts one only when layers run
+    *earlier, final = params.layers
+    buf = np.empty((s if earlier else rows, s))
+    for layer in earlier:
+        tokens = _layer(layer, tokens, params.heads, buf, s)
+    return _layer(final, tokens, params.heads, buf, rows)
 
 
 def encode(params: EncoderParams, frames: Sequence[BevGrid]) -> BevGrid:
     """Embed each frame's cells as tokens with frame index t = 1..T encoded,
     run the stack over all of them, and return the last frame's tokens as a
-    D-channel grid.
+    D-channel grid; the final layer's queries are that frame's tokens only.
 
     All frames must share geometry and channel count, and the embedding must
     take that many channels. The tokens are stacked into one C-ordered
@@ -250,7 +249,6 @@ def encode(params: EncoderParams, frames: Sequence[BevGrid]) -> BevGrid:
         (np.einsum("dc,chw->dhw", params.embed_w, f.data) + bias).reshape(dim, -1).T + temporal_encoding(t, dim)
         for t, f in enumerate(frames, start=1)
     ]).reshape(-1, dim)
-    tokens = vit_forward(params, tokens)
     spec = frames[-1].spec
-    last = tokens[-spec.height * spec.width:]
+    last = vit_forward(params, tokens, spec.height * spec.width)
     return BevGrid(spec, last.T.reshape(dim, spec.height, spec.width))

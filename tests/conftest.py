@@ -1,5 +1,5 @@
-"""Shared test helpers: small random geometry factories, grid builders and a
-construction counter."""
+"""Shared test helpers: small random geometry factories, grid builders, a
+construction counter and an attention recorder."""
 
 import math
 from collections import Counter
@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from coopalign import temporal
 from coopalign.fusion import BevGrid, GridSpec, rasterize_bev
 from coopalign.geometry import PointCloud, Pose
 
@@ -78,3 +79,19 @@ def counting_constructions(*classes):
     finally:
         for cls, original in saved:
             cls.__post_init__ = original
+
+
+def record_attention_blocks(monkeypatch):
+    """Record a copy of every attention block the layer kernel softmaxes, in
+    order (each head's row blocks in turn); the kernel reuses one score
+    buffer across heads, so this is where every head's attention is seen."""
+    blocks = []
+    kernel = temporal._softmax_in_place
+
+    def recorded(x, axis=-1):
+        out = kernel(x, axis)
+        blocks.append(out.copy())
+        return out
+
+    monkeypatch.setattr(temporal, "_softmax_in_place", recorded)
+    return blocks

@@ -39,10 +39,10 @@ from coopalign.fusion import serialize_grid
 from coopalign.temporal import (
     EncoderParams,
     LayerParams,
-    layer_forward,
     temporal_encoding,
     vit_forward,
 )
+from conftest import record_attention_blocks
 
 
 class _report:
@@ -139,21 +139,23 @@ def test_c05_message_size_ordering():
                 assert pose_bytes < obs.message_bytes() < feat_bytes
 
 
-def test_c07_residual_identity_and_attention_rows():
+def test_c07_residual_identity_and_attention_rows(monkeypatch):
     with _report(7, "zero branches give the exact identity; attention rows sum to 1"):
         rng = np.random.default_rng(65)
         tokens = rng.standard_normal((8, 6))
         layer = LayerParams.seeded(6, 10, rng)
         for name in ("wo", "bo", "mlp_w2", "mlp_b2"):
             setattr(layer, name, np.zeros_like(getattr(layer, name)))
-        out, _ = layer_forward(layer, tokens, heads=3)
-        assert np.array_equal(out, tokens)
-        stack = EncoderParams(np.eye(6), np.zeros(6), [layer] * 4, heads=3)
-        assert np.array_equal(vit_forward(stack, tokens), tokens)
+        for depth in (1, 4):
+            stack = EncoderParams(np.eye(6), np.zeros(6), [layer] * depth, heads=3)
+            assert np.array_equal(vit_forward(stack, tokens), tokens)
+            assert np.array_equal(vit_forward(stack, tokens, 4), tokens[4:])
 
-        live = LayerParams.seeded(6, 10, rng)
-        _, attn = layer_forward(live, tokens, heads=3)
-        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
+        live = EncoderParams(np.eye(6), np.zeros(6), [LayerParams.seeded(6, 10, rng)], heads=3)
+        blocks = record_attention_blocks(monkeypatch)
+        vit_forward(live, tokens, 4)
+        assert [b.shape for b in blocks] == [(4, 8)] * 3  # the 4 read-out rows, per head
+        np.testing.assert_allclose(np.concatenate(blocks).sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_c08_confidence_channel_normalization():

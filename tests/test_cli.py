@@ -212,14 +212,15 @@ _INVALID_CONFIGS = {
     "root not an object": [1, 2],
     "grid width too large for a float": {"grid": {"width": 10**400}},
     # arrays that cannot fit: a dim x dim weight matrix, and about 2.1 GB of
-    # (tokens, tokens) attention scores for 4 frames of 64 x 64 cells
+    # (cells, tokens) attention scores for one layer over 16 frames of
+    # 64 x 64 cells
     "encoder dim too large for memory": {"num_scenarios": 1, "encoder": {"dim": 4611686018427387904}},
     # the passthrough embedding and the decode head read four input channels
     "encoder dim below the input channels": {"num_scenarios": 1, "encoder": {"dim": 2}},
     # a second agent 12 to 20 m from the ego cannot fit in a 10 m world
     "scene too crowded to place": {"num_scenarios": 1, "scenario": {"world_size": 10.0}},
     "attention scores over the budget": {
-        "frames": 4, "grid": {"width": 64, "height": 64}, "encoder": {"mode": "random"},
+        "frames": 16, "grid": {"width": 64, "height": 64}, "encoder": {"mode": "random"},
     },
     # the squared pose error of such noise overflows to inf
     "huge sweep translation noise": {"num_scenarios": 1, "noise_levels": [[1e160, 0.0]]},

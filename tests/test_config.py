@@ -102,15 +102,22 @@ def test_array_budget_counts_the_offset_template_only_with_neighbors():
 
 
 def test_array_budget_counts_one_head_of_attention():
-    # the encoder holds one (tokens, tokens) score buffer whatever the head
-    # count: 6144 tokens is 302 MB of scores, 12288 tokens is 1.2 GB
-    small = {"frames": 2, "grid": {"width": 64, "height": 48}}
+    # the encoder holds one attention score buffer whatever the head count.
+    # A one-layer stack's only layer attends from the last frame's cells, so
+    # the buffer is (cells, tokens): 3072 x 12288 is 302 MB, and 8193 x 16386
+    # is just over 1 GiB. With more layers it is (tokens, tokens): 12288
+    # tokens is 1.2 GB.
     large = {"frames": 4, "grid": {"width": 64, "height": 48}}
+    at_budget = {"frames": 2, "grid": {"width": 8192, "height": 1}}
+    over_budget = {"frames": 2, "grid": {"width": 8193, "height": 1}}
     for heads in (1, 4):
-        encoder = {"mode": "random", "heads": heads}
-        assert config_from_dict({**small, "encoder": encoder}).encoder.heads == heads
+        encoder = {"mode": "random", "heads": heads, "layers": 1}
+        assert config_from_dict({**large, "encoder": encoder}).encoder.heads == heads
+        assert config_from_dict({**at_budget, "encoder": encoder}).grid.width == 8192
+        with pytest.raises(ConfigError, match="1074003984 bytes"):
+            config_from_dict({**over_budget, "encoder": encoder})
         with pytest.raises(ConfigError, match="1207959552 bytes"):
-            config_from_dict({**large, "encoder": encoder})
+            config_from_dict({**large, "encoder": {**encoder, "layers": 2}})
 
 
 def test_translation_sigma_is_bounded():

@@ -28,8 +28,9 @@ _CONFIGS = {
         "search": {"max_xy": 1.0, "step_xy": 0.5, "max_theta_deg": 5.0, "step_theta_deg": 2.5},
     },
     # random encoder with 4 heads over 16-dim tokens; an encoder one ulp off
-    # in some attention rows moved this config's pooled AP@0.3 (0.020833 ->
-    # 0.022222), so it pins the encoder bit for bit
+    # in some attention rows moves this config's pooled AP@0.3, so it pins
+    # the encoder bit for bit. Reading out the last frame's queries only
+    # rounds P @ V differently at this shape: "none" went 0.020833 -> 0.022222
     "random-d16": {
         "num_scenarios": 3,
         "frames": 2,
@@ -71,7 +72,7 @@ _DIGESTS = {
     },
     "random-d16": {
         "sweep_results.csv": "c593bd6c687727a0aaeb384266a7f8fc67bcf0bdaeaf5b51295a6068c7144516",
-        "sweep_summary.json": "d831335e8f4ebed01d22d855552c1b68e2e10ea121fffc08e33392e3d6ddae43",
+        "sweep_summary.json": "f79b18de0a37674759a0051157703e7de777ed12a0e7ada04d0cbe31efb72ae8",
         "alignment_results.csv": "48a6fb50f2803e43e5fbeedca49be0b7adc4ffbeba216e7c5b4280665dd4068e",
         "alignment_summary.json": "2d9692d58ce8ea5c9ae54e0c892828c4271f8d4f02a3ef7eccf92e42f7ec2ecd",
     },
