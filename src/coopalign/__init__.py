@@ -68,11 +68,11 @@ from .harness import (
     AgentObservation,
     AlignmentReport,
     AlignmentRow,
-    CommLedger,
     CommRecord,
     PipelineResult,
     Scenario,
     ScenarioGenerationError,
+    ScenarioSetup,
     SweepReport,
     SweepRow,
     agent_box_observation,
@@ -88,6 +88,7 @@ from .harness import (
     run_noise_sweep,
     run_pipeline,
     selftest,
+    setup_scenario,
 )
 from .localization import (
     DegenerateSampleError,

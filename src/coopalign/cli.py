@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .config import BENCHMARK_METHODS, ConfigError, ExperimentConfig, level_key, load_config
 from .harness import (
-    ego_frame_targets,
     emit_alignment_report,
     emit_sweep_report,
     generate_and_emit,
@@ -27,6 +26,7 @@ from .harness import (
     run_pipeline,
     scenario_at,
     selftest,
+    setup_scenario,
 )
 
 logger = logging.getLogger("coopalign.cli")
@@ -125,24 +125,24 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if not 0 <= args.scenario < cfg.num_scenarios:
         raise ConfigError(f"--scenario must lie in [0, {cfg.num_scenarios}), the config's scenario indices")
-    scenario = scenario_at(cfg, args.scenario)
-    result = run_pipeline(scenario, cfg, pose_source=args.pose_source)
+    setup = setup_scenario(scenario_at(cfg, args.scenario), cfg)
+    result = run_pipeline(setup, cfg, pose_source=args.pose_source)
     log_pipeline_fallbacks(args.scenario, result.dropped, result.no_signal)
-    targets = ego_frame_targets(scenario, cfg.grid_spec())
+    total_bytes = sum(r.size_bytes for r in result.messages)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "scenario": args.scenario,
         "pose_source": args.pose_source,
         "detections": [dict(box=d.box.as_list(), score=d.score) for d in result.detections],
-        "targets": [b.as_list() for b in targets],
-        "messages": [dataclasses.asdict(r) for r in result.ledger.records],
-        "total_bytes": result.ledger.total_bytes(),
+        "targets": [b.as_list() for b in setup.targets],
+        "messages": [dataclasses.asdict(r) for r in result.messages],
+        "total_bytes": total_bytes,
     }
     path = out / "pipeline_result.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"{len(result.detections)} detections, {len(targets)} targets, "
-          f"{result.ledger.total_bytes()} bytes exchanged")
+    print(f"{len(result.detections)} detections, {len(setup.targets)} targets, "
+          f"{total_bytes} bytes exchanged")
     print(f"result: {path}")
     return 0
 
@@ -179,6 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # refuse an --out that cannot become a directory before any work
+        taken = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+        if not taken.is_dir():
+            raise ConfigError(f"--out {args.out}: {taken} exists and is not a directory")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

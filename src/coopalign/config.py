@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .baselines import GraphMatchConfig, IcpConfig
 from .detection import EvalConfig
-from .fusion import GridSpec, OffsetSearch
-from .localization import MAX_SIGMA_T, OracleErrorModel, RansacConfig
+from .fusion import BEV_CHANNELS, GridSpec, OffsetSearch
+from .localization import _BLOCK_CAP, MAX_SIGMA_T, OracleErrorModel, RansacConfig
 
 
 class ConfigError(ValueError):
@@ -55,10 +55,6 @@ class ScenarioParams:
         if self.occluder_radius < 0.0:
             raise ConfigError("occluder_radius must be non-negative")
 
-
-# The encoder's input channels per cell: occupancy, density, max height and
-# the confidence plane.
-BEV_CHANNELS = 4
 
 
 @dataclass(frozen=True)
@@ -197,16 +193,21 @@ class ExperimentConfig:
         if len({threshold_key(t) for t in thresholds}) != len(thresholds):
             raise ConfigError("iou_thresholds must differ when printed with :g (the summary keys)")
         # the largest float64 array the sizes imply: the token features of
-        # all frames, the residual offset search's ego template (one warped
-        # grid per candidate, built only when there are neighbors), or a
-        # layer's weight matrix or the one score buffer all heads share:
-        # (cells, tokens) for a lone layer, whose queries are the last
-        # frame's cells, else (tokens, tokens). Passthrough builds no layer.
+        # all frames, RANSAC's (points, _BLOCK_CAP, 3) residuals, graph
+        # matching's (pairs, pairs) terms over num_objects**2 box pairs, the
+        # offset search's ego template (one warped grid per candidate, built
+        # only when there are neighbors), or a layer's weight matrix or the
+        # one score buffer all heads share: (cells, tokens) for a lone layer,
+        # whose queries are the last frame's cells, else (tokens, tokens).
+        # Passthrough builds no layer.
         enc = self.encoder
+        sc = self.scenario
         cells = self.grid.width * self.grid.height
         tokens = self.frames * cells
-        entries = [tokens * enc.dim]
-        if self.scenario.num_agents > 1:
+        entries = [tokens * enc.dim, (sc.num_objects * sc.points_per_box + sc.ground_points) * _BLOCK_CAP * 3]
+        if "graph" in self.methods:
+            entries.append(sc.num_objects**4)
+        if sc.num_agents > 1:
             entries.append(self.search.candidate_count() * cells)
         if enc.mode == "random" and enc.layers > 0:
             score_rows = cells if enc.layers == 1 else tokens
@@ -301,9 +302,11 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return config_from_dict(raw)
 
 

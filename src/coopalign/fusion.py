@@ -33,6 +33,11 @@ BEV_GRID_MAGIC = b"CPALBG01"
 
 _SNAP = 1e-9
 
+# rasterize_bev's channels, then confidence_embed's plane: the encoder's
+# BEV_CHANNELS input channels per cell.
+MAX_HEIGHT_CHANNEL = 2
+BEV_CHANNELS = 4
+
 # Template rows multiplied and summed at a time when a neighbor is scored.
 _SCORE_BLOCK = 64
 
@@ -122,7 +127,7 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec) -> BevGrid:
     np.add.at(count, (rows, cols), 1.0)
     data[0] = (count > 0.0).astype(float)
     data[1] = np.log1p(count)
-    np.maximum.at(data[2], (rows, cols), z)
+    np.maximum.at(data[MAX_HEIGHT_CHANNEL], (rows, cols), z)
     return BevGrid(spec, data)
 
 
@@ -334,11 +339,12 @@ def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
     return OffsetTemplate(ego.spec, search, candidates, centered, tuple(sq.tolist()))
 
 
-def estimate_offset(ego: BevGrid | OffsetTemplate, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
+def estimate_offset(template: OffsetTemplate, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
     """Exhaustively search for the planar offset that carries the ego grid
     onto the neighbor's.
 
-    Both grids hold one channel. Maximizes normalized cross-correlation
+    template is the offset_template of the one-channel ego grid for this
+    search, and nbr holds one channel. Maximizes normalized cross-correlation
     between warp_grid(ego, delta) and nbr over the search grid. Ties break
     toward the smaller offset norm, then the earlier candidate. The returned
     delta is the neighbor's misalignment relative to ego; warp the neighbor
@@ -348,17 +354,15 @@ def estimate_offset(ego: BevGrid | OffsetTemplate, nbr: BevGrid, search: OffsetS
     returns); raw occupancy correlates the two sensing footprints instead of
     the scene content when a dominant uniform background is present.
 
-    ego is the ego grid or its offset_template for this search; a template
-    built once serves every neighbor of that ego grid, so only the neighbor
+    One template serves every neighbor of its ego grid, so only the neighbor
     side is computed here. The cross terms are summed along the last axis
     of _SCORE_BLOCK template rows at a time. Each score is bitwise what
     warp_grid and a scalar NCC give for that candidate alone, so the choice
     is too."""
-    if not ego.spec.same_geometry(nbr.spec):
+    if not template.spec.same_geometry(nbr.spec):
         raise ValueError("grids must share one GridSpec")
     if nbr.channels != 1:
         raise ValueError("offset search correlates grids of exactly one channel")
-    template = ego if isinstance(ego, OffsetTemplate) else offset_template(ego, search)
     if template.search != search:
         raise ValueError("the offset template was built for another search")
     nbr_occ = nbr.data[0]

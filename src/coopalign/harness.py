@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BoxObservation, GraphMatchConfig, graph_match_align, icp_align
-from .config import BEV_CHANNELS, ConfigError, ExperimentConfig, SWEEP_METHODS, level_key, threshold_key
+from .config import ConfigError, ExperimentConfig, SWEEP_METHODS, level_key, threshold_key
 from .detection import (
     Detection,
     EvalConfig,
@@ -37,6 +38,8 @@ from .detection import (
 # them up in this module by name.
 from .detection import average_precision, pooled_average_precision  # noqa: F401
 from .fusion import (
+    BEV_CHANNELS,
+    MAX_HEIGHT_CHANNEL,
     BevGrid,
     GridSpec,
     NoSignalError,
@@ -348,40 +351,6 @@ def ego_frame_targets(scenario: Scenario, spec: GridSpec) -> list[RotatedBox3D]:
 
 
 # ---------------------------------------------------------------------------
-# communication ledger
-
-_MESSAGE_KINDS = ("pose", "boxes", "features")
-
-
-@dataclass(frozen=True)
-class CommRecord:
-    sender: int
-    receiver: int
-    kind: str
-    size_bytes: int
-
-
-class CommLedger:
-    """Append-only record of simulated agent-to-agent transmissions."""
-
-    def __init__(self) -> None:
-        self.records: list[CommRecord] = []
-
-    def add(self, sender: int, receiver: int, kind: str, size_bytes: int) -> None:
-        if kind not in _MESSAGE_KINDS:
-            raise ValueError(f"unknown message kind {kind!r}")
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be non-negative")
-        self.records.append(CommRecord(sender, receiver, kind, int(size_bytes)))
-
-    def total_bytes(self, kind: str | None = None) -> int:
-        return sum(r.size_bytes for r in self.records if kind is None or r.kind == kind)
-
-    def count(self, kind: str | None = None) -> int:
-        return sum(1 for r in self.records if kind is None or r.kind == kind)
-
-
-# ---------------------------------------------------------------------------
 # shared estimation helpers
 
 
@@ -438,15 +407,6 @@ def _search_grid(grid: BevGrid, channel: int) -> BevGrid:
     return BevGrid(grid.spec, (box_sum_3x3(grid.data[channel]) / 9.0)[None, :, :])
 
 
-def ego_offset_template(ego_raster: BevGrid, cfg: ExperimentConfig) -> OffsetTemplate:
-    """The residual offset search's template of the ego's raster. It
-    correlates blurred max height: ground sits at z = 0 in that channel, so
-    the disk-shaped sensing footprints cannot dominate. The ego raster is
-    the same for every pose source, noise level and frame, so one template
-    serves every run_pipeline call on a scenario."""
-    return offset_template(_search_grid(ego_raster, 2), cfg.search)
-
-
 def build_head(cfg: ExperimentConfig) -> HeadParams:
     """Analytic decode head for the passthrough encoder: objectness is a
     clipped linear ramp in fused max height above a floor, extents and
@@ -458,8 +418,8 @@ def build_head(cfg: ExperimentConfig) -> HeadParams:
     weight = np.zeros((8, dim))
     bias = np.zeros(8)
     gain = cfg.head.height_gain
-    weight[0, 2] = gain
-    bias[0] = -gain * (cfg.head.height_floor + float(e_t[2]))
+    weight[0, MAX_HEIGHT_CHANNEL] = gain
+    bias[0] = -gain * (cfg.head.height_floor + float(e_t[MAX_HEIGHT_CHANNEL]))
     bias[3] = cfg.head.nominal_z
     bias[4] = math.log(cfg.head.nominal_h)
     bias[5] = math.log(cfg.head.nominal_w)
@@ -472,15 +432,51 @@ def build_head(cfg: ExperimentConfig) -> HeadParams:
 
 
 @dataclass(frozen=True, eq=False)
+class ScenarioSetup:
+    """What every pipeline run on one scenario shares: one raster per agent,
+    indexed by agent id, the ego's residual offset search template (None for
+    a lone agent, which has no neighbor to search against) and the
+    ego-frame targets the runs are scored against."""
+
+    scenario: Scenario
+    rasters: tuple[BevGrid, ...]
+    template: OffsetTemplate | None
+    targets: tuple[RotatedBox3D, ...]
+
+
+def setup_scenario(scenario: Scenario, cfg: ExperimentConfig) -> ScenarioSetup:
+    """Rasterize every agent's cloud once and build the ego's template and
+    targets. The clouds are static and no pose source, noise level or frame
+    changes them, so these serve every run_pipeline call on the scenario.
+    The template correlates blurred max height: ground sits at z = 0 in that
+    channel, so the disk-shaped sensing footprints cannot dominate."""
+    spec = cfg.grid_spec()
+    rasters = tuple(rasterize_bev(agent.cloud, spec) for agent in scenario.agents)
+    template = None
+    if len(rasters) > 1:
+        template = offset_template(_search_grid(rasters[0], MAX_HEIGHT_CHANNEL), cfg.search)
+    return ScenarioSetup(scenario, rasters, template, tuple(ego_frame_targets(scenario, spec)))
+
+
+@dataclass(frozen=True)
+class CommRecord:
+    sender: int
+    receiver: int
+    kind: str
+    size_bytes: int
+
+
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
-    """pose_estimates maps each (frame, agent) pair to the PoseEstimate the
+    """messages lists every "pose" and "features" transmission to the ego, in
+    send order. pose_estimates maps each (frame, agent) pair to the PoseEstimate the
     agent sent, or None when its "pgc" estimate failed. dropped lists those
     failed pairs, whose agent was left out; no_signal lists the pairs whose
     residual offset search found no signal and kept the coarse alignment."""
 
     detections: tuple[Detection, ...]
     fused: BevGrid
-    ledger: CommLedger
+    messages: tuple[CommRecord, ...]
     pose_estimates: dict[tuple[int, int], PoseEstimate | None]
     dropped: tuple[tuple[int, int], ...]
     no_signal: tuple[tuple[int, int], ...]
@@ -489,26 +485,25 @@ class PipelineResult:
 def log_pipeline_fallbacks(scenario_id: int, dropped, no_signal) -> None:
     """Log the (frame, agent) fallbacks of pipeline runs on scenario number
     scenario_id, the index the result files use: one warning per dropped
-    agent, however many runs dropped it, and one info line per residual
-    search without signal."""
+    agent, however many runs dropped it, and one info line, with its run
+    count, per agent whose residual search found no signal."""
     for frame, k in sorted(set(dropped)):
         logger.warning("scenario %d frame %d agent %d: pose estimation failed, agent dropped", scenario_id, frame, k)
-    for frame, k in no_signal:
+    for (frame, k), runs in sorted(Counter(no_signal).items()):
         logger.info(
-            "scenario %d frame %d agent %d: no correlation signal, residual offset left at zero",
-            scenario_id, frame, k,
+            "scenario %d frame %d agent %d: no correlation signal in %d run(s), residual offset left at zero",
+            scenario_id, frame, k, runs,
         )
 
 
 def run_pipeline(
-    scenario: Scenario,
+    setup: ScenarioSetup,
     cfg: ExperimentConfig,
     pose_source: str = "pgc",
     noise: tuple[float, float] = (0.0, 0.0),
-    template: OffsetTemplate | None = None,
 ) -> PipelineResult:
-    """Run localization, alignment, fusion, encoding and decoding for one
-    scenario from the perspective of agent 0.
+    """Run localization, alignment, fusion, encoding and decoding for the
+    scenario of setup, from the perspective of agent 0.
 
     pose_source selects the PoseEstimate each agent sends: "pgc" runs the
     scene-coordinate oracle plus the robust solver, "gt-noise" perturbs the
@@ -516,24 +511,22 @@ def run_pipeline(
     disables fusion entirely (single-agent baseline). The "pgc", "gt" and
     "none" paths never consume the noise argument, so their outputs are
     unchanged across noise levels by construction. Ground truth is not an
-    input: evaluation scores the detections against ego_frame_targets.
-    Dropped agents and searches without signal are recorded in the result,
-    not logged: log_pipeline_fallbacks names them by scenario index.
-    template is ego_offset_template of the ego's raster; when it is None,
-    the first residual search of the call builds it, and every later frame
-    and neighbor reuses it.
+    input: evaluation scores the detections against setup.targets. Dropped
+    agents and searches without signal are recorded in the result, not
+    logged: log_pipeline_fallbacks names them by scenario index. Every frame
+    fuses the setup's rasters and searches against its one template.
     """
     if pose_source not in ("pgc", "gt-noise", "gt", "none"):
         raise ValueError(f"unknown pose_source {pose_source!r}")
     spec = cfg.grid_spec()
+    scenario = setup.scenario
+    grids = setup.rasters
     ego = scenario.agents[0]
-    ledger = CommLedger()
+    messages: list[CommRecord] = []
     pose_estimates: dict[tuple[int, int], PoseEstimate | None] = {}
     dropped: list[tuple[int, int]] = []
     no_signal: list[tuple[int, int]] = []
     agent_ids = [ego.agent_id] if pose_source == "none" else [a.agent_id for a in scenario.agents]
-    # the clouds are static, so every frame fuses the same rasters
-    grids = {k: rasterize_bev(scenario.agents[k].cloud, spec) for k in agent_ids}
 
     frames = []
     for frame in range(cfg.frames):
@@ -554,17 +547,15 @@ def run_pipeline(
             neighbor_ids = [k for k in estimates if k != ego.agent_id]
             neighbor_grids = []
             for k in neighbor_ids:
-                ledger.add(k, ego.agent_id, "pose", estimates[k].message_bytes())
-                ledger.add(k, ego.agent_id, "features", len(serialize_grid(grids[k])))
+                messages.append(CommRecord(k, ego.agent_id, "pose", estimates[k].message_bytes()))
+                messages.append(CommRecord(k, ego.agent_id, "features", len(serialize_grid(grids[k]))))
                 neighbor_grids.append((grids[k], estimates[k].pose))
             warped = coarse_align(estimates[ego.agent_id].pose, neighbor_grids)
             moved: list[int] = []
             deltas = []
-            if warped and template is None:
-                template = ego_offset_template(grids[ego.agent_id], cfg)
             for i, (k, grid) in enumerate(zip(neighbor_ids, warped)):
                 try:
-                    delta = estimate_offset(template, _search_grid(grid, 2), cfg.search)
+                    delta = estimate_offset(setup.template, _search_grid(grid, MAX_HEIGHT_CHANNEL), cfg.search)
                 except NoSignalError:
                     no_signal.append((frame, k))
                     continue
@@ -592,7 +583,7 @@ def run_pipeline(
     dets = decode_head(fused, head, cfg.eval, nms_iou=cfg.head.nms_iou)
     dets = [d for d in dets if _in_roi(d.box.x, d.box.y, spec)]
     return PipelineResult(
-        detections=tuple(dets), fused=fused, ledger=ledger, pose_estimates=pose_estimates,
+        detections=tuple(dets), fused=fused, messages=tuple(messages), pose_estimates=pose_estimates,
         dropped=tuple(dropped), no_signal=tuple(no_signal),
     )
 
@@ -734,21 +725,17 @@ def _sweep_scenario(cfg: ExperimentConfig, scenario_id: int) -> dict[tuple[str, 
     """Each (method, level index) pipeline run on the scenario, scored
     against the scenario's ego-frame targets at every IoU threshold.
 
-    The ego's offset-search template is built once here and shared by every
-    method, level, frame and neighbor. Each run still does its own pose
-    solve, warps, neighbor scoring, encoding and decoding."""
-    scenario = scenario_at(cfg, scenario_id)
-    targets = ego_frame_targets(scenario, cfg.grid_spec())
-    template = None
-    if len(scenario.agents) > 1:
-        template = ego_offset_template(rasterize_bev(scenario.agents[0].cloud, cfg.grid_spec()), cfg)
+    One setup_scenario serves every method, level, frame and neighbor. Each
+    run still does its own pose solve, warps, neighbor scoring, encoding and
+    decoding."""
+    setup = setup_scenario(scenario_at(cfg, scenario_id), cfg)
     scored = {}
     dropped: list[tuple[int, int]] = []
     no_signal: list[tuple[int, int]] = []
     for level_idx, level in enumerate(cfg.noise_levels):
         for method in SWEEP_METHODS:
-            result = run_pipeline(scenario, cfg, pose_source=method, noise=level, template=template)
-            scored[(method, level_idx)] = score_detection_set(result.detections, targets, cfg.eval.iou_thresholds)
+            result = run_pipeline(setup, cfg, pose_source=method, noise=level)
+            scored[(method, level_idx)] = score_detection_set(result.detections, setup.targets, cfg.eval.iou_thresholds)
             dropped += result.dropped
             no_signal += result.no_signal
             del result  # free this run's grids before the next run allocates its own

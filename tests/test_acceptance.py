@@ -17,6 +17,7 @@ from coopalign.fusion import (
     OffsetSearch,
     confidence_embed,
     estimate_offset,
+    offset_template,
     rasterize_bev,
     warp_grid,
 )
@@ -215,7 +216,7 @@ def test_c09_offset_search_recovery():
                 float(rng.uniform(-math.radians(10.0), math.radians(10.0))),
             )
             nbr = warp_grid(ego, true)
-            est = estimate_offset(ego, nbr, search)
+            est = estimate_offset(offset_template(ego, search), nbr, search)
             assert abs(est.x - true.x) <= 0.5 + 1e-9
             assert abs(est.y - true.y) <= 0.5 + 1e-9
             assert abs(est.theta - true.theta) <= math.radians(2.5) + 1e-9

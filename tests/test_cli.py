@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coopalign
+from coopalign import cli
 from coopalign.cli import main
 from coopalign.config import ConfigError, config_from_dict
 
@@ -124,6 +125,30 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["align", "--methods", "warp-drive", "--out", str(tmp_path / "y")]) == 1
 
 
+def test_unreadable_config_exits_one(tmp_path, capsys):
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
+    for path in (tmp_path, binary):  # a directory, then a file that is not UTF-8
+        assert main(["align", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_out_path_that_is_a_file_exits_one_before_any_work(tmp_path, tiny_config, capsys, monkeypatch, inside):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    monkeypatch.setattr(cli, "run_alignment_benchmark", lambda *a, **k: pytest.fail("the run started"))
+    out = taken / "sub" if inside else taken
+    assert main(["align", "--config", tiny_config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{taken} exists and is not a directory" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory"
+
+
 def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -222,6 +247,12 @@ _INVALID_CONFIGS = {
     "attention scores over the budget": {
         "frames": 16, "grid": {"width": 64, "height": 64}, "encoder": {"mode": "random"},
     },
+    # RANSAC's (points, 16, 3) residual block over a cloud of 10**9 or
+    # 8 * 10**8 points, and graph matching's (pairs, pairs) array over
+    # 200**2 box pairs
+    "ground points over the budget": {"scenario": {"ground_points": 10**9}},
+    "box points over the budget": {"scenario": {"points_per_box": 10**8}},
+    "box pairs over the budget": {"scenario": {"num_objects": 200, "world_size": 2000.0, "sensing_range": 2000.0}},
     # the squared pose error of such noise overflows to inf
     "huge sweep translation noise": {"num_scenarios": 1, "noise_levels": [[1e160, 0.0]]},
     "huge alignment translation noise": {"num_scenarios": 1, "alignment_noise": [1e160, 0.0]},

@@ -101,6 +101,14 @@ def test_array_budget_counts_the_offset_template_only_with_neighbors():
         config_from_dict({"search": fine})
 
 
+def test_array_budget_counts_graph_pairs_only_when_graph_runs():
+    # 200 objects give up to 40000 box pairs, a 12.8 GB (pairs, pairs) array
+    many = {"scenario": {"num_objects": 200, "world_size": 2000.0, "sensing_range": 2000.0}}
+    assert config_from_dict({**many, "methods": ["pgc", "icp", "gt-noise"]}).scenario.num_objects == 200
+    with pytest.raises(ConfigError, match="12800000000 bytes"):
+        config_from_dict(many)
+
+
 def test_array_budget_counts_one_head_of_attention():
     # the encoder holds one attention score buffer whatever the head count.
     # A one-layer stack's only layer attends from the last frame's cells, so

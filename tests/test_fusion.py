@@ -26,6 +26,11 @@ from coopalign.geometry import PointCloud, Pose, Pose2D, normalize_angle
 from conftest import blob_grid, counting_constructions
 
 
+def _estimate(ego, nbr, search):
+    """estimate_offset of nbr against a template of the ego grid."""
+    return estimate_offset(offset_template(ego, search), nbr, search)
+
+
 def test_grid_spec_centered_is_symmetric():
     spec = GridSpec.centered(9, 5, 2.0)
     xs, ys = spec.cell_centers()
@@ -207,7 +212,7 @@ def test_estimate_offset_recovers_injected_shift():
             0.0,
         )
         nbr = warp_grid(ego, true)
-        est = estimate_offset(ego, nbr, search)
+        est = _estimate(ego, nbr, search)
         assert abs(est.x - true.x) < 1e-12
         assert abs(est.y - true.y) < 1e-12
 
@@ -218,7 +223,7 @@ def test_estimate_offset_recovers_rotation():
     search = OffsetSearch(max_xy=0.5, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5)
     true = Pose2D(0.0, 0.0, math.radians(5.0))
     nbr = warp_grid(ego, true)
-    est = estimate_offset(ego, nbr, search)
+    est = _estimate(ego, nbr, search)
     assert abs(est.theta - true.theta) < math.radians(2.5) + 1e-12
 
 
@@ -228,7 +233,7 @@ def test_estimate_offset_min_gain_suppresses_twitch():
     # neighbor view of the same scene with slight value noise
     noisy = BevGrid(ego.spec, ego.data + rng.normal(0.0, 1e-4, size=ego.data.shape))
     search = OffsetSearch(max_xy=1.0, step_xy=0.5, max_theta_deg=0.0, step_theta_deg=2.5, min_gain=0.02)
-    est = estimate_offset(ego, noisy, search)
+    est = _estimate(ego, noisy, search)
     assert est.norm() == 0.0
 
 
@@ -241,17 +246,19 @@ def test_estimate_offset_channel_selection_and_errors():
     # a constant grid carries no usable signal
     flat = BevGrid(spec, np.ones((1, 16, 16)))
     with pytest.raises(NoSignalError):
-        estimate_offset(flat, base, search)
+        _estimate(flat, base, search)
     with pytest.raises(NoSignalError):
-        estimate_offset(base, flat, search)
-    assert estimate_offset(base, base, search).norm() == 0.0
+        _estimate(base, flat, search)
+    assert _estimate(base, base, search).norm() == 0.0
     # the search correlates one channel; a multi-channel grid is refused
     with pytest.raises(ValueError, match="one channel") as info:
-        estimate_offset(two, two, search)
+        _estimate(two, two, search)
     assert not isinstance(info.value, NoSignalError)
+    with pytest.raises(ValueError, match="one channel"):
+        _estimate(base, two, search)
     other = blob_grid(rng, GridSpec.centered(8, 8, 0.5))
     with pytest.raises(ValueError):
-        estimate_offset(base, other, search)
+        _estimate(base, other, search)
 
 
 def test_estimate_offset_builds_no_object_per_candidate():
@@ -264,7 +271,7 @@ def test_estimate_offset_builds_no_object_per_candidate():
         OffsetSearch(max_xy=1.0, step_xy=0.5, max_theta_deg=5.0, step_theta_deg=2.5),
     ):
         with counting_constructions(BevGrid, Pose2D) as counts:
-            estimate_offset(ego, nbr, search)
+            _estimate(ego, nbr, search)
         built.append(dict(counts))
     # 9 and 75 candidates; only the result is a Pose2D
     assert built == [{"Pose2D": 1}, {"Pose2D": 1}]
@@ -419,9 +426,9 @@ def test_estimate_offset_matches_scalar_oracle(pair, n_xy, step_xy, n_theta, ste
     expected = _oracle_estimate(ego, nbr, search)
     if expected is None:
         with pytest.raises(NoSignalError):
-            estimate_offset(ego, nbr, search)
+            _estimate(ego, nbr, search)
     else:
-        got = estimate_offset(ego, nbr, search)
+        got = _estimate(ego, nbr, search)
         assert (got.x, got.y, got.theta) == (expected.x, expected.y, expected.theta)
 
 
@@ -444,7 +451,7 @@ def test_estimate_offset_samples_one_row_per_call(monkeypatch):
         OffsetSearch(max_xy=2.0, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5),
     ):
         calls.clear()
-        estimate_offset(ego, nbr, search)
+        _estimate(ego, nbr, search)
         per_search.append((len(calls), set(calls)))
     assert per_search == [(5, {5}), (81, {9})]
 
@@ -493,7 +500,7 @@ def test_scoring_against_a_template_warps_nothing(monkeypatch):
     template = offset_template(ego, search)
     assert template.centered.shape == (729, ego.spec.width * ego.spec.height)
     assert len(template.candidates) == len(template.sq) == search.candidate_count() == 729
-    want = [estimate_offset(ego, nbr, search) for nbr in nbrs]
+    want = [_estimate(ego, nbr, search) for nbr in nbrs]
     calls = []
     monkeypatch.setattr(fusion, "_sample", lambda *args: calls.append(args))
     assert [estimate_offset(template, nbr, search) for nbr in nbrs] == want

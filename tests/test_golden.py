@@ -106,7 +106,7 @@ def test_artifacts_match_recorded_digests(tmp_path, capsys, name):
 
 
 # pipeline_result.json of `coopalign pipeline` for each pose source: these
-# pin the ledger's pose message bytes, which no sweep or align artifact holds
+# pin the pipeline's pose message bytes, which no sweep or align artifact holds
 _PIPELINE_RUNS = {
     "defaults": (None, ["--seed", "7", "--scenario", "3"]),
     "three-agent": (

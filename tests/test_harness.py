@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from coopalign.geometry import PointCloud, Pose, Pose2D, load_point_cloud
 from coopalign.harness import (
     AlignmentReport,
     AlignmentRow,
-    CommLedger,
     _occluded,
     agent_box_observation,
     box_in_frame,
@@ -31,6 +31,7 @@ from coopalign.harness import (
     run_noise_sweep,
     run_pipeline,
     selftest,
+    setup_scenario,
 )
 from coopalign.localization import PoseEstimate
 from coopalign.temporal import temporal_encoding
@@ -161,21 +162,6 @@ def test_ego_frame_targets_lie_inside_roi():
         assert abs(t.y) <= half_w - margin + spec.resolution
 
 
-def test_comm_ledger_accounting():
-    ledger = CommLedger()
-    ledger.add(1, 0, "pose", 100)
-    ledger.add(1, 0, "features", 5000)
-    ledger.add(2, 0, "pose", 110)
-    assert ledger.count() == 3
-    assert ledger.count("pose") == 2
-    assert ledger.total_bytes() == 5210
-    assert ledger.total_bytes("features") == 5000
-    with pytest.raises(ValueError):
-        ledger.add(1, 0, "telepathy", 10)
-    with pytest.raises(ValueError):
-        ledger.add(1, 0, "pose", -1)
-
-
 def test_message_size_ordering():
     cfg = _small_cfg(scenario=_small_params(num_objects=8, co_visible=6))
     scenario = generate_scenario(cfg.scenario, 37)
@@ -210,7 +196,7 @@ def test_build_head_formula():
 def test_run_pipeline_gt_poses_detects_in_roi():
     cfg = _small_cfg()
     scenario = generate_scenario(cfg.scenario, 41)
-    result = run_pipeline(scenario, cfg, pose_source="gt")
+    result = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gt")
     assert len(ego_frame_targets(scenario, cfg.grid_spec())) > 0
     assert len(result.detections) > 0
     spec = cfg.grid_spec()
@@ -219,16 +205,16 @@ def test_run_pipeline_gt_poses_detects_in_roi():
         assert abs(det.box.x) <= half_w
         assert abs(det.box.y) <= half_w
     # one pose and one feature payload per neighbor per frame
-    assert result.ledger.count("pose") == cfg.scenario.num_agents - 1
-    assert result.ledger.count("features") == cfg.scenario.num_agents - 1
-    assert result.ledger.count("boxes") == 0
+    neighbors = cfg.scenario.num_agents - 1
+    assert Counter(r.kind for r in result.messages) == {"pose": neighbors, "features": neighbors}
+    assert all(r.receiver == 0 and r.sender > 0 and r.size_bytes > 0 for r in result.messages)
 
 
 def test_run_pipeline_none_is_single_agent():
     cfg = _small_cfg()
     scenario = generate_scenario(cfg.scenario, 41)
-    result = run_pipeline(scenario, cfg, pose_source="none")
-    assert result.ledger.count() == 0
+    result = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="none")
+    assert result.messages == ()
     # only the ego's own pose enters the record
     assert set(result.pose_estimates) == {(0, 0)}
 
@@ -243,7 +229,7 @@ def test_run_pipeline_none_is_single_agent():
 def test_every_pose_source_records_pose_estimates(source, params):
     cfg = _small_cfg(frames=2, scenario=params)
     scenario = generate_scenario(params, 41)
-    result = run_pipeline(scenario, cfg, pose_source=source, noise=(1.0, 1.0))
+    result = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source=source, noise=(1.0, 1.0))
     agents = [0] if source == "none" else list(range(params.num_agents))
     assert set(result.pose_estimates) == {(frame, k) for frame in range(cfg.frames) for k in agents}
     assert result.dropped == tuple(key for key, est in result.pose_estimates.items() if est is None)
@@ -254,14 +240,14 @@ def test_every_pose_source_records_pose_estimates(source, params):
         if source in ("gt", "none"):
             assert est.confidence == 1.0
             assert est.pose is scenario.agents[k].gt_pose
-    # the ledger books each neighbor's record, in frames whose ego has a pose
+    # each neighbor's record is sent, in frames whose ego has a pose
     sent = [
         result.pose_estimates[(frame, k)].message_bytes()
         for frame in range(cfg.frames)
         for k in agents[1:]
         if result.pose_estimates[(frame, 0)] is not None and result.pose_estimates[(frame, k)] is not None
     ]
-    assert [r.size_bytes for r in result.ledger.records if r.kind == "pose"] == sent
+    assert [r.size_bytes for r in result.messages if r.kind == "pose"] == sent
 
 
 def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):
@@ -273,21 +259,24 @@ def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):
     points = nbr.cloud.points.copy()
     points[:, 2] = 0.0
     flat = dataclasses.replace(scenario, agents=(ego, dataclasses.replace(nbr, cloud=PointCloud(points))))
+    setup = setup_scenario(flat, cfg)
     with caplog.at_level(logging.INFO, logger="coopalign.harness"):
-        result = run_pipeline(flat, cfg, pose_source="gt")
-        # the pipeline records the fallback; its caller logs it by row index
+        result = run_pipeline(setup, cfg, pose_source="gt")
+        again = run_pipeline(setup, cfg, pose_source="gt-noise")
+        # the pipeline records the fallback; its caller logs it by row
+        # index, once per (frame, agent) with the number of runs
         assert caplog.records == []
-        log_pipeline_fallbacks(7, result.dropped, result.no_signal)
+        log_pipeline_fallbacks(7, result.dropped, result.no_signal + again.no_signal)
     assert result.dropped == ()
-    assert result.no_signal == tuple((frame, 1) for frame in range(cfg.frames))
+    assert result.no_signal == again.no_signal == tuple((frame, 1) for frame in range(cfg.frames))
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.INFO, f"scenario 7 frame {frame} agent 1: no correlation signal, residual offset left at zero")
+        (logging.INFO, f"scenario 7 frame {frame} agent 1: no correlation signal in 2 run(s), residual offset left at zero")
         for frame in range(cfg.frames)
     ]
     # the neighbor is still fused, with a zero residual offset
-    assert result.ledger.count("features") == cfg.frames
+    assert [r.kind for r in result.messages].count("features") == cfg.frames
     monkeypatch.setattr(harness, "estimate_offset", lambda ego, nbr, search: Pose2D(0.0, 0.0, 0.0))
-    zero = run_pipeline(flat, cfg, pose_source="gt")
+    zero = run_pipeline(setup, cfg, pose_source="gt")
     np.testing.assert_array_equal(result.fused.data, zero.fused.data)
     assert result.detections == zero.detections
 
@@ -317,7 +306,7 @@ def test_zero_residual_offset_skips_an_identity_warp_bitwise(monkeypatch):
     # per frame, the first neighbor finds no signal and the second keeps the
     # zero offset: neither takes a second warp
     monkeypatch.setattr(harness, "estimate_offset", search(iter([NoSignalError("flat"), Pose2D(0.0, -0.0, 0.0)] * cfg.frames)))
-    skipped = run_pipeline(scenario, cfg, pose_source="gt-noise", noise=(0.5, 1.0))
+    skipped = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gt-noise", noise=(0.5, 1.0))
     assert len(warps) == len(coarse) == neighbors
     # coarse grids hold no -0.0, so the identity warp reproduces them bitwise
     for grid in coarse:
@@ -328,7 +317,7 @@ def test_zero_residual_offset_skips_an_identity_warp_bitwise(monkeypatch):
     monkeypatch.setattr(harness, "_ZERO_OFFSET", None)
     monkeypatch.setattr(harness, "estimate_offset", search(iter([Pose2D(0.0, 0.0, 0.0)] * neighbors)))
     del warps[:]
-    warped = run_pipeline(scenario, cfg, pose_source="gt-noise", noise=(0.5, 1.0))
+    warped = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gt-noise", noise=(0.5, 1.0))
     assert len(warps) == 2 * neighbors
     assert warped.fused.data.tobytes() == skipped.fused.data.tobytes()
     assert warped.detections == skipped.detections
@@ -338,15 +327,15 @@ def test_run_pipeline_rejects_unknown_source():
     cfg = _small_cfg()
     scenario = generate_scenario(cfg.scenario, 41)
     with pytest.raises(ValueError):
-        run_pipeline(scenario, cfg, pose_source="gps")
+        run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gps")
 
 
 def test_pipeline_noise_blind_sources_are_bitwise_stable():
     cfg = _small_cfg()
     scenario = generate_scenario(cfg.scenario, 43)
     for source in ("pgc", "gt", "none"):
-        lo = run_pipeline(scenario, cfg, pose_source=source, noise=(0.0, 0.0))
-        hi = run_pipeline(scenario, cfg, pose_source=source, noise=(4.0, 4.0))
+        lo = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source=source, noise=(0.0, 0.0))
+        hi = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source=source, noise=(4.0, 4.0))
         assert lo.detections == hi.detections
         np.testing.assert_array_equal(lo.fused.data, hi.fused.data)
 
@@ -354,8 +343,8 @@ def test_pipeline_noise_blind_sources_are_bitwise_stable():
 def test_pipeline_gt_noise_source_responds_to_noise():
     cfg = _small_cfg()
     scenario = generate_scenario(cfg.scenario, 43)
-    lo = run_pipeline(scenario, cfg, pose_source="gt-noise", noise=(0.0, 0.0))
-    hi = run_pipeline(scenario, cfg, pose_source="gt-noise", noise=(4.0, 4.0))
+    lo = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gt-noise", noise=(0.0, 0.0))
+    hi = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gt-noise", noise=(4.0, 4.0))
     assert not np.array_equal(lo.fused.data, hi.fused.data)
 
 
@@ -397,16 +386,35 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_offset_template_built_once_per_pipeline_call(monkeypatch):
+def test_offset_template_built_once_per_setup(monkeypatch):
     cfg = _small_cfg(frames=2, scenario=_small_params(num_agents=3))
     scenario = generate_scenario(cfg.scenario, 44)
     templates = _count_calls(monkeypatch, harness, "offset_template")
     searches = _count_calls(monkeypatch, harness, "estimate_offset")
-    run_pipeline(scenario, cfg, pose_source="gt")
-    # two neighbors in each of two frames score against one ego template
+    setup = setup_scenario(scenario, cfg)
+    assert (len(templates), len(searches)) == (1, 0)
+    run_pipeline(setup, cfg, pose_source="gt")
+    # two neighbors in each of two frames score against the setup's template
     assert (len(templates), len(searches)) == (1, 4)
-    run_pipeline(scenario, cfg, pose_source="none")
+    run_pipeline(setup, cfg, pose_source="none")
     assert (len(templates), len(searches)) == (1, 4)
+    # a lone agent has no neighbor to search against, and gets no template
+    lone = _small_params(num_agents=1)
+    assert setup_scenario(generate_scenario(lone, 44), _small_cfg(scenario=lone)).template is None
+    assert len(templates) == 1
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ExperimentConfig(num_scenarios=1), *(_small_cfg(frames=2, scenario=_small_params(num_agents=n)) for n in (1, 3))],
+    ids=["defaults", "one-agent", "three-agent"],
+)
+def test_sweep_scenario_rasterizes_each_cloud_once(monkeypatch, cfg):
+    # every method, level and frame fuses the setup's rasters: 2 calls for a
+    # default scenario, which once rasterized its clouds in every run
+    rasters = _count_calls(monkeypatch, harness, "rasterize_bev")
+    harness._sweep_scenario(cfg, 0)
+    assert len(rasters) == cfg.scenario.num_agents
 
 
 def test_sweep_scenario_builds_one_offset_template(monkeypatch):
