@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .config import BENCHMARK_METHODS, ConfigError, ExperimentConfig, level_key, load_config
 from .harness import (
+    POSE_SOURCES,
     emit_alignment_report,
     emit_sweep_report,
     generate_and_emit,
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_pipe)
     p_pipe.add_argument("--scenario", type=int, default=0, help="scenario index")
     p_pipe.add_argument("--pose-source", type=str, default="pgc",
-                        choices=("pgc", "gt-noise", "gt", "none"))
+                        choices=POSE_SOURCES)
 
     p_self = sub.add_parser("selftest", help="run built-in invariant checks")
     common(p_self)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .baselines import GraphMatchConfig, IcpConfig
 from .detection import EvalConfig
 from .fusion import BEV_CHANNELS, GridSpec, OffsetSearch
-from .localization import _BLOCK_CAP, MAX_SIGMA_T, OracleErrorModel, RansacConfig
+from .localization import _BLOCK_CAP, MAX_SIGMA_R, MAX_SIGMA_T, OracleErrorModel, RansacConfig
 
 
 class ConfigError(ValueError):
@@ -95,16 +95,17 @@ class HeadConfig:
             raise ConfigError("nms_iou must lie in (0, 1)")
 
 
-_METHODS = ("pgc", "icp", "graph", "gt-noise")
-_SWEEP_METHODS = ("gt-noise", "pgc", "none")
+BENCHMARK_METHODS = ("pgc", "icp", "graph", "gt-noise")
+SWEEP_METHODS = ("gt-noise", "pgc", "none")
 
 # A config whose largest float64 array would exceed this many bytes is
 # refused before any work starts.
 ARRAY_BUDGET_BYTES = 1 << 30
 
-# Smallest grid cell and downsampling voxel edge (meters) a config may ask
-# for. Far below it, world coordinates divided by the cell size no longer fit
-# the int64 cell and voxel keys.
+# Smallest grid cell, downsampling voxel edge and nonzero oracle bias
+# correlation length (meters) a config may ask for. Far below it, world
+# coordinates divided by the cell size no longer fit the int64 cell and voxel
+# keys, and the bias field's frequencies overflow to inf.
 MIN_CELL = 1e-6
 
 
@@ -138,7 +139,7 @@ class ExperimentConfig:
     seed: int = 0
     num_scenarios: int = 100
     frames: int = 1
-    methods: tuple[str, ...] = _METHODS
+    methods: tuple[str, ...] = BENCHMARK_METHODS
     noise_levels: tuple[tuple[float, float], ...] = (
         (0.0, 0.0),
         (1.0, 1.0),
@@ -173,8 +174,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("at least one method is required")
         for m in self.methods:
-            if m not in _METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {sorted(_METHODS)}")
+            if m not in BENCHMARK_METHODS:
+                raise ConfigError(f"unknown method {m!r}; choose from {sorted(BENCHMARK_METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
         if not self.noise_levels:
@@ -186,6 +187,10 @@ class ExperimentConfig:
             raise ConfigError("alignment_noise must be [sigma_t, sigma_r] >= 0")
         if max(level[0] for level in (*self.noise_levels, self.alignment_noise)) > MAX_SIGMA_T:
             raise ConfigError(f"a translation sigma must not exceed {MAX_SIGMA_T:g} m")
+        if max(level[1] for level in (*self.noise_levels, self.alignment_noise)) > MAX_SIGMA_R:
+            raise ConfigError(f"a rotation sigma must not exceed {MAX_SIGMA_R:g} deg")
+        if 0.0 < self.oracle.bias_correlation_length < MIN_CELL:
+            raise ConfigError(f"oracle: bias_correlation_length must be 0 or at least {MIN_CELL:g} m")
         # the sweep summary is keyed by these strings; a collision would pool two levels
         if len({level_key(lv) for lv in self.noise_levels}) != len(self.noise_levels):
             raise ConfigError("noise_levels must differ when printed with :g (the summary keys)")
@@ -308,7 +313,3 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
     return config_from_dict(raw)
-
-
-SWEEP_METHODS = _SWEEP_METHODS
-BENCHMARK_METHODS = _METHODS

@@ -43,6 +43,7 @@ from .fusion import (
     BevGrid,
     GridSpec,
     NoSignalError,
+    OffsetSearch,
     OffsetTemplate,
     apply_offset,
     box_sum_3x3,
@@ -91,6 +92,9 @@ _BENCH_POSE_TAGS = (21, 23, 22)
 _TAG_ENCODER = 31
 
 _ZERO_OFFSET = Pose2D(0.0, 0.0, 0.0)
+
+# the pose each agent sends in a pipeline run; see run_pipeline
+POSE_SOURCES = ("pgc", "gt-noise", "gt", "none")
 
 
 class ScenarioGenerationError(ConfigError):
@@ -434,28 +438,34 @@ def build_head(cfg: ExperimentConfig) -> HeadParams:
 @dataclass(frozen=True, eq=False)
 class ScenarioSetup:
     """What every pipeline run on one scenario shares: one raster per agent,
-    indexed by agent id, the ego's residual offset search template (None for
-    a lone agent, which has no neighbor to search against) and the
-    ego-frame targets the runs are scored against."""
+    indexed by agent id, the offset search the ego's template is built for,
+    the ego-frame targets the runs are scored against, and the template
+    itself, built on first use."""
 
     scenario: Scenario
     rasters: tuple[BevGrid, ...]
-    template: OffsetTemplate | None
+    search: OffsetSearch
     targets: tuple[RotatedBox3D, ...]
+
+    @functools.cached_property
+    def template(self) -> OffsetTemplate | None:
+        """The ego's residual offset search template, or None for a lone
+        agent, which has no neighbor to search against. It correlates
+        blurred max height: ground sits at z = 0 in that channel, so the
+        disk-shaped sensing footprints cannot dominate. A setup that only
+        runs the single-agent "none" source never builds it."""
+        if len(self.rasters) < 2:
+            return None
+        return offset_template(_search_grid(self.rasters[0], MAX_HEIGHT_CHANNEL), self.search)
 
 
 def setup_scenario(scenario: Scenario, cfg: ExperimentConfig) -> ScenarioSetup:
-    """Rasterize every agent's cloud once and build the ego's template and
-    targets. The clouds are static and no pose source, noise level or frame
-    changes them, so these serve every run_pipeline call on the scenario.
-    The template correlates blurred max height: ground sits at z = 0 in that
-    channel, so the disk-shaped sensing footprints cannot dominate."""
+    """Rasterize every agent's cloud once and find the ego-frame targets.
+    The clouds are static and no pose source, noise level or frame changes
+    them, so these serve every run_pipeline call on the scenario."""
     spec = cfg.grid_spec()
     rasters = tuple(rasterize_bev(agent.cloud, spec) for agent in scenario.agents)
-    template = None
-    if len(rasters) > 1:
-        template = offset_template(_search_grid(rasters[0], MAX_HEIGHT_CHANNEL), cfg.search)
-    return ScenarioSetup(scenario, rasters, template, tuple(ego_frame_targets(scenario, spec)))
+    return ScenarioSetup(scenario, rasters, cfg.search, tuple(ego_frame_targets(scenario, spec)))
 
 
 @dataclass(frozen=True)
@@ -516,7 +526,7 @@ def run_pipeline(
     logged: log_pipeline_fallbacks names them by scenario index. Every frame
     fuses the setup's rasters and searches against its one template.
     """
-    if pose_source not in ("pgc", "gt-noise", "gt", "none"):
+    if pose_source not in POSE_SOURCES:
         raise ValueError(f"unknown pose_source {pose_source!r}")
     spec = cfg.grid_spec()
     scenario = setup.scenario
@@ -913,8 +923,8 @@ def selftest() -> list[tuple[str, bool]]:
     # a full layer whose output branches are zero leaves the tokens as they are
     params = EP.passthrough(dim=6, in_channels=grid.data.shape[0] + 1, heads=2)
     layer = LayerParams.seeded(6, 8, np.random.default_rng(1))
-    for name in ("wo", "bo", "mlp_w2", "mlp_b2"):
-        setattr(layer, name, np.zeros_like(getattr(layer, name)))
+    layer.wo[:] = 0.0
+    layer.mlp_w2[:] = 0.0
     params.layers.append(layer)
     embedded = confidence_embed([grid], [2.5])[0]
     out = enc(params, [embedded])

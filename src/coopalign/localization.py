@@ -63,6 +63,10 @@ class SceneCoordPrediction:
 # fit an int64.
 MAX_SIGMA_T = 1e6
 
+# Largest GNSS heading noise sigma (degrees) a config may ask for, millions
+# of turns. Near 1e308 the heading draw overflows to inf, which has no cosine.
+MAX_SIGMA_R = 1e9
+
 
 @dataclass(frozen=True)
 class OracleErrorModel:

@@ -7,6 +7,11 @@ sequence, held as one flat (frames * cells, D) array from the embedding to
 the output grid. Only the last frame's tokens become the output grid, so the
 final layer computes queries, softmax, context and MLP for those rows only;
 its keys and values still span every frame. The forward pass is plain numpy.
+
+The encoder is seeded at random and never trained, so it holds only the
+weight matrices it draws: the layer norm has no affine (no scale or shift),
+and the embedding, the query, key, value and output projections and both MLP
+projections have no bias.
 """
 
 from __future__ import annotations
@@ -41,24 +46,14 @@ def temporal_encoding(t: int | float, dim: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class LayerParams:
-    """One pre-norm transformer layer."""
+    """One pre-norm transformer layer: its six weight matrices."""
 
-    ln1_scale: np.ndarray
-    ln1_shift: np.ndarray
     wq: np.ndarray
-    bq: np.ndarray
     wk: np.ndarray
-    bk: np.ndarray
     wv: np.ndarray
-    bv: np.ndarray
     wo: np.ndarray
-    bo: np.ndarray
-    ln2_scale: np.ndarray
-    ln2_shift: np.ndarray
     mlp_w1: np.ndarray
-    mlp_b1: np.ndarray
     mlp_w2: np.ndarray
-    mlp_b2: np.ndarray
 
     @staticmethod
     def seeded(dim: int, hidden: int, rng: np.random.Generator, scale: float = 0.2) -> "LayerParams":
@@ -66,22 +61,12 @@ class LayerParams:
             return scale * rng.standard_normal((rows, cols)) / math.sqrt(cols)
 
         return LayerParams(
-            ln1_scale=np.ones(dim),
-            ln1_shift=np.zeros(dim),
             wq=mat(dim, dim),
-            bq=np.zeros(dim),
             wk=mat(dim, dim),
-            bk=np.zeros(dim),
             wv=mat(dim, dim),
-            bv=np.zeros(dim),
             wo=mat(dim, dim),
-            bo=np.zeros(dim),
-            ln2_scale=np.ones(dim),
-            ln2_shift=np.zeros(dim),
             mlp_w1=mat(hidden, dim),
-            mlp_b1=np.zeros(hidden),
             mlp_w2=mat(dim, hidden),
-            mlp_b2=np.zeros(dim),
         )
 
 
@@ -90,7 +75,6 @@ class EncoderParams:
     """Embedding projection plus the transformer stack."""
 
     embed_w: np.ndarray
-    embed_b: np.ndarray
     layers: list[LayerParams]
     heads: int
 
@@ -115,7 +99,6 @@ class EncoderParams:
         embed_w = rng.standard_normal((dim, in_channels)) / math.sqrt(in_channels)
         return EncoderParams(
             embed_w=embed_w,
-            embed_b=np.zeros(dim),
             layers=[LayerParams.seeded(dim, hidden, rng) for _ in range(num_layers)],
             heads=heads,
         )
@@ -128,7 +111,7 @@ class EncoderParams:
             raise ValueError("dim must be at least the input channel count")
         embed_w = np.zeros((dim, in_channels))
         embed_w[:in_channels, :in_channels] = np.eye(in_channels)
-        return EncoderParams(embed_w=embed_w, embed_b=np.zeros(dim), layers=[], heads=heads)
+        return EncoderParams(embed_w=embed_w, layers=[], heads=heads)
 
 
 def _softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -146,12 +129,12 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return _softmax_in_place(np.array(x, dtype=float), axis)
 
 
-def _layer_norm_forward(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
+def _layer_norm_forward(x: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    return xc * inv * scale + shift
+    return xc * inv
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -181,10 +164,10 @@ def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray, ro
     s, dim = x.shape
     dh = dim // heads
     scale = math.sqrt(dh)
-    u = _layer_norm_forward(x, layer.ln1_scale, layer.ln1_shift)
-    q = u[s - rows:] @ layer.wq.T + layer.bq
-    kk = u @ layer.wk.T + layer.bk
-    v = u @ layer.wv.T + layer.bv
+    u = _layer_norm_forward(x)
+    q = u[s - rows:] @ layer.wq.T
+    kk = u @ layer.wk.T
+    v = u @ layer.wv.T
     qh = _split_heads(q, heads)
     kh = _split_heads(kk, heads)
     vh = _split_heads(v, heads)
@@ -197,12 +180,9 @@ def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray, ro
             block /= scale
             _softmax_in_place(block)
         ctx[:, h * dh : (h + 1) * dh] = buf @ vh[h]
-    msa = ctx @ layer.wo.T + layer.bo
-    z1 = msa + x[s - rows:]
-    w = _layer_norm_forward(z1, layer.ln2_scale, layer.ln2_shift)
-    a1 = w @ layer.mlp_w1.T + layer.mlp_b1
-    h1 = np.tanh(a1)
-    return h1 @ layer.mlp_w2.T + layer.mlp_b2 + z1
+    z1 = ctx @ layer.wo.T + x[s - rows:]
+    h1 = np.tanh(_layer_norm_forward(z1) @ layer.mlp_w1.T)
+    return h1 @ layer.mlp_w2.T + z1
 
 
 def vit_forward(params: EncoderParams, tokens: np.ndarray, rows: int | None = None) -> np.ndarray:
@@ -244,9 +224,8 @@ def encode(params: EncoderParams, frames: Sequence[BevGrid]) -> BevGrid:
     if params.embed_w.shape[1] != base.channels:
         raise ValueError("embedding width must equal the frames' channel count")
     dim = params.dim
-    bias = params.embed_b[:, None, None]
     tokens = np.stack([
-        (np.einsum("dc,chw->dhw", params.embed_w, f.data) + bias).reshape(dim, -1).T + temporal_encoding(t, dim)
+        np.einsum("dc,chw->dhw", params.embed_w, f.data).reshape(dim, -1).T + temporal_encoding(t, dim)
         for t, f in enumerate(frames, start=1)
     ]).reshape(-1, dim)
     spec = frames[-1].spec

@@ -145,14 +145,14 @@ def test_c07_residual_identity_and_attention_rows(monkeypatch):
         rng = np.random.default_rng(65)
         tokens = rng.standard_normal((8, 6))
         layer = LayerParams.seeded(6, 10, rng)
-        for name in ("wo", "bo", "mlp_w2", "mlp_b2"):
-            setattr(layer, name, np.zeros_like(getattr(layer, name)))
+        layer.wo[:] = 0.0
+        layer.mlp_w2[:] = 0.0
         for depth in (1, 4):
-            stack = EncoderParams(np.eye(6), np.zeros(6), [layer] * depth, heads=3)
+            stack = EncoderParams(np.eye(6), [layer] * depth, heads=3)
             assert np.array_equal(vit_forward(stack, tokens), tokens)
             assert np.array_equal(vit_forward(stack, tokens, 4), tokens[4:])
 
-        live = EncoderParams(np.eye(6), np.zeros(6), [LayerParams.seeded(6, 10, rng)], heads=3)
+        live = EncoderParams(np.eye(6), [LayerParams.seeded(6, 10, rng)], heads=3)
         blocks = record_attention_blocks(monkeypatch)
         vit_forward(live, tokens, 4)
         assert [b.shape for b in blocks] == [(4, 8)] * 3  # the 4 read-out rows, per head

@@ -262,6 +262,11 @@ _INVALID_CONFIGS = {
     # world coordinates over such cells overflow the int64 cell and voxel keys
     "sub-atomic grid resolution": {"num_scenarios": 2, "grid": {"resolution": 1e-300}},
     "sub-atomic downsample voxel": {"num_scenarios": 1, "downsample_voxel": 1e-300},
+    # a heading draw of such noise overflows to inf, which has no cosine
+    "huge sweep rotation noise": {"num_scenarios": 2, "noise_levels": [[0, 1e308]]},
+    "huge alignment rotation noise": {"num_scenarios": 2, "alignment_noise": [0, 1e308], "methods": ["gt-noise"]},
+    # the bias field's frequencies (1 / length) overflow, so its offsets are NaN
+    "sub-atomic oracle bias correlation length": {"num_scenarios": 2, "oracle": {"bias_correlation_length": 1e-308}},
 }
 
 # One out-of-range value for every key that has a bound.

@@ -143,6 +143,10 @@ def test_translation_sigma_is_bounded():
 def test_cell_and_voxel_sizes_are_bounded_below():
     assert config_from_dict({"grid": {"resolution": MIN_CELL}}).grid.resolution == MIN_CELL
     assert config_from_dict({"downsample_voxel": MIN_CELL}).downsample_voxel == MIN_CELL
+    for length in (0.0, MIN_CELL):
+        assert config_from_dict({"oracle": {"bias_correlation_length": length}}).oracle.bias_correlation_length == length
+    with pytest.raises(ConfigError, match="^oracle: bias_correlation_length must be 0 or at least"):
+        config_from_dict({"oracle": {"bias_correlation_length": MIN_CELL / 2}})
     with pytest.raises(ConfigError, match="^grid: resolution must be at least"):
         config_from_dict({"grid": {"resolution": MIN_CELL / 2}})
     with pytest.raises(ConfigError, match="^downsample_voxel must be at least"):

@@ -113,6 +113,20 @@ _PIPELINE_RUNS = {
         {"num_scenarios": 2, "frames": 2, "scenario": {"num_agents": 3, "world_size": 48.0}},
         ["--scenario", "1"],
     ),
+    # the random encoder's detections: one layer of 4 heads over 16-dim
+    # tokens, and a two-layer stack, the only golden that runs more than
+    # one layer (each emits boxes for every pose source)
+    "random-d16": (_CONFIGS["random-d16"], ["--scenario", "1"]),
+    "random-two-layer": (
+        {
+            "num_scenarios": 2,
+            "frames": 2,
+            "encoder": {"mode": "random", "layers": 2},
+            "head": {"height_floor": -5.0},
+            "scenario": {"world_size": 48.0},
+        },
+        ["--scenario", "1"],
+    ),
 }
 
 _PIPELINE_DIGESTS = {
@@ -127,6 +141,18 @@ _PIPELINE_DIGESTS = {
         "gt-noise": "4d8c901d2645db6b9f69d4f3144eed36cc6a25d195445f858f21a53fd59ffd5c",
         "gt": "889c8373274720eebe83f7ee87631ea7e0a20f78b7296cb9acfb606cd891ef42",
         "none": "fce8f1491308fe75207773c9df97447563de7a2b582fcb08b9ef07426e2a3d23",
+    },
+    "random-d16": {
+        "pgc": "bb8d32178c983d705c758fb1b0ddeed979a7f95c65005a2185c81cd8a9afbd66",
+        "gt-noise": "942dde343ad8cdd3fbd2ee2b9d17ba0d5d7894c6973663c889bd518ea2da7bb5",
+        "gt": "a6a129a72aa659bb4b6e2d60c65bcf85666abaa5011bfc13fc12329bb18ff53d",
+        "none": "edccfd8912944c0e9d13b76e9b89e8c26e54155ca926b42237a614ac5a42936b",
+    },
+    "random-two-layer": {
+        "pgc": "3d06848a4f8a0c9dce5f6ce99373753f4f167a60bf24763f0e461fa6fc6ef1fd",
+        "gt-noise": "1a38b52d3067775a3cd7e41d5d69cde1841b2c1ec8d70ac27fe4124f779506a9",
+        "gt": "cb2d9d3325dc35d0ad10cccdbde14fd4ef35270b75c954154b9a1fba65d0aefb",
+        "none": "f8d8698389ea074e0fe9baf8d4e82c0e966a4ed5cec0e436211f362be8a6f30d",
     },
 }
 

@@ -392,12 +392,17 @@ def test_offset_template_built_once_per_setup(monkeypatch):
     templates = _count_calls(monkeypatch, harness, "offset_template")
     searches = _count_calls(monkeypatch, harness, "estimate_offset")
     setup = setup_scenario(scenario, cfg)
-    assert (len(templates), len(searches)) == (1, 0)
+    assert (len(templates), len(searches)) == (0, 0)
     run_pipeline(setup, cfg, pose_source="gt")
-    # two neighbors in each of two frames score against the setup's template
+    # the first run with neighbors builds the template; two neighbors in each
+    # of two frames score against it
     assert (len(templates), len(searches)) == (1, 4)
-    run_pipeline(setup, cfg, pose_source="none")
-    assert (len(templates), len(searches)) == (1, 4)
+    run_pipeline(setup, cfg, pose_source="gt")
+    assert (len(templates), len(searches)) == (1, 8)
+    # the single-agent source searches nothing, so its setup builds no template
+    alone = setup_scenario(scenario, cfg)
+    run_pipeline(alone, cfg, pose_source="none")
+    assert (len(templates), len(searches)) == (1, 8)
     # a lone agent has no neighbor to search against, and gets no template
     lone = _small_params(num_agents=1)
     assert setup_scenario(generate_scenario(lone, 44), _small_cfg(scenario=lone)).template is None

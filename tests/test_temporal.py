@@ -71,14 +71,13 @@ def test_encode_embedding_matches_scalar_oracle():
     spec = GridSpec.centered(4, 3, 1.0)
     grid = BevGrid(spec, rng.standard_normal((2, 3, 4)))
     w = rng.standard_normal((6, 2))
-    b = rng.standard_normal(6)
-    out = encode(EncoderParams(w, b, [], heads=2), [grid])
+    out = encode(EncoderParams(w, [], heads=2), [grid])
     assert out.data.shape == (6, 3, 4)
     enc = temporal_encoding(1, 6)
     for d in range(6):
         for i in range(3):
             for j in range(4):
-                want = b[d] + sum(w[d, c] * grid.data[c, i, j] for c in range(2)) + enc[d]
+                want = sum(w[d, c] * grid.data[c, i, j] for c in range(2)) + enc[d]
                 assert abs(out.data[d, i, j] - want) < 1e-12
 
 
@@ -96,8 +95,7 @@ def _encode_full_query(params, frames, skipped_layers=0):
     zero-branch layers that the stack replaced by ``x + 0.0``;
     ``skipped_layers`` replays them."""
     projected = [
-        BevGrid(f.spec, np.einsum("dc,chw->dhw", params.embed_w, f.data) + params.embed_b[:, None, None])
-        for f in frames
+        BevGrid(f.spec, np.einsum("dc,chw->dhw", params.embed_w, f.data)) for f in frames
     ]
     dim = params.dim
     stacked = [f.data.reshape(dim, -1).T + temporal_encoding(t, dim) for t, f in enumerate(projected, start=1)]
@@ -191,18 +189,17 @@ def _layer_out_of_place(layer, x, heads, rows):
     s, dim = x.shape
     dh = dim // heads
     ln = temporal._layer_norm_forward
-    u = ln(x, layer.ln1_scale, layer.ln1_shift)
-    qh = temporal._split_heads(u[s - rows:] @ layer.wq.T + layer.bq, heads)
-    kh = temporal._split_heads(u @ layer.wk.T + layer.bk, heads)
-    vh = temporal._split_heads(u @ layer.wv.T + layer.bv, heads)
+    u = ln(x)
+    qh = temporal._split_heads(u[s - rows:] @ layer.wq.T, heads)
+    kh = temporal._split_heads(u @ layer.wk.T, heads)
+    vh = temporal._split_heads(u @ layer.wv.T, heads)
     scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(dh)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     attn = e / e.sum(axis=-1, keepdims=True)
     ctx = (attn @ vh).transpose(1, 0, 2).reshape(rows, dim)  # heads side by side
-    z1 = ctx @ layer.wo.T + layer.bo + x[s - rows:]
-    w = ln(z1, layer.ln2_scale, layer.ln2_shift)
-    out = np.tanh(w @ layer.mlp_w1.T + layer.mlp_b1) @ layer.mlp_w2.T + layer.mlp_b2 + z1
+    z1 = ctx @ layer.wo.T + x[s - rows:]
+    out = np.tanh(ln(z1) @ layer.mlp_w1.T) @ layer.mlp_w2.T + z1
     return out, attn
 
 
@@ -270,18 +267,18 @@ def _layer_forward_scalar(layer, x, heads):
     s, d = x.shape
     dh = d // heads
 
-    def ln(v, scale, shift):
+    def ln(v):
         out = np.zeros_like(v)
         for i in range(s):
             mu = v[i].mean()
             var = ((v[i] - mu) ** 2).mean()
-            out[i] = (v[i] - mu) / math.sqrt(var + 1e-5) * scale + shift
+            out[i] = (v[i] - mu) / math.sqrt(var + 1e-5)
         return out
 
-    u = ln(x, layer.ln1_scale, layer.ln1_shift)
-    q = u @ layer.wq.T + layer.bq
-    k = u @ layer.wk.T + layer.bk
-    v = u @ layer.wv.T + layer.bv
+    u = ln(x)
+    q = u @ layer.wq.T
+    k = u @ layer.wk.T
+    v = u @ layer.wv.T
     ctx = np.zeros((s, d))
     for hh in range(heads):
         sl = slice(hh * dh, (hh + 1) * dh)
@@ -290,9 +287,8 @@ def _layer_forward_scalar(layer, x, heads):
             e = np.exp(scores - scores.max())
             a = e / e.sum()
             ctx[i, sl] = sum(a[j] * v[j, sl] for j in range(s))
-    z1 = ctx @ layer.wo.T + layer.bo + x
-    w = ln(z1, layer.ln2_scale, layer.ln2_shift)
-    return np.tanh(w @ layer.mlp_w1.T + layer.mlp_b1) @ layer.mlp_w2.T + layer.mlp_b2 + z1
+    z1 = ctx @ layer.wo.T + x
+    return np.tanh(ln(z1) @ layer.mlp_w1.T) @ layer.mlp_w2.T + z1
 
 
 def test_layer_forward_matches_scalar_oracle():
@@ -339,7 +335,7 @@ def test_encoder_params_validation():
     with pytest.raises(ValueError):
         EncoderParams.passthrough(in_channels=5, dim=4, heads=2)
     with pytest.raises(ValueError):
-        EncoderParams(np.zeros((6, 2)), np.zeros(6), [], heads=4)
+        EncoderParams(np.zeros((6, 2)), [], heads=4)
     tokens = np.zeros((5, 4))
     seeded = EncoderParams.seeded(4, 4, 2, 1, 8, np.random.default_rng(0))
     for params in (EncoderParams.passthrough(4, 4, 2), seeded):
@@ -359,12 +355,10 @@ def test_layer_is_permutation_equivariant():
 
 
 def _branchless_layer(rng, dim=4, hidden=6):
-    """Random LayerNorm, QKV and first MLP weights; zero output branches."""
+    """Random QKV and first MLP weights; zero output branches."""
     layer = LayerParams.seeded(dim, hidden, rng, scale=1.0)
-    for name in ("ln1_scale", "ln1_shift", "bq", "bk", "bv", "ln2_scale", "ln2_shift", "mlp_b1"):
-        setattr(layer, name, rng.standard_normal(getattr(layer, name).shape))
-    for name in ("wo", "bo", "mlp_w2", "mlp_b2"):
-        setattr(layer, name, np.zeros_like(getattr(layer, name)))
+    layer.wo[:] = 0.0
+    layer.mlp_w2[:] = 0.0
     return layer
 
 
@@ -374,9 +368,9 @@ def test_zero_branch_layer_is_exact_residual_identity():
     tokens.reshape(-1)[::3] = -0.0
     assert np.signbit(tokens).any() and (tokens == 0.0).any()
     out = _full_layer(_branchless_layer(rng), tokens, heads=2)
-    # both residual branches add +0.0, which also maps -0.0 tokens to 0.0
-    assert out.tobytes() == (tokens + 0.0).tobytes()
-    assert not np.signbit(out[out == 0.0]).any()
+    # both residual branches add a signed zero, so the -0.0 tokens may come
+    # back as +0.0: the identity holds by value
+    assert np.array_equal(out, tokens)
 
 
 def _count_layer_calls(monkeypatch):
@@ -393,7 +387,7 @@ def _count_layer_calls(monkeypatch):
 
 
 # vit_forward runs every layer it is given, near-identity ones included
-@pytest.mark.parametrize("name", ["wo", "bo", "mlp_w2", "mlp_b2"])
+@pytest.mark.parametrize("name", ["wo", "mlp_w2"])
 def test_one_nonzero_branch_entry_runs_the_layer(monkeypatch, name):
     rng = np.random.default_rng(74)
     layer = _branchless_layer(rng)
@@ -402,24 +396,11 @@ def test_one_nonzero_branch_entry_runs_the_layer(monkeypatch, name):
     tokens = rng.standard_normal((8, 4))
     want = _full_layer(layer, tokens, heads=2)
     calls = _count_layer_calls(monkeypatch)
-    params = EncoderParams(np.eye(4), np.zeros(4), [layer], heads=2)
+    params = EncoderParams(np.eye(4), [layer], heads=2)
     got = vit_forward(params, tokens)
     assert len(calls) == 1
     assert got.tobytes() == want.tobytes()
     assert not np.array_equal(got, tokens)
-
-
-@pytest.mark.parametrize("name", ["bo", "mlp_b2"])
-def test_negative_zero_bias_runs_the_layer(monkeypatch, name):
-    rng = np.random.default_rng(75)
-    layer = _branchless_layer(rng)
-    setattr(layer, name, np.full_like(getattr(layer, name), -0.0))
-    tokens = rng.standard_normal((4, 4))
-    want = _full_layer(layer, tokens, heads=2)
-    calls = _count_layer_calls(monkeypatch)
-    params = EncoderParams(np.eye(4), np.zeros(4), [layer], heads=2)
-    assert vit_forward(params, tokens).tobytes() == want.tobytes()
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode, expected", [("passthrough", 0), ("random", 3)])
