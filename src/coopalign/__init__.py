@@ -26,7 +26,6 @@ from .config import (
 from .detection import (
     Detection,
     EvalConfig,
-    HeadParams,
     RotatedBox3D,
     average_precision,
     decode_head,
@@ -77,7 +76,6 @@ from .harness import (
     SweepRow,
     agent_box_observation,
     box_in_frame,
-    build_head,
     ego_frame_targets,
     emit_alignment_report,
     emit_scenario,

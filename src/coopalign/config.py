@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baselines import GraphMatchConfig, IcpConfig
-from .detection import EvalConfig
+from .detection import EvalConfig, HeadConfig
 from .fusion import BEV_CHANNELS, GridSpec, OffsetSearch
 from .localization import _BLOCK_CAP, MAX_SIGMA_R, MAX_SIGMA_T, OracleErrorModel, RansacConfig
 
@@ -45,6 +45,8 @@ class ScenarioParams:
             raise ConfigError("object and point counts must be non-negative")
         if self.world_size <= 0.0 or self.sensing_range <= 0.0:
             raise ConfigError("world_size and sensing_range must be positive")
+        if max(self.world_size, self.sensing_range, self.max_agent_distance) > MAX_SIGMA_T:
+            raise ConfigError(f"world_size, sensing_range and max_agent_distance must not exceed {MAX_SIGMA_T:g} m")
         if self.co_visible is not None:
             if self.num_agents < 2:
                 raise ConfigError("co_visible control needs at least 2 agents")
@@ -74,25 +76,6 @@ class EncoderConfig:
             raise ConfigError("encoder layers/hidden must be non-negative/positive")
         if self.mode not in ("passthrough", "random"):
             raise ConfigError("encoder mode must be 'passthrough' or 'random'")
-
-
-@dataclass(frozen=True)
-class HeadConfig:
-    height_gain: float = 2.0
-    height_floor: float = 0.4
-    nominal_z: float = 0.8
-    nominal_h: float = 1.6
-    nominal_w: float = 2.2
-    nominal_l: float = 3.6
-    nms_iou: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.height_gain <= 0.0:
-            raise ConfigError("height_gain must be positive")
-        if min(self.nominal_h, self.nominal_w, self.nominal_l) <= 0.0:
-            raise ConfigError("nominal extents must be positive")
-        if not 0.0 < self.nms_iou < 1.0:
-            raise ConfigError("nms_iou must lie in (0, 1)")
 
 
 BENCHMARK_METHODS = ("pgc", "icp", "graph", "gt-noise")

@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import BevGrid, box_sum_3x3
+from .fusion import MAX_HEIGHT_CHANNEL, BevGrid, box_sum_3x3
 from .geometry import normalize_angle
+from .localization import MAX_SIGMA_T
 
 
 @dataclass(frozen=True)
@@ -81,24 +82,30 @@ class EvalConfig:
                 raise ValueError("iou thresholds must lie in (0, 1)")
 
 
-@dataclass(frozen=True, eq=False)
-class HeadParams:
-    """Per-cell linear decode head: 8 outputs from C input channels.
+@dataclass(frozen=True)
+class HeadConfig:
+    """The analytic decode head: objectness is a clipped linear ramp in fused
+    max height above ``height_floor``, and every box has the nominal extents,
+    height ``nominal_z`` and yaw 0."""
 
-    Output layout: [objectness, dx, dy, z, log h, log w, log l, theta]."""
-
-    weight: np.ndarray
-    bias: np.ndarray
+    height_gain: float = 2.0
+    height_floor: float = 0.4
+    nominal_z: float = 0.8
+    nominal_h: float = 1.6
+    nominal_w: float = 2.2
+    nominal_l: float = 3.6
+    nms_iou: float = 0.5
 
     def __post_init__(self) -> None:
-        w = np.array(self.weight, dtype=float)
-        b = np.array(self.bias, dtype=float).reshape(-1)
-        if w.ndim != 2 or w.shape[0] != 8 or b.shape[0] != 8:
-            raise ValueError("head weight must be (8, C) and bias (8,)")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
+        if self.height_gain <= 0.0:
+            raise ValueError("height_gain must be positive")
+        if min(self.nominal_h, self.nominal_w, self.nominal_l) <= 0.0:
+            raise ValueError("nominal extents must be positive")
+        lengths = (self.height_floor, self.nominal_z, self.nominal_h, self.nominal_w, self.nominal_l)
+        if max(abs(v) for v in (self.height_gain, *lengths)) > MAX_SIGMA_T:
+            raise ValueError(f"head gain, floor, height and extents must not exceed {MAX_SIGMA_T:g} in magnitude")
+        if not 0.0 < self.nms_iou < 1.0:
+            raise ValueError("nms_iou must lie in (0, 1)")
 
 
 # A point counts as inside a clip edge down to this cross product.
@@ -307,29 +314,30 @@ def _peak_mask(values: np.ndarray) -> np.ndarray:
     return peak
 
 
-def decode_head(fused: BevGrid, params: HeadParams, cfg: EvalConfig, nms_iou: float = 0.5) -> list[Detection]:
-    """Decode per-cell boxes from a fused grid with a linear head.
+def decode_head(fused: BevGrid, head: HeadConfig, cfg: EvalConfig, height_offset: float = 0.0) -> list[Detection]:
+    """Decode boxes from a fused grid with the analytic head.
 
-    Objectness is the clipped linear response in [0, 1]; cells above
-    cfg.score_threshold emit one box with center offset (dx, dy) from the cell
-    center, absolute z, exp-decoded extents, and a yaw. Each candidate must
-    also be a 3x3 local maximum of the raw objectness, which collapses an
-    extended object footprint to one box; the box center then shifts to the
-    score-weighted centroid of the peak's 3x3 window, recovering sub-cell
+    Objectness is ``height_gain`` times the max-height channel less
+    ``height_offset`` and ``height_floor``, clipped to [0, 1]; cells above
+    cfg.score_threshold emit one box with the head's nominal height and
+    extents and yaw 0. Each candidate must also be a 3x3 local maximum of
+    the raw objectness, which collapses an extended object footprint to one
+    box; the box center is the peak cell's center shifted to the
+    score-weighted centroid of its 3x3 window, recovering sub-cell
     localization from the response shape. Greedy NMS finally drops any box
-    whose BEV IoU with a kept higher-scoring box exceeds nms_iou."""
-    if params.weight.shape[1] != fused.data.shape[0]:
-        raise ValueError("head weight channel count must match the grid")
-    raw = np.einsum("kc,chw->khw", params.weight, fused.data) + params.bias[:, None, None]
-    scores = np.clip(raw[0], 0.0, 1.0)
-    rows, cols = np.nonzero((scores > cfg.score_threshold) & _peak_mask(raw[0]))
+    whose BEV IoU with a kept higher-scoring box exceeds head.nms_iou."""
+    if fused.data.shape[0] <= MAX_HEIGHT_CHANNEL:
+        raise ValueError("the fused grid has no max-height channel")
+    gain = head.height_gain
+    raw = gain * fused.data[MAX_HEIGHT_CHANNEL] + -gain * (head.height_floor + height_offset)
+    scores = np.clip(raw, 0.0, 1.0)
+    rows, cols = np.nonzero((scores > cfg.score_threshold) & _peak_mask(raw))
     spec = fused.spec
     height, width = scores.shape
     candidates: list[Detection] = []
     for r, c in zip(rows.tolist(), cols.tolist()):
-        vec = raw[:, r, c]
-        cx = spec.origin[0] + c * spec.resolution + vec[1]
-        cy = spec.origin[1] + r * spec.resolution + vec[2]
+        cx = spec.origin[0] + c * spec.resolution
+        cy = spec.origin[1] + r * spec.resolution
         acc_w = acc_x = acc_y = 0.0
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
@@ -343,18 +351,12 @@ def decode_head(fused: BevGrid, params: HeadParams, cfg: EvalConfig, nms_iou: fl
             cx += spec.resolution * acc_x / acc_w
             cy += spec.resolution * acc_y / acc_w
         box = RotatedBox3D(
-            x=cx,
-            y=cy,
-            z=vec[3],
-            h=math.exp(vec[4]),
-            w=math.exp(vec[5]),
-            l=math.exp(vec[6]),
-            theta=vec[7],
+            x=cx, y=cy, z=head.nominal_z, h=head.nominal_h, w=head.nominal_w, l=head.nominal_l, theta=0.0,
         )
         candidates.append(Detection(box=box, score=float(scores[r, c])))
     candidates.sort(key=lambda d: -d.score)
     kept: list[Detection] = []
     for det in candidates:
-        if all(rotated_iou_bev(det.box, k.box) <= nms_iou for k in kept):
+        if all(rotated_iou_bev(det.box, k.box) <= head.nms_iou for k in kept):
             kept.append(det)
     return kept

@@ -25,7 +25,6 @@ from .config import ConfigError, ExperimentConfig, SWEEP_METHODS, level_key, thr
 from .detection import (
     Detection,
     EvalConfig,
-    HeadParams,
     RotatedBox3D,
     ScoredSet,
     decode_head,
@@ -411,26 +410,6 @@ def _search_grid(grid: BevGrid, channel: int) -> BevGrid:
     return BevGrid(grid.spec, (box_sum_3x3(grid.data[channel]) / 9.0)[None, :, :])
 
 
-def build_head(cfg: ExperimentConfig) -> HeadParams:
-    """Analytic decode head for the passthrough encoder: objectness is a
-    clipped linear ramp in fused max height above a floor, extents and
-    center offsets are constants. The temporal encoding adds a constant to
-    every channel at the readout frame, so the objectness bias subtracts
-    the constant seen by the max-height channel."""
-    dim = cfg.encoder.dim
-    e_t = temporal_encoding(float(cfg.frames), dim)
-    weight = np.zeros((8, dim))
-    bias = np.zeros(8)
-    gain = cfg.head.height_gain
-    weight[0, MAX_HEIGHT_CHANNEL] = gain
-    bias[0] = -gain * (cfg.head.height_floor + float(e_t[MAX_HEIGHT_CHANNEL]))
-    bias[3] = cfg.head.nominal_z
-    bias[4] = math.log(cfg.head.nominal_h)
-    bias[5] = math.log(cfg.head.nominal_w)
-    bias[6] = math.log(cfg.head.nominal_l)
-    return HeadParams(weight=weight, bias=bias)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
@@ -589,8 +568,10 @@ def run_pipeline(
 
     params = _build_encoder(cfg)
     fused = encode(params, frames)
-    head = build_head(cfg)
-    dets = decode_head(fused, head, cfg.eval, nms_iou=cfg.head.nms_iou)
+    # the temporal encoding adds a constant to every channel at the readout
+    # frame, so the head's floor is raised by the one the max-height channel sees
+    e_t = float(temporal_encoding(float(cfg.frames), cfg.encoder.dim)[MAX_HEIGHT_CHANNEL])
+    dets = decode_head(fused, cfg.head, cfg.eval, e_t)
     dets = [d for d in dets if _in_roi(d.box.x, d.box.y, spec)]
     return PipelineResult(
         detections=tuple(dets), fused=fused, messages=tuple(messages), pose_estimates=pose_estimates,
@@ -692,18 +673,21 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
 
 def _map_scenarios(worker, cfg: ExperimentConfig, parallel: int) -> list:
     """[worker(cfg, i) for each scenario index i], in index order, computed
-    by parallel worker processes when parallel is above 1."""
+    by up to parallel worker processes, never more than there are scenarios:
+    a forking pool starts all of its workers at the first submit."""
     if parallel < 1:
         raise ValueError(f"parallel must be at least 1, got {parallel}")
-    if parallel == 1:
+    workers = min(parallel, cfg.num_scenarios)
+    logger.info("%d worker(s)", workers)
+    if workers == 1:
         return [worker(cfg, i) for i in range(cfg.num_scenarios)]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(functools.partial(worker, cfg), range(cfg.num_scenarios)))
 
 
 def run_alignment_benchmark(cfg: ExperimentConfig, parallel: int = 1) -> AlignmentReport:
     """Relative pose estimation across methods over generated scenarios."""
-    logger.info("alignment benchmark: %d scenarios, %d worker(s)", cfg.num_scenarios, parallel)
+    logger.info("alignment benchmark: %d scenarios", cfg.num_scenarios)
     per_scenario = _map_scenarios(_benchmark_scenario, cfg, parallel)
     return AlignmentReport(rows=[row for rows in per_scenario for row in rows])
 
@@ -767,10 +751,7 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
     rows and the pooled AP are both built here from those flags, so they
     equal average_precision and pooled_average_precision of the detections.
     """
-    logger.info(
-        "noise sweep: %d scenarios x %d levels, %d worker(s)",
-        cfg.num_scenarios, len(cfg.noise_levels), parallel,
-    )
+    logger.info("noise sweep: %d scenarios x %d levels", cfg.num_scenarios, len(cfg.noise_levels))
     scored = _map_scenarios(_sweep_scenario, cfg, parallel)
     thresholds = cfg.eval.iou_thresholds
 

@@ -60,7 +60,9 @@ class SceneCoordPrediction:
 # Largest translation noise sigma (meters) a config may ask for: GNSS noise,
 # and the oracle's inlier sigma and outlier scale. Far beyond it, a squared
 # pose or point error overflows and the grid warp's cell indices no longer
-# fit an int64.
+# fit an int64. The config also bounds its other lengths and the decode
+# head's gain by it: a scene in a 1e300 m world drops every pgc agent, and a
+# 1e308 head gain saturates every score.
 MAX_SIGMA_T = 1e6
 
 # Largest GNSS heading noise sigma (degrees) a config may ask for, millions

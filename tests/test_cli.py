@@ -267,6 +267,21 @@ _INVALID_CONFIGS = {
     "huge alignment rotation noise": {"num_scenarios": 2, "alignment_noise": [0, 1e308], "methods": ["gt-noise"]},
     # the bias field's frequencies (1 / length) overflow, so its offsets are NaN
     "sub-atomic oracle bias correlation length": {"num_scenarios": 2, "oracle": {"bias_correlation_length": 1e-308}},
+    # numpy arithmetic overflows in a world or sensing range this large (the
+    # world drops every pgc agent); such a distance fails agent placement
+    "huge world size": {"num_scenarios": 1, "scenario": {"world_size": 1e300}},
+    "huge sensing range": {"num_scenarios": 1, "scenario": {"sensing_range": 1e300}},
+    "huge agent distance": {"num_scenarios": 1, "scenario": {"max_agent_distance": 1e300}},
+    # the head's gain, floor, height and extents are bounded like the scene's
+    # lengths: a 1e308 gain saturates every score, a floor of -1e308 or 2e6
+    # scores every cell 1 or 0, and a 1e308 extent makes box areas inf
+    "huge head gain": {"num_scenarios": 1, "head": {"height_gain": 1e308}},
+    "huge negative head floor": {"num_scenarios": 1, "head": {"height_floor": -1e308}},
+    "huge head floor": {"num_scenarios": 1, "head": {"height_floor": 2e6}},
+    "huge nominal height": {"num_scenarios": 1, "head": {"nominal_z": -1e308}},
+    "huge nominal box height": {"num_scenarios": 1, "head": {"nominal_h": 1e308}},
+    "huge nominal width": {"num_scenarios": 1, "head": {"nominal_w": 2e6}},
+    "huge nominal length": {"num_scenarios": 1, "head": {"nominal_l": 1e308}},
 }
 
 # One out-of-range value for every key that has a bound.
@@ -453,6 +468,10 @@ _FUZZ_CONFIGS = st.fixed_dictionaries(
         "head": _section(
             height_gain=st.sampled_from([0.5, 2.0, 8.0]),
             height_floor=st.sampled_from([-1.0, 0.4, 2.0]),
+            nominal_z=st.sampled_from([-1.0, 0.0, 0.8]),
+            nominal_h=st.sampled_from([0.5, 1.6]),
+            nominal_w=st.sampled_from([0.3, 2.2, 9.0]),
+            nominal_l=st.sampled_from([0.3, 3.6, 9.0]),
             nms_iou=st.sampled_from([0.1, 0.5, 0.9]),
         ),
         "eval": _section(

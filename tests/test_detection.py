@@ -10,7 +10,7 @@ from coopalign import detection
 from coopalign.detection import (
     Detection,
     EvalConfig,
-    HeadParams,
+    HeadConfig,
     RotatedBox3D,
     _ap_from_counts,
     _peak_mask,
@@ -21,7 +21,7 @@ from coopalign.detection import (
     rotated_iou_bev,
     score_detection_set,
 )
-from coopalign.fusion import BevGrid, GridSpec
+from coopalign.fusion import MAX_HEIGHT_CHANNEL, BevGrid, GridSpec
 
 
 def _box(x=0.0, y=0.0, w=1.0, l=1.0, theta=0.0, z=0.0, h=1.0):
@@ -476,52 +476,44 @@ def test_peak_mask_plateau_resolves_to_interior():
     assert list(zip(rows.tolist(), cols.tolist())) == [(2, 2)]
 
 
-def test_head_params_validation():
-    with pytest.raises(ValueError):
-        HeadParams(np.zeros((7, 4)), np.zeros(8))
-    with pytest.raises(ValueError):
-        HeadParams(np.zeros((8, 4)), np.zeros(7))
-
-
-def _identity_head():
-    return HeadParams(np.eye(8), np.zeros(8))
+def _unit_head(**fields):
+    """A head whose objectness is the max-height channel itself."""
+    return HeadConfig(height_gain=1.0, height_floor=0.0, **fields)
 
 
 def test_decode_head_exact_single_box():
     spec = GridSpec.centered(9, 9, 1.0)
     data = np.zeros((8, 9, 9))
     r, c = 3, 5
-    data[0, r, c] = 1.0
-    data[1, r, c] = 0.3   # dx
-    data[2, r, c] = -0.2  # dy
-    data[3, r, c] = 0.8   # z
-    data[4, r, c] = math.log(1.5)
-    data[5, r, c] = math.log(2.0)
-    data[6, r, c] = math.log(4.0)
-    data[7, r, c] = 0.4
-    dets = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig())
+    data[MAX_HEIGHT_CHANNEL, r, c] = 1.0
+    head = _unit_head(nominal_z=0.8, nominal_h=1.5, nominal_w=2.0, nominal_l=4.0)
+    dets = decode_head(BevGrid(spec, data), head, EvalConfig())
     assert len(dets) == 1
-    box = dets[0].box
     xs, ys = spec.cell_centers()
-    assert abs(box.x - (xs[c] + 0.3)) < 1e-12
-    assert abs(box.y - (ys[r] - 0.2)) < 1e-12
-    assert abs(box.z - 0.8) < 1e-12
-    assert abs(box.h - 1.5) < 1e-12
-    assert abs(box.w - 2.0) < 1e-12
-    assert abs(box.l - 4.0) < 1e-12
-    assert abs(box.theta - 0.4) < 1e-12
+    assert dets[0].box == RotatedBox3D(x=xs[c], y=ys[r], z=0.8, h=1.5, w=2.0, l=4.0, theta=0.0)
     assert dets[0].score == 1.0
+
+
+def test_decode_head_objectness_is_a_ramp_above_the_floor():
+    spec = GridSpec.centered(5, 5, 1.0)
+    data = np.zeros((4, 5, 5))
+    data[MAX_HEIGHT_CHANNEL, 2, 2] = 1.3
+    head = HeadConfig(height_gain=2.0, height_floor=0.4)
+    # 2 * (1.3 - 0.4 - 0.5) = 0.8, and the offset 0.5 raises the floor
+    (det,) = decode_head(BevGrid(spec, data), head, EvalConfig(), height_offset=0.5)
+    assert det.score == 2.0 * 1.3 + -2.0 * (0.4 + 0.5)
+    assert abs(det.score - 0.8) < 1e-12
+    assert decode_head(BevGrid(spec, data), head, EvalConfig(), height_offset=0.8) == []
 
 
 def test_decode_head_center_refinement_shifts_toward_mass():
     spec = GridSpec.centered(9, 9, 1.0)
     data = np.zeros((8, 9, 9))
-    data[4:7] = math.log(1.0)
     r, c = 4, 4
-    data[0, r, c] = 1.0
-    data[0, r, c - 1] = 0.2
-    data[0, r, c + 1] = 0.6
-    dets = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig())
+    data[MAX_HEIGHT_CHANNEL, r, c] = 1.0
+    data[MAX_HEIGHT_CHANNEL, r, c - 1] = 0.2
+    data[MAX_HEIGHT_CHANNEL, r, c + 1] = 0.6
+    dets = decode_head(BevGrid(spec, data), _unit_head(), EvalConfig())
     assert len(dets) == 1
     xs, _ = spec.cell_centers()
     want_shift = (0.6 - 0.2) / 1.8
@@ -531,29 +523,138 @@ def test_decode_head_center_refinement_shifts_toward_mass():
 def test_decode_head_peak_pick_collapses_footprint():
     spec = GridSpec.centered(9, 9, 1.0)
     data = np.zeros((8, 9, 9))
-    data[0, 4, 3:6] = [0.6, 0.9, 0.6]
-    # three cells clear the threshold, and no-overlap NMS would keep them all
-    dets = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig(), nms_iou=1.0)
+    data[MAX_HEIGHT_CHANNEL, 4, 3:6] = [0.6, 0.9, 0.6]
+    # three cells clear the threshold, and lenient NMS would keep them all
+    dets = decode_head(BevGrid(spec, data), _unit_head(nms_iou=0.99), EvalConfig())
     assert [d.score for d in dets] == [0.9]
 
 
 def test_decode_head_nms_drops_duplicates():
     spec = GridSpec.centered(9, 9, 1.0)
     data = np.zeros((8, 9, 9))
-    data[5] = math.log(8.0)
-    data[6] = math.log(8.0)
-    data[0, 4, 2] = 0.9
-    data[0, 4, 4] = 0.7  # two peaks 2 m apart, 8 m boxes overlap at IoU 0.6
-    both = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig(), nms_iou=0.61)
+    data[MAX_HEIGHT_CHANNEL, 4, 2] = 0.9
+    data[MAX_HEIGHT_CHANNEL, 4, 4] = 0.7  # two peaks 2 m apart, 8 m boxes overlap at IoU 0.6
+    both = decode_head(BevGrid(spec, data), _unit_head(nominal_w=8.0, nominal_l=8.0, nms_iou=0.61), EvalConfig())
     assert [d.score for d in both] == [0.9, 0.7]
-    dets = decode_head(BevGrid(spec, data), _identity_head(), EvalConfig())
+    dets = decode_head(BevGrid(spec, data), _unit_head(nominal_w=8.0, nominal_l=8.0), EvalConfig())
     assert [d.score for d in dets] == [0.9]
 
 
 def test_decode_head_respects_threshold_and_channel_check():
     spec = GridSpec.centered(5, 5, 1.0)
     data = np.zeros((8, 5, 5))
-    data[0, 2, 2] = 0.2  # below the 0.25 default
-    assert decode_head(BevGrid(spec, data), _identity_head(), EvalConfig()) == []
+    data[MAX_HEIGHT_CHANNEL, 2, 2] = 0.2  # below the 0.25 default
+    assert decode_head(BevGrid(spec, data), _unit_head(), EvalConfig()) == []
     with pytest.raises(ValueError):
-        decode_head(BevGrid(spec, data[:5]), _identity_head(), EvalConfig())
+        decode_head(BevGrid(spec, data[:MAX_HEIGHT_CHANNEL]), _unit_head(), EvalConfig())
+
+
+def _linear_head_decode(fused, head, cfg, height_offset=0.0):
+    """The learned-style linear head that decode_head replaced, kept as its
+    reference: an (8, C) weight and an (8,) bias over [objectness, dx, dy,
+    z, log h, log w, log l, theta], filled with the analytic head's gain,
+    floor and nominal box, then the same peak pick, centroid refinement and
+    NMS."""
+    weight = np.zeros((8, fused.data.shape[0]))
+    bias = np.zeros(8)
+    gain = head.height_gain
+    weight[0, MAX_HEIGHT_CHANNEL] = gain
+    bias[0] = -gain * (head.height_floor + height_offset)
+    bias[3] = head.nominal_z
+    bias[4] = math.log(head.nominal_h)
+    bias[5] = math.log(head.nominal_w)
+    bias[6] = math.log(head.nominal_l)
+    raw = np.einsum("kc,chw->khw", weight, fused.data) + bias[:, None, None]
+    scores = np.clip(raw[0], 0.0, 1.0)
+    rows, cols = np.nonzero((scores > cfg.score_threshold) & _peak_mask(raw[0]))
+    spec = fused.spec
+    height, width = scores.shape
+    candidates = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        vec = raw[:, r, c]
+        cx = spec.origin[0] + c * spec.resolution + vec[1]
+        cy = spec.origin[1] + r * spec.resolution + vec[2]
+        acc_w = acc_x = acc_y = 0.0
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < height and 0 <= cc < width:
+                    v = float(scores[rr, cc])
+                    acc_w += v
+                    acc_x += v * dc
+                    acc_y += v * dr
+        if acc_w > 0.0:
+            cx += spec.resolution * acc_x / acc_w
+            cy += spec.resolution * acc_y / acc_w
+        box = RotatedBox3D(
+            x=cx, y=cy, z=vec[3], h=math.exp(vec[4]), w=math.exp(vec[5]), l=math.exp(vec[6]), theta=vec[7],
+        )
+        candidates.append(Detection(box=box, score=float(scores[r, c])))
+    candidates.sort(key=lambda d: -d.score)
+    kept = []
+    for det in candidates:
+        if all(rotated_iou_bev(det.box, k.box) <= head.nms_iou for k in kept):
+            kept.append(det)
+    return kept
+
+
+def _det_bits(det):
+    return [_bits(v) for v in (det.score, *det.box.as_list())]
+
+
+# extents the linear head's exp(log(x)) returns unchanged
+_exact_extents = st.floats(min_value=0.05, max_value=20.0).filter(lambda x: math.exp(math.log(x)) == x)
+
+
+@st.composite
+def _fused_grids(draw):
+    channels = draw(st.integers(MAX_HEIGHT_CHANNEL + 1, 6))
+    height = draw(st.integers(1, 7))
+    width = draw(st.integers(1, 7))
+    # repeated values make plateaus, where the peak pick breaks ties
+    values = st.sampled_from([0.0, 0.5, 0.9, 1.2]) | st.floats(min_value=-3.0, max_value=3.0)
+    data = np.array(draw(st.lists(values, min_size=channels * height * width, max_size=channels * height * width)))
+    resolution = draw(st.sampled_from([0.5, 1.0, 1.25]))
+    return BevGrid(GridSpec.centered(width, height, resolution), data.reshape(channels, height, width))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fused=_fused_grids(),
+    head=st.builds(
+        HeadConfig,
+        height_gain=st.floats(min_value=0.1, max_value=10.0),
+        height_floor=st.floats(min_value=-3.0, max_value=3.0),
+        # the linear head's z was a sum of zero products plus nominal_z,
+        # which turns a -0.0 into +0.0
+        nominal_z=st.floats(min_value=-5.0, max_value=5.0).map(lambda z: z + 0.0),
+        nominal_h=_exact_extents,
+        nominal_w=_exact_extents,
+        nominal_l=_exact_extents,
+        nms_iou=st.floats(min_value=0.05, max_value=0.95),
+    ),
+    score_threshold=st.floats(min_value=0.0, max_value=1.0),
+    height_offset=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_decode_head_matches_the_linear_head_bitwise(fused, head, score_threshold, height_offset):
+    cfg = EvalConfig(score_threshold=score_threshold)
+    got = decode_head(fused, head, cfg, height_offset)
+    want = _linear_head_decode(fused, head, cfg, height_offset)
+    assert [_det_bits(d) for d in got] == [_det_bits(d) for d in want]
+
+
+def test_default_length_is_the_one_extent_the_linear_head_rounded():
+    # exp(log(3.6)) is one ulp below 3.6, so the linear head wrote the
+    # default length as 3.5999999999999996; the analytic head writes 3.6
+    assert math.exp(math.log(3.6)) == 3.5999999999999996
+    head = HeadConfig()
+    assert [math.exp(math.log(x)) == x for x in (head.nominal_h, head.nominal_w, head.nominal_l)] == [True, True, False]
+    spec = GridSpec.centered(5, 5, 1.0)
+    data = np.zeros((4, 5, 5))
+    data[MAX_HEIGHT_CHANNEL, 2, 2] = 1.0
+    (got,) = decode_head(BevGrid(spec, data), head, EvalConfig())
+    (want,) = _linear_head_decode(BevGrid(spec, data), head, EvalConfig())
+    assert got.box.l == 3.6
+    assert want.box.l == 3.5999999999999996
+    assert _det_bits(got)[:6] == _det_bits(want)[:6]
+    assert _det_bits(got)[7] == _det_bits(want)[7]

@@ -129,30 +129,33 @@ _PIPELINE_RUNS = {
     ),
 }
 
+# every box carries the head's nominal extents as configured, so the default
+# l is written as 3.6 (a log-extent decode would write exp(log(3.6)),
+# 3.5999999999999996); the sweep and align digests hold no box extent
 _PIPELINE_DIGESTS = {
     "defaults": {
-        "pgc": "e55421ebfb7060e1ef3f0c3c9c83b9c181564bad0788f7e424371e487b56848d",
-        "gt-noise": "413e49b40d54c20d21c8719e0bd391c6d4dce57b45f3539d3862618ebf485db7",
-        "gt": "9da8f033b68260eeb0380639a0e1c72b4a873caa6165059899a4e2e7d2002938",
-        "none": "bc69fa408337b286edaaf65663e051b551bba79a7f77f167fe00caea08983d8d",
+        "pgc": "ee0e3bac7fc5375232cbd2d079317326599d21f6b412a1e405c9a8b72e3ee313",
+        "gt-noise": "e2b90214a4724ce9df4c5021a8997c478cc56650c73f8b20b8d454b889398ea6",
+        "gt": "d42ba058e817060ef5ba89013cf6c1e3ea79656133310aeccdfd3aea428e3a41",
+        "none": "f592dae77e3b2b67885d93bc5b9621875852a8d671c9094cf6cbfe1038c7845b",
     },
     "three-agent": {
-        "pgc": "289c9bc1531fe5396137b94435cc13a0fc1f9d85071e9266e82f9e197d42bca5",
-        "gt-noise": "4d8c901d2645db6b9f69d4f3144eed36cc6a25d195445f858f21a53fd59ffd5c",
-        "gt": "889c8373274720eebe83f7ee87631ea7e0a20f78b7296cb9acfb606cd891ef42",
-        "none": "fce8f1491308fe75207773c9df97447563de7a2b582fcb08b9ef07426e2a3d23",
+        "pgc": "52fe37064ba0e99ea0d3882c0bc7e44c09c88c80758e7d87a80c0b5ddf10230c",
+        "gt-noise": "6c61085bb9b283b33bad87694a171aa9bdcb7908d1d49d56c1e7b1a00c5583ee",
+        "gt": "ce3c3432c33e844c92752f271d50df543e5068b914fa14bff775d02444eaf6e2",
+        "none": "014cad329dcfa96acd2e5cfcece6c63f9e22f8475eb6b7cb3ecdc0eada43de6d",
     },
     "random-d16": {
-        "pgc": "bb8d32178c983d705c758fb1b0ddeed979a7f95c65005a2185c81cd8a9afbd66",
-        "gt-noise": "942dde343ad8cdd3fbd2ee2b9d17ba0d5d7894c6973663c889bd518ea2da7bb5",
-        "gt": "a6a129a72aa659bb4b6e2d60c65bcf85666abaa5011bfc13fc12329bb18ff53d",
-        "none": "edccfd8912944c0e9d13b76e9b89e8c26e54155ca926b42237a614ac5a42936b",
+        "pgc": "575c4e5373726a68d3cd5f1796ac34eecf3745c04af7571d6733ed814105e541",
+        "gt-noise": "35c001f2a77aa7e20163690994084518ff439a71067f50dc478846411b18715d",
+        "gt": "65ef7fb57f222b07db5ad97b5064fcde678ff483286d3fd388cc2491152c9516",
+        "none": "f0be22a94bee45c0a2749d7026274e0a9f1137d65188d5e19145874ebe5ca56b",
     },
     "random-two-layer": {
-        "pgc": "3d06848a4f8a0c9dce5f6ce99373753f4f167a60bf24763f0e461fa6fc6ef1fd",
-        "gt-noise": "1a38b52d3067775a3cd7e41d5d69cde1841b2c1ec8d70ac27fe4124f779506a9",
-        "gt": "cb2d9d3325dc35d0ad10cccdbde14fd4ef35270b75c954154b9a1fba65d0aefb",
-        "none": "f8d8698389ea074e0fe9baf8d4e82c0e966a4ed5cec0e436211f362be8a6f30d",
+        "pgc": "70cbded050636512886ce400197eee53f4b6e1c9ad83f0582aa236fa2faf57bf",
+        "gt-noise": "232b71f1c03930e69824660103ed71887a9975eb91c71fa8ed93552b13f83173",
+        "gt": "72cb8d65940b98584198d55cd37fbbb1e1a180ebef74e25bfcc290c7e97a7fd4",
+        "none": "42989a74345dcbf30b815723ea4a161a501a16dadf8ba408206c9d1e85ec8554",
     },
 }
 

@@ -19,7 +19,6 @@ from coopalign.harness import (
     _occluded,
     agent_box_observation,
     box_in_frame,
-    build_head,
     ego_frame_targets,
     emit_alignment_report,
     emit_scenario,
@@ -175,22 +174,21 @@ def test_message_size_ordering():
         assert pose_bytes < box_bytes < feat_bytes
 
 
-def test_build_head_formula():
-    cfg = _small_cfg()
-    head = build_head(cfg)
-    dim = cfg.encoder.dim
-    e_t = temporal_encoding(float(cfg.frames), dim)
-    assert head.weight.shape == (8, dim)
-    assert head.weight[0, 2] == cfg.head.height_gain
-    assert abs(head.bias[0] + cfg.head.height_gain * (cfg.head.height_floor + e_t[2])) < 1e-12
-    assert head.bias[3] == cfg.head.nominal_z
-    assert abs(head.bias[4] - math.log(cfg.head.nominal_h)) < 1e-12
-    assert abs(head.bias[5] - math.log(cfg.head.nominal_w)) < 1e-12
-    assert abs(head.bias[6] - math.log(cfg.head.nominal_l)) < 1e-12
-    # nothing else responds to the fused features
-    rest = head.weight.copy()
-    rest[0, 2] = 0.0
-    assert not rest.any()
+def test_pipeline_decodes_above_the_readout_frame_offset(monkeypatch):
+    # the temporal encoding adds a constant to the max-height channel at the
+    # readout frame; the head's floor must be raised by exactly that constant
+    cfg = _small_cfg(frames=2)
+    calls = []
+
+    def recording_decode(fused, head, eval_cfg, height_offset):
+        calls.append((head, eval_cfg, height_offset))
+        return detection.decode_head(fused, head, eval_cfg, height_offset)
+
+    monkeypatch.setattr(harness, "decode_head", recording_decode)
+    run_pipeline(setup_scenario(generate_scenario(cfg.scenario, 41), cfg), cfg, pose_source="gt")
+    e_t = temporal_encoding(2.0, cfg.encoder.dim)[fusion.MAX_HEIGHT_CHANNEL]
+    assert e_t != 0.0
+    assert calls == [(cfg.head, cfg.eval, float(e_t))]
 
 
 def test_run_pipeline_gt_poses_detects_in_roi():
@@ -531,6 +529,31 @@ def test_parallel_below_one_is_refused(parallel):
         run_alignment_benchmark(cfg, parallel=parallel)
     with pytest.raises(ValueError, match="parallel must be at least 1"):
         run_noise_sweep(cfg, parallel=parallel)
+
+
+@pytest.mark.parametrize(("parallel", "scenarios", "pool_sizes"), [(64, 3, [3]), (2, 3, [2]), (64, 1, [])])
+def test_worker_processes_never_outnumber_the_scenarios(monkeypatch, parallel, scenarios, pool_sizes):
+    # a forking pool starts every worker at its first submit, so the pool
+    # size is what forks; this stand-in records it and starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = _small_cfg(num_scenarios=scenarios)
+    assert harness._map_scenarios(lambda c, i: (c, i), cfg, parallel) == [(cfg, i) for i in range(scenarios)]
+    assert sizes == pool_sizes
 
 
 def test_aggregates_by_hand():
