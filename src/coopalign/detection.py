@@ -3,10 +3,12 @@
 Boxes follow the (x, y, z, h, w, l, theta) layout: center, vertical extent h,
 width w across the heading, length l along the heading, and yaw theta. BEV
 overlap is computed on the rotated (l, w) footprint via convex polygon
-clipping. Most pairs that NMS and AP matching score lie far apart, so
+clipping. Most pairs that AP matching scores lie far apart, so
 ``rotated_iou_bev`` first rejects pairs whose centers are further apart than
 the two footprints' circumradii plus a margin: those footprints cannot
-overlap, so their IoU is exactly 0.0.
+overlap, so their IoU is exactly 0.0. The decode head's boxes all have yaw 0
+and the same extents, so its NMS uses the closed-form IoU of two such boxes
+instead.
 """
 
 from __future__ import annotations
@@ -284,34 +286,42 @@ def pooled_average_precision(
     return pooled_ap_from_sets([score_detection_set(dets, gts, (iou_thr,)) for dets, gts in frames], 0)
 
 
-def _peak_mask(values: np.ndarray) -> np.ndarray:
-    """Cells that win their 3x3 neighborhood, one winner per local window.
+# The 3x3 window's taps in row-major (dr, dc) order, and its eight neighbors
+# (the taps without the center), as (9, 1) and (8, 1) columns.
+_TAPS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+_TAP_DR, _TAP_DC = np.array(_TAPS).T[:, :, None]
+_NEIGHBOR_DR, _NEIGHBOR_DC = np.array(_TAPS[:4] + _TAPS[5:]).T[:, :, None]
+# The weights of the centroid's sums (1, dc, dr), for a leading zero row and
+# each tap.
+_TAP_WEIGHTS = np.stack([np.ones(10), np.append(0.0, _TAP_DC), np.append(0.0, _TAP_DR)])[:, :, None]
+
+
+def _peak_cells(values: np.ndarray, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the boolean mask ``candidates`` that win their 3x3
+    neighborhood of values, one winner per local window, as (rows, cols)
+    in scan order.
 
     Ties on the value fall back to the 3x3 neighborhood sum so a flat
     plateau resolves to an interior cell rather than its first corner, and
-    remaining ties go to the lower scan index. Fully deterministic."""
+    remaining ties go to the lower scan index; cells past the border beat
+    none. Fully deterministic. Only the candidates are judged, so the work
+    beyond one neighborhood sum of the grid grows with their number."""
     h, w = values.shape
-    idx = np.arange(h * w).reshape(h, w)
+    rows, cols = np.nonzero(candidates)
     vpad = np.full((h + 2, w + 2), -np.inf)
     vpad[1:-1, 1:-1] = values
     nbsum = box_sum_3x3(values)
     fpad = np.full((h + 2, w + 2), -np.inf)
     fpad[1:-1, 1:-1] = nbsum
     ipad = np.full((h + 2, w + 2), h * w, dtype=np.int64)
-    ipad[1:-1, 1:-1] = idx
-    peak = np.ones((h, w), dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            nv = vpad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-            ns = fpad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-            ni = ipad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-            beats = (nv > values) | (
-                (nv == values) & ((ns > nbsum) | ((ns == nbsum) & (ni < idx)))
-            )
-            peak &= ~beats
-    return peak
+    ipad[1:-1, 1:-1] = np.arange(h * w).reshape(h, w)
+    nr = rows + 1 + _NEIGHBOR_DR
+    nc = cols + 1 + _NEIGHBOR_DC
+    nv, ns, ni = vpad[nr, nc], fpad[nr, nc], ipad[nr, nc]
+    v, s, i = values[rows, cols], nbsum[rows, cols], rows * w + cols
+    beats = (nv > v) | ((nv == v) & ((ns > s) | ((ns == s) & (ni < i))))
+    wins = ~beats.any(axis=0)
+    return rows[wins], cols[wins]
 
 
 def decode_head(fused: BevGrid, head: HeadConfig, cfg: EvalConfig, height_offset: float = 0.0) -> list[Detection]:
@@ -324,39 +334,50 @@ def decode_head(fused: BevGrid, head: HeadConfig, cfg: EvalConfig, height_offset
     the raw objectness, which collapses an extended object footprint to one
     box; the box center is the peak cell's center shifted to the
     score-weighted centroid of its 3x3 window, recovering sub-cell
-    localization from the response shape. Greedy NMS finally drops any box
-    whose BEV IoU with a kept higher-scoring box exceeds head.nms_iou."""
+    localization from the response shape (all windows at once, tap by tap
+    in a per-cell loop's order, zeros outside the grid).
+
+    Greedy NMS then drops any box whose BEV IoU with a kept higher-scoring
+    box exceeds head.nms_iou. All boxes share yaw 0 and (l, w), so that IoU
+    is ``inter / (l*w + l*w - inter)`` with ``inter = max(0, l - |dx|) *
+    max(0, w - |dy|)``, one row over the later boxes per kept box. It equals
+    ``rotated_iou_bev``'s polygon clip up to the clip's rounding (about
+    eps * S**2 / (l*w) at coordinates of magnitude S) and edge tolerance
+    ``_CLIP_TOL``, so the two keep different boxes only where some pair's
+    IoU lies within that band of head.nms_iou."""
     if fused.data.shape[0] <= MAX_HEIGHT_CHANNEL:
         raise ValueError("the fused grid has no max-height channel")
     gain = head.height_gain
     raw = gain * fused.data[MAX_HEIGHT_CHANNEL] + -gain * (head.height_floor + height_offset)
     scores = np.clip(raw, 0.0, 1.0)
-    rows, cols = np.nonzero((scores > cfg.score_threshold) & _peak_mask(raw))
+    rows, cols = _peak_cells(raw, scores > cfg.score_threshold)
     spec = fused.spec
-    height, width = scores.shape
-    candidates: list[Detection] = []
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        cx = spec.origin[0] + c * spec.resolution
-        cy = spec.origin[1] + r * spec.resolution
-        acc_w = acc_x = acc_y = 0.0
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < height and 0 <= cc < width:
-                    v = float(scores[rr, cc])
-                    acc_w += v
-                    acc_x += v * dc
-                    acc_y += v * dr
-        if acc_w > 0.0:
-            cx += spec.resolution * acc_x / acc_w
-            cy += spec.resolution * acc_y / acc_w
-        box = RotatedBox3D(
-            x=cx, y=cy, z=head.nominal_z, h=head.nominal_h, w=head.nominal_w, l=head.nominal_l, theta=0.0,
-        )
-        candidates.append(Detection(box=box, score=float(scores[r, c])))
-    candidates.sort(key=lambda d: -d.score)
+    padded = np.zeros((scores.shape[0] + 2, scores.shape[1] + 2))
+    padded[1:-1, 1:-1] = scores
+    # each peak's 3x3 window, one row per tap in a per-cell loop's (dr, dc)
+    # order after a row of zeros, so that cumsum adds them as the loop did
+    taps = np.zeros((10, rows.shape[0]))
+    taps[1:] = padded[rows + 1 + _TAP_DR, cols + 1 + _TAP_DC]
+    acc_w, acc_x, acc_y = np.cumsum(_TAP_WEIGHTS * taps, axis=1)[:, -1]
+    # acc_w holds the peak's own score, which exceeds the threshold, so it is
+    # positive
+    xs = spec.origin[0] + cols * spec.resolution + spec.resolution * acc_x / acc_w
+    ys = spec.origin[1] + rows * spec.resolution + spec.resolution * acc_y / acc_w
+    peak_scores = scores[rows, cols]
+    order = np.argsort(-peak_scores, kind="stable")
+    xs, ys, peak_scores = xs[order], ys[order], peak_scores[order]
+
+    length, width = head.nominal_l, head.nominal_w
+    union_base = length * width + length * width
+    alive = np.ones(order.shape[0], dtype=bool)
     kept: list[Detection] = []
-    for det in candidates:
-        if all(rotated_iou_bev(det.box, k.box) <= head.nms_iou for k in kept):
-            kept.append(det)
+    for i, (x, y, score) in enumerate(zip(xs.tolist(), ys.tolist(), peak_scores.tolist())):
+        if not alive[i]:
+            continue
+        box = RotatedBox3D(x=x, y=y, z=head.nominal_z, h=head.nominal_h, w=width, l=length, theta=0.0)
+        kept.append(Detection(box=box, score=score))
+        if i + 1 < order.shape[0]:
+            overlap_x = np.maximum(0.0, length - np.abs(xs[i + 1 :] - x))
+            inter = overlap_x * np.maximum(0.0, width - np.abs(ys[i + 1 :] - y))
+            alive[i + 1 :] &= inter / (union_base - inter) <= head.nms_iou
     return kept

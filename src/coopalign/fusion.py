@@ -421,6 +421,12 @@ def serialize_grid(grid: BevGrid) -> bytes:
     return header + grid.data.astype("<f4").tobytes()
 
 
+def serialized_grid_bytes(grid: BevGrid) -> int:
+    """len(serialize_grid(grid)), from the grid's shape alone."""
+    spec = grid.spec
+    return len(BEV_GRID_MAGIC) + struct.calcsize("<iiiddd") + 4 * grid.channels * spec.height * spec.width
+
+
 def deserialize_grid(blob: bytes) -> BevGrid:
     magic_len = len(BEV_GRID_MAGIC)
     if blob[:magic_len] != BEV_GRID_MAGIC:

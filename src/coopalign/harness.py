@@ -51,7 +51,7 @@ from .fusion import (
     estimate_offset,
     offset_template,
     rasterize_bev,
-    serialize_grid,
+    serialized_grid_bytes,
     warp_grid,
 )
 from .geometry import (
@@ -537,7 +537,7 @@ def run_pipeline(
             neighbor_grids = []
             for k in neighbor_ids:
                 messages.append(CommRecord(k, ego.agent_id, "pose", estimates[k].message_bytes()))
-                messages.append(CommRecord(k, ego.agent_id, "features", len(serialize_grid(grids[k]))))
+                messages.append(CommRecord(k, ego.agent_id, "features", serialized_grid_bytes(grids[k])))
                 neighbor_grids.append((grids[k], estimates[k].pose))
             warped = coarse_align(estimates[ego.agent_id].pose, neighbor_grids)
             moved: list[int] = []

@@ -1,9 +1,10 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from coopalign import detection
@@ -13,7 +14,7 @@ from coopalign.detection import (
     HeadConfig,
     RotatedBox3D,
     _ap_from_counts,
-    _peak_mask,
+    _peak_cells,
     average_precision,
     decode_head,
     pooled_ap_from_sets,
@@ -21,7 +22,7 @@ from coopalign.detection import (
     rotated_iou_bev,
     score_detection_set,
 )
-from coopalign.fusion import MAX_HEIGHT_CHANNEL, BevGrid, GridSpec
+from coopalign.fusion import MAX_HEIGHT_CHANNEL, BevGrid, GridSpec, box_sum_3x3
 
 
 def _box(x=0.0, y=0.0, w=1.0, l=1.0, theta=0.0, z=0.0, h=1.0):
@@ -458,22 +459,75 @@ def test_pooled_ap_empty_conventions():
     assert pooled_average_precision([([], [_box()])], 0.5) == 0.0
 
 
+def _grid_peak_mask(values):
+    """The whole-grid peak pick that _peak_cells replaced, kept as its
+    reference: every cell tested against its eight shifted neighbors, with
+    -inf values, -inf sums and index h * w past the border."""
+    h, w = values.shape
+    idx = np.arange(h * w).reshape(h, w)
+    vpad = np.full((h + 2, w + 2), -np.inf)
+    vpad[1:-1, 1:-1] = values
+    nbsum = box_sum_3x3(values)
+    fpad = np.full((h + 2, w + 2), -np.inf)
+    fpad[1:-1, 1:-1] = nbsum
+    ipad = np.full((h + 2, w + 2), h * w, dtype=np.int64)
+    ipad[1:-1, 1:-1] = idx
+    peak = np.ones((h, w), dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            nv = vpad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+            ns = fpad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+            ni = ipad[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+            beats = (nv > values) | (
+                (nv == values) & ((ns > nbsum) | ((ns == nbsum) & (ni < idx)))
+            )
+            peak &= ~beats
+    return peak
+
+
+def _peaks(values):
+    rows, cols = _peak_cells(values, np.ones(values.shape, dtype=bool))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def test_peak_mask_isolated_maxima():
     grid = np.zeros((6, 7))
     grid[1, 2] = 3.0
     grid[4, 5] = 2.0
     grid[4, 4] = 1.0  # shoulder of the second peak
-    mask = _peak_mask(grid)
-    assert mask[1, 2] and mask[4, 5]
-    assert mask.sum() == 2
+    assert _peaks(grid) == [(1, 2), (4, 5)]
 
 
 def test_peak_mask_plateau_resolves_to_interior():
     grid = np.zeros((5, 5))
     grid[1:4, 1:4] = 1.0
-    mask = _peak_mask(grid)
-    rows, cols = np.nonzero(mask)
-    assert list(zip(rows.tolist(), cols.tolist())) == [(2, 2)]
+    assert _peaks(grid) == [(2, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    data=st.data(),
+)
+def test_peak_cells_are_the_whole_grid_pick(shape, data):
+    # few distinct values make plateaus and ties on the neighborhood sum;
+    # infinities make ties with the -inf past the border
+    values = np.array(
+        data.draw(
+            st.lists(
+                st.sampled_from([0.0, 1.0, 2.0, -np.inf, np.inf]) | st.floats(-2.0, 2.0),
+                min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+            )
+        )
+    ).reshape(shape)
+    candidates = np.array(data.draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size)))
+    candidates = candidates.reshape(shape)
+    with np.errstate(invalid="ignore"):  # inf - inf in the neighborhood sums
+        want = np.nonzero(candidates & _grid_peak_mask(values))
+        got = _peak_cells(values, candidates)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 def _unit_head(**fields):
@@ -549,6 +603,34 @@ def test_decode_head_respects_threshold_and_channel_check():
         decode_head(BevGrid(spec, data[:MAX_HEIGHT_CHANNEL]), _unit_head(), EvalConfig())
 
 
+def _window_sums(scores, r, c):
+    """The 3x3 window sums of the centroid refinement, one cell at a time:
+    (sum of v, sum of v * dc, sum of v * dr) over the cells inside the grid."""
+    height, width = scores.shape
+    acc_w = acc_x = acc_y = 0.0
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < height and 0 <= cc < width:
+                v = float(scores[rr, cc])
+                acc_w += v
+                acc_x += v * dc
+                acc_y += v * dr
+    return acc_w, acc_x, acc_y
+
+
+def _clip_nms(candidates, nms_iou):
+    """Greedy NMS over rotated_iou_bev's polygon clip: score-descending (a
+    stable sort), each box kept unless its IoU with a kept box exceeds
+    nms_iou."""
+    candidates = sorted(candidates, key=lambda d: -d.score)
+    kept = []
+    for det in candidates:
+        if all(rotated_iou_bev(det.box, k.box) <= nms_iou for k in kept):
+            kept.append(det)
+    return kept
+
+
 def _linear_head_decode(fused, head, cfg, height_offset=0.0):
     """The learned-style linear head that decode_head replaced, kept as its
     reference: an (8, C) weight and an (8,) bias over [objectness, dx, dy,
@@ -566,23 +648,14 @@ def _linear_head_decode(fused, head, cfg, height_offset=0.0):
     bias[6] = math.log(head.nominal_l)
     raw = np.einsum("kc,chw->khw", weight, fused.data) + bias[:, None, None]
     scores = np.clip(raw[0], 0.0, 1.0)
-    rows, cols = np.nonzero((scores > cfg.score_threshold) & _peak_mask(raw[0]))
+    rows, cols = np.nonzero((scores > cfg.score_threshold) & _grid_peak_mask(raw[0]))
     spec = fused.spec
-    height, width = scores.shape
     candidates = []
     for r, c in zip(rows.tolist(), cols.tolist()):
         vec = raw[:, r, c]
         cx = spec.origin[0] + c * spec.resolution + vec[1]
         cy = spec.origin[1] + r * spec.resolution + vec[2]
-        acc_w = acc_x = acc_y = 0.0
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < height and 0 <= cc < width:
-                    v = float(scores[rr, cc])
-                    acc_w += v
-                    acc_x += v * dc
-                    acc_y += v * dr
+        acc_w, acc_x, acc_y = _window_sums(scores, r, c)
         if acc_w > 0.0:
             cx += spec.resolution * acc_x / acc_w
             cy += spec.resolution * acc_y / acc_w
@@ -590,12 +663,31 @@ def _linear_head_decode(fused, head, cfg, height_offset=0.0):
             x=cx, y=cy, z=vec[3], h=math.exp(vec[4]), w=math.exp(vec[5]), l=math.exp(vec[6]), theta=vec[7],
         )
         candidates.append(Detection(box=box, score=float(scores[r, c])))
-    candidates.sort(key=lambda d: -d.score)
-    kept = []
-    for det in candidates:
-        if all(rotated_iou_bev(det.box, k.box) <= head.nms_iou for k in kept):
-            kept.append(det)
-    return kept
+    return _clip_nms(candidates, head.nms_iou)
+
+
+def _loop_candidates(fused, head, cfg):
+    """The candidates of the per-cell loop that decode_head's array form
+    replaced, kept as its reference: the same peak pick, then each peak's
+    3x3 centroid summed one cell at a time, in scan order (height_offset
+    0). _clip_nms over them is that loop's whole decode."""
+    raw = head.height_gain * fused.data[MAX_HEIGHT_CHANNEL] + -head.height_gain * head.height_floor
+    scores = np.clip(raw, 0.0, 1.0)
+    rows, cols = np.nonzero((scores > cfg.score_threshold) & _grid_peak_mask(raw))
+    spec = fused.spec
+    candidates = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        cx = spec.origin[0] + c * spec.resolution
+        cy = spec.origin[1] + r * spec.resolution
+        acc_w, acc_x, acc_y = _window_sums(scores, r, c)
+        if acc_w > 0.0:
+            cx += spec.resolution * acc_x / acc_w
+            cy += spec.resolution * acc_y / acc_w
+        box = RotatedBox3D(
+            x=cx, y=cy, z=head.nominal_z, h=head.nominal_h, w=head.nominal_w, l=head.nominal_l, theta=0.0,
+        )
+        candidates.append(Detection(box=box, score=float(scores[r, c])))
+    return candidates
 
 
 def _det_bits(det):
@@ -658,3 +750,100 @@ def test_default_length_is_the_one_extent_the_linear_head_rounded():
     assert want.box.l == 3.5999999999999996
     assert _det_bits(got)[:6] == _det_bits(want)[:6]
     assert _det_bits(got)[7] == _det_bits(want)[7]
+
+
+def _nms_band(a, b):
+    """How far apart rotated_iou_bev and the closed-form IoU of two equal
+    yaw-0 boxes can lie. The clip's corners, crossings and shoelace area
+    round at about eps of the coordinates' scale S (the larger |x| + |y| of
+    the pair plus l + w), so its intersection is off by up to about
+    eps * S**2; the clip also keeps a corner up to _CLIP_TOL / min(l, w)
+    outside an edge, a sliver of up to that width along the perimeter. Both
+    errors are divided by the area l * w. On 360k random and near-touching
+    pairs (centers to 300 m, extents 0.03 to 20 m, offsets down to 1e-15 of
+    the extents) the largest gap was 0.92 of the bracket below; the band
+    is 16 times it."""
+    eps = np.finfo(float).eps
+    scale = max(abs(a.x) + abs(a.y), abs(b.x) + abs(b.y)) + a.l + a.w
+    tol = detection._CLIP_TOL * (a.l + a.w) / min(a.l, a.w)
+    return 16.0 * (eps * scale * scale + 4.0 * tol) / (a.l * a.w)
+
+
+@st.composite
+def _fine_grids(draw):
+    """Small grids with cells down to 5 cm, far from the origin or near it:
+    peaks two cells apart are near-coincident boxes."""
+    height = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 9))
+    values = st.sampled_from([0.0, 0.3, 0.6, 1.0]) | st.floats(min_value=-0.5, max_value=1.5)
+    cells = draw(st.lists(values, min_size=height * width, max_size=height * width))
+    data = np.zeros((MAX_HEIGHT_CHANNEL + 1, height, width))
+    data[MAX_HEIGHT_CHANNEL] = np.reshape(cells, (height, width))
+    resolution = draw(st.floats(min_value=0.05, max_value=1.0))
+    origin = draw(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+    return BevGrid(GridSpec(width, height, resolution, np.array(origin)), data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fused=_fine_grids(),
+    length=st.floats(min_value=0.05, max_value=5.0),
+    width=st.floats(min_value=0.05, max_value=5.0),
+    nms_iou=st.floats(min_value=0.01, max_value=0.99),
+    score_threshold=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_closed_form_nms_keeps_what_the_clip_loop_keeps(fused, length, width, nms_iou, score_threshold):
+    """decode_head keeps the boxes, in the order and to the bit, that greedy
+    NMS over rotated_iou_bev keeps, whenever no candidate pair's clip IoU
+    lies within _nms_band of nms_iou (within it, the two IoUs may straddle
+    the threshold; see the pinned pair below)."""
+    head = _unit_head(nominal_w=width, nominal_l=length, nms_iou=nms_iou)
+    cfg = EvalConfig(score_threshold=score_threshold)
+    candidates = _loop_candidates(fused, head, cfg)
+    for i, a in enumerate(candidates):
+        for b in candidates[i + 1 :]:
+            assume(abs(rotated_iou_bev(a.box, b.box) - nms_iou) > _nms_band(a.box, b.box))
+    want = _clip_nms(candidates, nms_iou)
+    target(float(len(candidates) - len(want)), label="suppressed")
+    got = decode_head(fused, head, cfg)
+    assert [_det_bits(d) for d in got] == [_det_bits(d) for d in want]
+
+
+def test_closed_form_nms_on_a_pair_straddling_the_threshold():
+    # two peaks two 5 cm cells apart, centered at x = 0.0625 and 0.1342...;
+    # the clip puts their IoU 3.3e-16 above the closed form's, so with
+    # nms_iou at the closed form's value the clip loop drops the second box
+    # and decode_head keeps it
+    spec = GridSpec(5, 3, 0.05, np.zeros(2))
+    data = np.zeros((MAX_HEIGHT_CHANNEL + 1, 3, 5))
+    data[MAX_HEIGHT_CHANNEL, 1, 1:4] = [0.9, 0.3, 0.65]
+    fused = BevGrid(spec, data)
+    head = _unit_head(nms_iou=0.9609388998387385)
+    first, second = _loop_candidates(fused, head, EvalConfig())
+    clip = rotated_iou_bev(second.box, first.box)
+    assert clip == 0.9609388998387388
+    assert 0.0 < clip - head.nms_iou < _nms_band(first.box, second.box)
+    assert [d.score for d in _clip_nms([first, second], head.nms_iou)] == [0.9]
+    assert [_det_bits(d) for d in decode_head(fused, head, EvalConfig())] == [
+        _det_bits(first), _det_bits(second),
+    ]
+
+
+def test_decode_head_memory_is_linear_in_the_candidates():
+    # 2025 isolated peaks, two cells apart and all kept: an n x n float64
+    # IoU matrix alone would take 8 * 2025**2 = 32.8 MB; the traced peak
+    # (the per-candidate arrays, the kept detections at about 500 bytes
+    # each and the grid's temporaries, at four cells per candidate)
+    # measured 1.66 MB, and the bound allows 1.5 kB per candidate
+    side = 90
+    data = np.zeros((MAX_HEIGHT_CHANNEL + 1, side, side))
+    data[MAX_HEIGHT_CHANNEL, ::2, ::2] = 1.0
+    fused = BevGrid(GridSpec.centered(side, side, 1.0), data)
+    tracemalloc.start()
+    try:
+        dets = decode_head(fused, _unit_head(), EvalConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dets) == 45 * 45
+    assert peak < 1536 * len(dets)

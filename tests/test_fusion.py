@@ -20,6 +20,7 @@ from coopalign.fusion import (
     offset_template,
     rasterize_bev,
     serialize_grid,
+    serialized_grid_bytes,
     warp_grid,
 )
 from coopalign.geometry import PointCloud, Pose, Pose2D, normalize_angle
@@ -544,6 +545,20 @@ def test_grid_serialization_round_trip():
     restored = deserialize_grid(serialize_grid(grid))
     assert restored.spec.same_geometry(grid.spec)
     np.testing.assert_array_equal(restored.data, grid.data.astype("<f4").astype(float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    channels=st.integers(1, 5),
+    height=st.integers(1, 12),
+    width=st.integers(1, 12),
+    resolution=st.floats(min_value=0.05, max_value=4.0),
+    origin=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_serialized_grid_bytes_is_the_blob_length(channels, height, width, resolution, origin):
+    data = np.arange(channels * height * width, dtype=float).reshape(channels, height, width)
+    grid = BevGrid(GridSpec(width, height, resolution, np.array(origin)), data)
+    assert serialized_grid_bytes(grid) == len(serialize_grid(grid))
 
 
 def test_grid_serialization_rejects_garbage():

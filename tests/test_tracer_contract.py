@@ -44,9 +44,10 @@ def test_tracer_wraps_a_sweep_and_an_alignment(tmp_path, capsys):
         "geometry.Pose.validate", "fusion.BevGrid.validate",
     } <= names
     # AP matching calls rotated_iou_bev through the detection module, where
-    # the tracer wraps it, so its calls show beside those of NMS
+    # the tracer wraps it; NMS computes its closed-form IoU inline
+    assert "detection.decode_head" in names
     iou_parents = {t.spans[span[3]][0] for span in t.spans if span[0] == "detection.rotated_iou_bev"}
-    assert {"harness.run_noise_sweep", "detection.decode_head"} <= iou_parents
+    assert "harness.run_noise_sweep" in iou_parents
     metrics = t.metrics(2, 1.0, 1.0)
     assert {name for name, _, _ in tracer.PER_LAYER} == set(metrics)
     assert metrics["fusion.estimate_offset.candidates"] > 0
