@@ -46,19 +46,13 @@ class IcpResult:
 
 def _nearest_within(query: np.ndarray, targets: np.ndarray, max_dist: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices of matched (query, target) pairs: each query's nearest target,
-    kept when within max_dist. A brute-force scan, as the clouds ICP aligns
-    here are a handful of box centers. Distance ties resolve to the lowest
-    target index."""
-    src_idx: list[int] = []
-    dst_idx: list[int] = []
-    for qi in range(query.shape[0]):
-        diffs = targets - query[qi]
-        dists = np.einsum("ij,ij->i", diffs, diffs)
-        best = int(np.argmin(dists))
-        if dists[best] <= max_dist * max_dist:
-            src_idx.append(qi)
-            dst_idx.append(best)
-    return np.array(src_idx, dtype=int), np.array(dst_idx, dtype=int)
+    kept when within max_dist. A brute-force (query, target) table of squared
+    distances, as the clouds ICP aligns here are a handful of box centers.
+    Distance ties resolve to the lowest target index."""
+    diffs = targets[None, :, :] - query[:, None, :]
+    dists = np.einsum("qij,qij->qi", diffs, diffs)
+    (src_idx,) = np.nonzero(dists.min(axis=1) <= max_dist * max_dist)
+    return src_idx, np.argmin(dists[src_idx], axis=1)
 
 
 def icp_align(src: PointCloud, dst: PointCloud, cfg: IcpConfig) -> IcpResult | None:
@@ -145,10 +139,12 @@ def graph_match_align(
 
     Candidate pairs (ego box, neighbor box) are scored by how many other pairs
     keep pairwise center distances consistent within edge_consistency_eps.
-    Starting from each of the highest-degree seeds, a one-to-one set is grown
-    greedily in degree order (ties by lexicographic index); the largest set
-    wins. Returns None when no consistent set reaches min_consensus, the
-    designed failure mode when agents share too few objects."""
+    Starting from each of the highest-degree seeds, a set is grown greedily
+    in degree order (ties by lexicographic index), adding each pair
+    consistent with every pair chosen so far; the largest set wins. Two
+    consistent pairs share neither box, so every such set is one-to-one.
+    Returns None when no consistent set reaches min_consensus, the designed
+    failure mode when agents share too few objects."""
     ec = ego.centers()
     nc = nbr.centers()
     n_e = ec.shape[0]
@@ -157,38 +153,29 @@ def graph_match_align(
         return None
     de = np.linalg.norm(ec[:, None, :] - ec[None, :, :], axis=2)
     dn = np.linalg.norm(nc[:, None, :] - nc[None, :, :], axis=2)
-    pairs = [(i, a) for i in range(n_e) for a in range(n_n)]
-    p = len(pairs)
-    ei = np.array([q[0] for q in pairs])
-    na = np.array([q[1] for q in pairs])
+    ei, na = np.divmod(np.arange(n_e * n_n), n_n)
     consistent = (
         (ei[:, None] != ei[None, :])
         & (na[:, None] != na[None, :])
         & (np.abs(de[ei[:, None], ei[None, :]] - dn[na[:, None], na[None, :]]) <= cfg.edge_consistency_eps)
     )
-    degree = consistent.sum(axis=1)
-    order = sorted(range(p), key=lambda q: (-int(degree[q]), pairs[q][0], pairs[q][1]))
+    order = np.argsort(-consistent.sum(axis=1), kind="stable").tolist()
 
     best: list[int] = []
     for seed in order[:_MAX_SEEDS]:
         chosen = [seed]
-        used_e = {pairs[seed][0]}
-        used_n = {pairs[seed][1]}
+        free = consistent[seed].copy()
         for q in order:
-            i, a = pairs[q]
-            if i in used_e or a in used_n:
-                continue
-            if all(consistent[q, c] for c in chosen):
+            if free[q]:
                 chosen.append(q)
-                used_e.add(i)
-                used_n.add(a)
+                free &= consistent[q]
         if len(chosen) > len(best):
             best = chosen
     if len(best) < cfg.min_consensus:
         return None
-    matched = tuple((pairs[q][0], pairs[q][1]) for q in best)
-    local = nc[[a for _, a in matched]]
-    world = ec[[i for i, _ in matched]]
+    matched = tuple(zip(ei[best].tolist(), na[best].tolist()))
+    local = nc[na[best]]
+    world = ec[ei[best]]
     try:
         rot, trans = _kabsch_arrays(local, world)
     except DegenerateSampleError:

@@ -127,7 +127,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if not 0 <= args.scenario < cfg.num_scenarios:
         raise ConfigError(f"--scenario must lie in [0, {cfg.num_scenarios}), the config's scenario indices")
     setup = setup_scenario(scenario_at(cfg, args.scenario), cfg)
-    result = run_pipeline(setup, cfg, pose_source=args.pose_source)
+    result = run_pipeline(setup, cfg, pose_source=args.pose_source, noise=cfg.alignment_noise)
     log_pipeline_fallbacks(args.scenario, result.dropped, result.no_signal)
     total_bytes = sum(r.size_bytes for r in result.messages)
     out = Path(args.out)

@@ -12,7 +12,8 @@ coarse_align call it with one translation. The residual offset search is
 split in two: offset_template warps the ego grid by a whole row of
 candidates per call (every dx for one (theta, dy)) and keeps every
 candidate's centered warp, and estimate_offset scores a neighbor against
-those rows with reductions along their last axis. One template serves every
+those rows with reductions along their last axis, then chooses among all
+the scores as arrays. One template serves every
 neighbor correlated with the same ego grid. Batching changes no value: each
 sample and each score is computed with the same elementwise arithmetic, in
 the same order, as a call for one candidate.
@@ -287,18 +288,19 @@ class OffsetTemplate:
     """The ego side of the residual offset search, a pure function of the
     ego grid and the search.
 
-    candidates holds each candidate's (x, y, theta, norm) in search order:
-    theta outermost, then dy, then dx. Row k of centered is the ego grid
-    warped by the inverse of candidate k, flattened and minus its mean, and
-    sq[k] is that row's sum of squares. centered and sq are None when the
-    ego grid has zero variance, so every neighbor scored against it raises
-    NoSignalError."""
+    candidates is an (n, 3) array of each candidate's (x, y, theta) in search
+    order: theta outermost, then dy, then dx. Every axis is symmetric about
+    zero with an odd count, so the zero offset is the middle row. Row k of
+    centered is the ego grid warped by the inverse of candidate k, flattened
+    and minus its mean, and sq[k] is that row's sum of squares. centered and
+    sq are None when the ego grid has zero variance, so every neighbor scored
+    against it raises NoSignalError."""
 
     spec: GridSpec
     search: OffsetSearch
-    candidates: tuple[tuple[float, float, float, float], ...]
+    candidates: np.ndarray
     centered: np.ndarray | None
-    sq: tuple[float, ...] | None
+    sq: np.ndarray | None
 
 
 def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
@@ -313,11 +315,10 @@ def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
     if ego.channels != 1:
         raise ValueError("offset search correlates grids of exactly one channel")
     xy = search.xy_values()
-    xs = xy.tolist()
-    thetas = [normalize_angle(float(dtheta)) for dtheta in search.theta_values()]
-    candidates = tuple(
-        (x, y, theta, math.sqrt(x**2 + y**2 + theta**2)) for theta in thetas for y in xs for x in xs
-    )
+    thetas = np.array([normalize_angle(float(dtheta)) for dtheta in search.theta_values()])
+    theta_k, y_k, x_k = np.meshgrid(thetas, xy, xy, indexing="ij")
+    candidates = np.column_stack([x_k.ravel(), y_k.ravel(), theta_k.ravel()])
+    candidates.setflags(write=False)
     if float(ego.data[0].std()) == 0.0:
         return OffsetTemplate(ego.spec, search, candidates, None, None)
     centered = np.empty((len(candidates), ego.data[0].size))
@@ -328,15 +329,16 @@ def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
         c = math.cos(theta)
         s = math.sin(theta)
         inv_theta = normalize_angle(-theta)
-        for y in xs:
+        for y in xy:
             warped = _sample(ego.data, ego.spec, -(c * xy + s * y), -(-s * xy + c * y), inv_theta)
-            a = warped.reshape(len(xs), -1)
-            ac = centered[row : row + len(xs)]
+            a = warped.reshape(len(xy), -1)
+            ac = centered[row : row + len(xy)]
             np.subtract(a, a.mean(axis=1)[:, None], out=ac)
-            sq[row : row + len(xs)] = (ac * ac).sum(axis=1)
-            row += len(xs)
+            sq[row : row + len(xy)] = (ac * ac).sum(axis=1)
+            row += len(xy)
     centered.setflags(write=False)
-    return OffsetTemplate(ego.spec, search, candidates, centered, tuple(sq.tolist()))
+    sq.setflags(write=False)
+    return OffsetTemplate(ego.spec, search, candidates, centered, sq)
 
 
 def estimate_offset(template: OffsetTemplate, nbr: BevGrid, search: OffsetSearch) -> Pose2D:
@@ -345,8 +347,7 @@ def estimate_offset(template: OffsetTemplate, nbr: BevGrid, search: OffsetSearch
 
     template is the offset_template of the one-channel ego grid for this
     search, and nbr holds one channel. Maximizes normalized cross-correlation
-    between warp_grid(ego, delta) and nbr over the search grid. Ties break
-    toward the smaller offset norm, then the earlier candidate. The returned
+    between warp_grid(ego, delta) and nbr over the search grid. The returned
     delta is the neighbor's misalignment relative to ego; warp the neighbor
     by its inverse to correct it. Raises NoSignalError when either grid has
     zero variance. Correlate a channel that is blind to omnipresent
@@ -357,8 +358,13 @@ def estimate_offset(template: OffsetTemplate, nbr: BevGrid, search: OffsetSearch
     One template serves every neighbor of its ego grid, so only the neighbor
     side is computed here. The cross terms are summed along the last axis
     of _SCORE_BLOCK template rows at a time. Each score is bitwise what
-    warp_grid and a scalar NCC give for that candidate alone, so the choice
-    is too."""
+    warp_grid and a scalar NCC give for that candidate alone: cross /
+    (sqrt(sq) * |b|), or -inf where that denominator is 0. The choice is the
+    maximum score; among exact ties, the smallest offset norm
+    sqrt(x^2 + y^2 + theta^2), then the earliest candidate. The zero offset
+    is returned instead unless the best score beats the zero offset's by at
+    least search.min_gain; the best score is never below it, so min_gain 0
+    and a zero-offset winner need no case of their own."""
     if not template.spec.same_geometry(nbr.spec):
         raise ValueError("grids must share one GridSpec")
     if nbr.channels != 1:
@@ -378,24 +384,18 @@ def estimate_offset(template: OffsetTemplate, nbr: BevGrid, search: OffsetSearch
         part = prod[: len(block)]
         np.multiply(block, b_centered, out=part)
         cross[start : start + len(block)] = part.sum(axis=1)
-    best_score = -math.inf
-    best_norm = math.inf
-    best = (0.0, 0.0, 0.0)
-    zero_score = -math.inf
-    for (x, y, theta, norm), sq_k, cross_k in zip(template.candidates, template.sq, cross.tolist()):
-        denom = math.sqrt(sq_k) * b_norm
-        score = cross_k / denom if denom != 0.0 else -math.inf
-        if norm == 0.0:
-            zero_score = score
-        if score > best_score or (score == best_score and norm < best_norm):
-            best_score = score
-            best_norm = norm
-            best = (x, y, theta)
+    denom = np.sqrt(template.sq) * b_norm
+    scores = np.full(len(rows), -math.inf)
+    np.divide(cross, denom, out=scores, where=denom != 0.0)
+    best_score = scores.max()
     if not math.isfinite(best_score):
         raise NoSignalError("no candidate produced a finite correlation")
-    if search.min_gain > 0.0 and best_norm > 0.0 and best_score < zero_score + search.min_gain:
+    if best_score < scores[len(scores) // 2] + search.min_gain:
         return Pose2D(0.0, 0.0, 0.0)
-    return Pose2D(*best)
+    # ties are few; their norms stay in float arithmetic, where x**2 goes
+    # through pow and can round one ulp away from numpy's x * x
+    tied = template.candidates[scores == best_score].tolist()
+    return Pose2D(*min(tied, key=lambda c: math.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2)))
 
 
 def apply_offset(grids: Sequence[BevGrid], deltas: Sequence[Pose2D]) -> list[BevGrid]:

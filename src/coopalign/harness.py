@@ -134,27 +134,12 @@ def _sample_box_surface(box: RotatedBox3D, count: int, rng: np.random.Generator)
     faces = rng.choice(5, size=count, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=count)
     v = rng.uniform(-0.5, 0.5, size=count)
-    local = np.empty((count, 3))
-    for fid in range(5):
-        m = faces == fid
-        if not np.any(m):
-            continue
-        if fid == 0:
-            local[m] = np.column_stack([np.full(m.sum(), box.l / 2), u[m] * box.w, v[m] * box.h])
-        elif fid == 1:
-            local[m] = np.column_stack([np.full(m.sum(), -box.l / 2), u[m] * box.w, v[m] * box.h])
-        elif fid == 2:
-            local[m] = np.column_stack([u[m] * box.l, np.full(m.sum(), box.w / 2), v[m] * box.h])
-        elif fid == 3:
-            local[m] = np.column_stack([u[m] * box.l, np.full(m.sum(), -box.w / 2), v[m] * box.h])
-        else:
-            local[m] = np.column_stack([u[m] * box.l, v[m] * box.w, np.full(m.sum(), box.h / 2)])
+    # faces 0-1 at x = +-l/2, 2-3 at y = +-w/2, 4 the top at z = h/2
+    x = np.select([faces == 0, faces == 1], [box.l / 2, -box.l / 2], u * box.l)
+    y = np.select([faces < 2, faces == 2, faces == 3], [u * box.w, box.w / 2, -box.w / 2], v * box.w)
+    z = np.where(faces == 4, box.h / 2, v * box.h)
     c, s = math.cos(box.theta), math.sin(box.theta)
-    world = np.empty_like(local)
-    world[:, 0] = c * local[:, 0] - s * local[:, 1] + box.x
-    world[:, 1] = s * local[:, 0] + c * local[:, 1] + box.y
-    world[:, 2] = local[:, 2] + box.z
-    return world
+    return np.column_stack([c * x - s * y + box.x, s * x + c * y + box.y, z + box.z])
 
 
 def _place(rng: np.random.Generator, half: float, accept) -> np.ndarray:

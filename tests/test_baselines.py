@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopalign.baselines import (
+    _MAX_SEEDS,
     BoxObservation,
     GraphMatchConfig,
     IcpConfig,
@@ -13,6 +16,7 @@ from coopalign.baselines import (
 )
 from coopalign.detection import RotatedBox3D
 from coopalign.geometry import PointCloud, Pose, compose, inverse, pose_error
+from coopalign.localization import DegenerateSampleError, _kabsch_arrays
 
 
 def box_at(x, y, z=0.8):
@@ -46,6 +50,42 @@ def test_nearest_ties_take_the_lowest_index_and_max_dist_is_inclusive():
     # (7, 0, 0) is exactly 2.0 from target 0; (0, 0, 9) has none in range
     assert si.tolist() == [0, 1]
     assert di.tolist() == [1, 0]
+
+
+def _loop_nearest_within(query, targets, max_dist):
+    """_nearest_within as a per-query scan."""
+    src_idx, dst_idx = [], []
+    for qi in range(query.shape[0]):
+        diffs = targets - query[qi]
+        dists = np.einsum("ij,ij->i", diffs, diffs)
+        best = int(np.argmin(dists))
+        if dists[best] <= max_dist * max_dist:
+            src_idx.append(qi)
+            dst_idx.append(best)
+    return np.array(src_idx, dtype=int), np.array(dst_idx, dtype=int)
+
+
+_lattice_points = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 1)), min_size=1, max_size=9
+).map(lambda pts: 0.5 * np.array(pts, dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    query=_lattice_points | st.just(np.zeros((0, 3))),
+    targets=_lattice_points,
+    jitter=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    max_dist=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
+)
+def test_nearest_within_matches_the_per_query_scan(query, targets, jitter, seed, max_dist):
+    # half-unit lattices tie distances exactly and put targets exactly at
+    # max_dist; small radii leave queries with no target in range
+    if jitter:
+        query = query + np.random.default_rng(seed).normal(0.0, 0.3, size=query.shape)
+    got = _nearest_within(query, targets, max_dist)
+    want = _loop_nearest_within(query, targets, max_dist)
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 
 
 def test_icp_identity_converges_immediately():
@@ -210,6 +250,83 @@ def test_graph_match_symmetric_directions():
     t_err, r_err = pose_error(ident, Pose.identity())
     assert t_err < 1e-9
     assert r_err < 1e-5
+
+
+def _loop_graph_match(ego, nbr, cfg):
+    """graph_match_align's set growth with used-box sets and an all() over
+    the chosen pairs, as (matched_pairs, rotation, translation) or None."""
+    ec, nc = ego.centers(), nbr.centers()
+    n_e, n_n = ec.shape[0], nc.shape[0]
+    if n_e == 0 or n_n == 0:
+        return None
+    de = np.linalg.norm(ec[:, None, :] - ec[None, :, :], axis=2)
+    dn = np.linalg.norm(nc[:, None, :] - nc[None, :, :], axis=2)
+    pairs = [(i, a) for i in range(n_e) for a in range(n_n)]
+    ei = np.array([q[0] for q in pairs])
+    na = np.array([q[1] for q in pairs])
+    consistent = (
+        (ei[:, None] != ei[None, :])
+        & (na[:, None] != na[None, :])
+        & (np.abs(de[ei[:, None], ei[None, :]] - dn[na[:, None], na[None, :]]) <= cfg.edge_consistency_eps)
+    )
+    degree = consistent.sum(axis=1)
+    order = sorted(range(len(pairs)), key=lambda q: (-int(degree[q]), pairs[q][0], pairs[q][1]))
+    best = []
+    for seed in order[:_MAX_SEEDS]:
+        chosen = [seed]
+        used_e, used_n = {pairs[seed][0]}, {pairs[seed][1]}
+        for q in order:
+            i, a = pairs[q]
+            if i in used_e or a in used_n:
+                continue
+            if all(consistent[q, c] for c in chosen):
+                chosen.append(q)
+                used_e.add(i)
+                used_n.add(a)
+        if len(chosen) > len(best):
+            best = chosen
+    if len(best) < cfg.min_consensus:
+        return None
+    matched = tuple(pairs[q] for q in best)
+    try:
+        rot, trans = _kabsch_arrays(nc[[a for _, a in matched]], ec[[i for i, _ in matched]])
+    except DegenerateSampleError:
+        return None
+    return matched, rot.tobytes(), trans.tobytes()
+
+
+@st.composite
+def _box_constellations(draw):
+    """Ego boxes on a 1 m lattice (square and line patterns tie distances
+    and degrees, repeated points duplicate boxes), and a neighbor that sees
+    some of them, maybe twice, a quarter turn and a shift away, plus clutter;
+    up to 8 x 8 pairs, more than _MAX_SEEDS."""
+    cell = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    ego = draw(st.lists(cell, max_size=8) | st.lists(cell, min_size=4, max_size=8, unique=True))
+    shared = draw(st.lists(st.sampled_from(ego), min_size=min(len(ego), 3), max_size=7)) if ego else []
+    turn = draw(st.integers(0, 3))
+    sx, sy = draw(cell)
+    for _ in range(turn):
+        shared = [(-y, x) for x, y in shared]
+    nbr = [(x + sx, y + sy) for x, y in shared] + draw(st.lists(cell, max_size=3))
+    return (BoxObservation(tuple(box_at(float(x), float(y)) for x, y in pts)) for pts in (ego, nbr[:8]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    boxes=_box_constellations(),
+    eps=st.sampled_from([0.05, 0.3, 1.0, 1.5]),
+    min_consensus=st.integers(3, 4),
+)
+def test_graph_match_matches_the_used_box_loop(boxes, eps, min_consensus):
+    ego, nbr = boxes
+    cfg = GraphMatchConfig(edge_consistency_eps=eps, min_consensus=min_consensus)
+    got = graph_match_align(ego, nbr, cfg)
+    want = _loop_graph_match(ego, nbr, cfg)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.matched_pairs, got.pose.rotation.tobytes(), got.pose.translation.tobytes()) == want
 
 
 def test_box_observation_message():

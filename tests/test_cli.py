@@ -58,6 +58,29 @@ def test_pipeline_command(tmp_path, tiny_config, capsys):
     assert "detections" in capsys.readouterr().out
 
 
+def test_pipeline_gt_noise_perturbs_by_the_alignment_noise(tmp_path, monkeypatch, capsys):
+    # the defaults golden's run: gt-noise perturbs the true poses by the
+    # config's alignment_noise, the GNSS noise of align's gt-noise rows, so
+    # its result is not gt's
+    seen = []
+    run = cli.run_pipeline
+
+    def recorded(setup, cfg, pose_source, noise):
+        seen.append((pose_source, noise, cfg.alignment_noise))
+        return run(setup, cfg, pose_source=pose_source, noise=noise)
+
+    monkeypatch.setattr(cli, "run_pipeline", recorded)
+    results = {}
+    for source in ("gt-noise", "gt"):
+        out = tmp_path / source
+        assert main(["pipeline", "--seed", "7", "--scenario", "3", "--pose-source", source, "--out", str(out)]) == 0
+        results[source] = json.loads((out / "pipeline_result.json").read_text())
+        del results[source]["pose_source"]
+    capsys.readouterr()
+    assert seen == [("gt-noise", (1.0, 1.0), (1.0, 1.0)), ("gt", (1.0, 1.0), (1.0, 1.0))]
+    assert results["gt-noise"] != results["gt"]
+
+
 @pytest.mark.parametrize("index", [-1, 1, 500])
 def test_pipeline_scenario_out_of_range_exits_one(tmp_path, tiny_config, capsys, index):
     # the tiny config has one scenario, so index 0 is the only valid one

@@ -433,6 +433,103 @@ def test_estimate_offset_matches_scalar_oracle(pair, n_xy, step_xy, n_theta, ste
         assert (got.x, got.y, got.theta) == (expected.x, expected.y, expected.theta)
 
 
+def _loop_offset_choice(template, nbr, search):
+    """estimate_offset's choice as a per-candidate loop over (x, y, theta,
+    norm) tuples built from the search in Python floats, scored against the
+    template's rows; None where the search raises NoSignalError. The array
+    choice must pick the same candidate bit for bit."""
+    nbr_occ = nbr.data[0]
+    if template.centered is None or float(nbr_occ.std()) == 0.0:
+        return None
+    b_centered = (nbr_occ - nbr_occ.mean()).reshape(-1)
+    b_norm = math.sqrt(float((b_centered * b_centered).sum()))
+    cross = (template.centered * b_centered).sum(axis=1)
+    xs = search.xy_values().tolist()
+    thetas = [normalize_angle(float(t)) for t in search.theta_values()]
+    candidates = [(x, y, t, math.sqrt(x**2 + y**2 + t**2)) for t in thetas for y in xs for x in xs]
+    best_score, best_norm, best, zero_score = -math.inf, math.inf, (0.0, 0.0, 0.0), -math.inf
+    for (x, y, theta, norm), sq_k, cross_k in zip(candidates, template.sq.tolist(), cross.tolist()):
+        denom = math.sqrt(sq_k) * b_norm
+        score = cross_k / denom if denom != 0.0 else -math.inf
+        if norm == 0.0:
+            zero_score = score
+        if score > best_score or (score == best_score and norm < best_norm):
+            best_score, best_norm, best = score, norm, (x, y, theta)
+    if not math.isfinite(best_score):
+        return None
+    if search.min_gain > 0.0 and best_norm > 0.0 and best_score < zero_score + search.min_gain:
+        return Pose2D(0.0, 0.0, 0.0)
+    return Pose2D(*best)
+
+
+@st.composite
+def _mirror_pairs(draw):
+    """An ego grid and a neighbor that are both mirror-symmetric about the
+    grid's center column, with small integer values on an 8 x 8 or 16 x 8
+    grid: with whole or half-cell steps every NCC sum is exact, so each
+    candidate (x, y, 0) ties exactly with its mirror (-x, y, 0)."""
+    spec = GridSpec.centered(8, draw(st.sampled_from([8, 16])), draw(st.sampled_from([0.5, 1.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, 1, spec.height, spec.width // 2)
+    halves = rng.integers(0, 3, size=shape) * (rng.random(shape) < 0.3)
+    ego, nbr = (BevGrid(spec, np.concatenate([h, h[..., ::-1]], axis=2).astype(float)) for h in halves)
+    return ego, nbr
+
+
+@st.composite
+def _flat_pairs(draw):
+    """A constant neighbor or a constant ego grid: both sides raise."""
+    ego, nbr = draw(_noise_pairs())
+    flat = BevGrid(ego.spec, np.full(ego.data.shape, draw(st.sampled_from([0.0, 1.0]))))
+    return (ego, flat) if draw(st.booleans()) else (flat, nbr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.one_of(_mirror_pairs(), _tie_pairs(), _noise_pairs(), _flat_pairs()),
+    n_xy=st.integers(0, 4),
+    step_xy=st.sampled_from([0.5, 1.0, 0.3]),
+    n_theta=st.integers(0, 4),
+    step_theta=st.sampled_from([2.5, 30.0]),
+    min_gain=st.sampled_from([0.0, 1e-12, 0.02, 0.5]),
+)
+def test_offset_choice_matches_the_per_candidate_loop(pair, n_xy, step_xy, n_theta, step_theta, min_gain):
+    ego, nbr = pair
+    search = OffsetSearch(
+        max_xy=n_xy * step_xy, step_xy=step_xy,
+        max_theta_deg=n_theta * step_theta, step_theta_deg=step_theta,
+        min_gain=min_gain,
+    )
+    template = offset_template(ego, search)
+    expected = _loop_offset_choice(template, nbr, search)
+    if expected is None:
+        with pytest.raises(NoSignalError):
+            estimate_offset(template, nbr, search)
+    else:
+        got = estimate_offset(template, nbr, search)
+        assert np.array([got.x, got.y, got.theta]).tobytes() == np.array([expected.x, expected.y, expected.theta]).tobytes()
+
+
+def test_mirrored_candidates_tie_and_the_earlier_wins():
+    # spikes at columns 3 and 4, mirror images about the grid's center,
+    # against spikes at columns 2 and 5: dx = -1 and dx = +1 score exactly
+    # equal at the maximum, with equal norms, so the earlier candidate wins
+    spec = GridSpec.centered(8, 8, 1.0)
+    ego = np.zeros((1, 8, 8))
+    ego[0, 4, [3, 4]] = 1.0
+    nbr = np.zeros((1, 8, 8))
+    nbr[0, 4, [2, 5]] = 1.0
+    search = OffsetSearch(max_xy=1.0, step_xy=1.0, max_theta_deg=0.0, step_theta_deg=2.5)
+    template = offset_template(BevGrid(spec, ego), search)
+    got = estimate_offset(template, BevGrid(spec, nbr), search)
+    b = (nbr[0] - nbr[0].mean()).reshape(-1)
+    scores = (template.centered @ b) / np.sqrt(template.sq)
+    tied = np.flatnonzero(scores == scores.max())
+    assert template.candidates[tied].tolist() == [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    assert (got.x, got.y, got.theta) == (-1.0, 0.0, 0.0)
+    assert _loop_offset_choice(template, BevGrid(spec, nbr), search) == got
+
+
 def test_estimate_offset_samples_one_row_per_call(monkeypatch):
     # one kernel call per (theta, dy) row: rows bound the temporaries
     calls = []

@@ -132,28 +132,30 @@ _PIPELINE_RUNS = {
 # every box carries the head's nominal extents as configured, so the default
 # l is written as 3.6 (a log-extent decode would write exp(log(3.6)),
 # 3.5999999999999996); the sweep and align digests hold no box extent
+# gt-noise perturbs the true poses by the config's alignment_noise, the GNSS
+# noise of align's gt-noise rows
 _PIPELINE_DIGESTS = {
     "defaults": {
         "pgc": "ee0e3bac7fc5375232cbd2d079317326599d21f6b412a1e405c9a8b72e3ee313",
-        "gt-noise": "e2b90214a4724ce9df4c5021a8997c478cc56650c73f8b20b8d454b889398ea6",
+        "gt-noise": "e2c2b9d3527f51950342ec425b4c655c08c4af2058318cde4c3e33931a069721",
         "gt": "d42ba058e817060ef5ba89013cf6c1e3ea79656133310aeccdfd3aea428e3a41",
         "none": "f592dae77e3b2b67885d93bc5b9621875852a8d671c9094cf6cbfe1038c7845b",
     },
     "three-agent": {
         "pgc": "52fe37064ba0e99ea0d3882c0bc7e44c09c88c80758e7d87a80c0b5ddf10230c",
-        "gt-noise": "6c61085bb9b283b33bad87694a171aa9bdcb7908d1d49d56c1e7b1a00c5583ee",
+        "gt-noise": "14b58277ad486851a74d58dbf1ad1cefcfb591b30f456a1c4e1cbc298f732178",
         "gt": "ce3c3432c33e844c92752f271d50df543e5068b914fa14bff775d02444eaf6e2",
         "none": "014cad329dcfa96acd2e5cfcece6c63f9e22f8475eb6b7cb3ecdc0eada43de6d",
     },
     "random-d16": {
         "pgc": "575c4e5373726a68d3cd5f1796ac34eecf3745c04af7571d6733ed814105e541",
-        "gt-noise": "35c001f2a77aa7e20163690994084518ff439a71067f50dc478846411b18715d",
+        "gt-noise": "37a6afe3341351c62516b3838ae3337515024ee78ed19c081aa2716ff9f95271",
         "gt": "65ef7fb57f222b07db5ad97b5064fcde678ff483286d3fd388cc2491152c9516",
         "none": "f0be22a94bee45c0a2749d7026274e0a9f1137d65188d5e19145874ebe5ca56b",
     },
     "random-two-layer": {
         "pgc": "70cbded050636512886ce400197eee53f4b6e1c9ad83f0582aa236fa2faf57bf",
-        "gt-noise": "232b71f1c03930e69824660103ed71887a9975eb91c71fa8ed93552b13f83173",
+        "gt-noise": "3388cc9495030c1145e9ef8bb42f9da636075708bc3758991d42dd920edbb123",
         "gt": "72cb8d65940b98584198d55cd37fbbb1e1a180ebef74e25bfcc290c7e97a7fd4",
         "none": "42989a74345dcbf30b815723ea4a161a501a16dadf8ba408206c9d1e85ec8554",
     },

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from coopalign import detection, fusion, harness
 from coopalign.config import EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
+from coopalign.detection import RotatedBox3D
 from coopalign.fusion import NoSignalError, OffsetSearch, serialize_grid, rasterize_bev
 from coopalign.geometry import PointCloud, Pose, Pose2D, load_point_cloud
 from coopalign.harness import (
     AlignmentReport,
     AlignmentRow,
     _occluded,
+    _sample_box_surface,
     agent_box_observation,
     box_in_frame,
     ego_frame_targets,
@@ -102,6 +104,56 @@ def test_occluded_sight_line_cases():
     # an object beyond the target does not block it
     assert not _occluded(apos, target, [np.array([15.0, 0.0])], 1.2)
     assert not _occluded(apos, target, [np.array([5.0, 0.0])], 0.0)
+
+
+def _loop_box_surface(box, count, rng):
+    """_sample_box_surface with a branch per face filling that face's rows."""
+    areas = np.array([box.w * box.h, box.w * box.h, box.l * box.h, box.l * box.h, box.l * box.w])
+    faces = rng.choice(5, size=count, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=count)
+    v = rng.uniform(-0.5, 0.5, size=count)
+    local = np.empty((count, 3))
+    for fid in range(5):
+        m = faces == fid
+        if not np.any(m):
+            continue
+        if fid == 0:
+            local[m] = np.column_stack([np.full(m.sum(), box.l / 2), u[m] * box.w, v[m] * box.h])
+        elif fid == 1:
+            local[m] = np.column_stack([np.full(m.sum(), -box.l / 2), u[m] * box.w, v[m] * box.h])
+        elif fid == 2:
+            local[m] = np.column_stack([u[m] * box.l, np.full(m.sum(), box.w / 2), v[m] * box.h])
+        elif fid == 3:
+            local[m] = np.column_stack([u[m] * box.l, np.full(m.sum(), -box.w / 2), v[m] * box.h])
+        else:
+            local[m] = np.column_stack([u[m] * box.l, v[m] * box.w, np.full(m.sum(), box.h / 2)])
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    world = np.empty_like(local)
+    world[:, 0] = c * local[:, 0] - s * local[:, 1] + box.x
+    world[:, 1] = s * local[:, 0] + c * local[:, 1] + box.y
+    world[:, 2] = local[:, 2] + box.z
+    return world
+
+
+_extents = st.floats(min_value=0.1, max_value=6.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(0.0, 2.0)),
+    extents=st.tuples(_extents, _extents, _extents),
+    theta=st.floats(-math.pi, math.pi),
+    count=st.integers(1, 4) | st.integers(5, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_surface_matches_the_per_face_loop(center, extents, theta, count, seed):
+    # counts of 1 to 4 leave some faces without a point
+    box = RotatedBox3D(*center, *extents, theta)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_box_surface(box, count, got_rng)
+    want = _loop_box_surface(box, count, want_rng)
+    assert got.shape == (count, 3) and got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_co_visible_counts_are_exact():
