@@ -7,21 +7,26 @@ frame, with col along x and row along y. Warping uses inverse bilinear
 sampling with zero fill outside the source.
 
 One array kernel, _sample, does all warping: it samples a stack of
-translations that share one rotation. warp_grid, apply_offset and
-coarse_align call it with one translation. The residual offset search is
-split in two: offset_template warps the ego grid by a whole row of
-candidates per call (every dx for one (theta, dy)) and keeps every
-candidate's centered warp, and estimate_offset scores a neighbor against
-those rows with reductions along their last axis, then chooses among all
-the scores as arrays. One template serves every
-neighbor correlated with the same ego grid. Batching changes no value: each
-sample and each score is computed with the same elementwise arithmetic, in
-the same order, as a call for one candidate.
+translations that share one rotation. warp_grid calls it with one
+translation. A neighbor grid is aligned one grid at a time: coarse_align
+warps it by the planar relative pose it was sent with, estimate_offset
+finds its residual offset against the ego grid, and apply_offset corrects
+it by that offset's inverse.
+
+The residual offset search is split in two: offset_template warps the ego
+grid by a whole row of candidates per call (every dx for one (theta, dy))
+and keeps every candidate's centered warp, and estimate_offset scores a
+neighbor against those rows with reductions along their last axis, then
+chooses among all the scores as arrays. One template serves every neighbor
+correlated with the same ego grid. Batching changes no value: each sample
+and each score is computed with the same elementwise arithmetic, in the
+same order, as a call for one candidate.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -189,20 +194,10 @@ def warp_grid(grid: BevGrid, delta: Pose2D) -> BevGrid:
     return BevGrid(grid.spec, warped[0])
 
 
-def coarse_align(
-    ego_pose: Pose, neighbor_grids: Sequence[tuple[BevGrid, Pose]]
-) -> list[BevGrid]:
-    """Warp each neighbor grid into the ego frame using the planar projection
-    of the relative pose. All grids must share the ego's GridSpec geometry."""
-    warped: list[BevGrid] = []
-    base: GridSpec | None = None
-    for grid, pose in neighbor_grids:
-        if base is None:
-            base = grid.spec
-        elif not grid.spec.same_geometry(base):
-            raise ValueError("neighbor grids must share one GridSpec")
-        warped.append(warp_grid(grid, relative(ego_pose, pose).planar()))
-    return warped
+def coarse_align(ego_pose: Pose, grid: BevGrid, pose: Pose) -> BevGrid:
+    """Warp a neighbor grid, sent with pose, into the frame of ego_pose using
+    the planar projection of the relative pose."""
+    return warp_grid(grid, relative(ego_pose, pose).planar())
 
 
 def confidence_embed(grids: Sequence[BevGrid], sigmas: Sequence[float]) -> list[BevGrid]:
@@ -321,7 +316,11 @@ def offset_template(ego: BevGrid, search: OffsetSearch) -> OffsetTemplate:
     candidates.setflags(write=False)
     if float(ego.data[0].std()) == 0.0:
         return OffsetTemplate(ego.spec, search, candidates, None, None)
-    centered = np.empty((len(candidates), ego.data[0].size))
+    # rows from an anonymous mapping, not the malloc heap: 6 MB there (729
+    # candidates, 32 x 32 cells) shift the arena under the encoder's attention
+    # buffer, and a sweep's peak RSS then jumps between levels 4 MB apart
+    shape = (len(candidates), ego.data[0].size)
+    centered = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=float).reshape(shape)
     sq = np.empty(len(candidates))
     row = 0
     for theta in thetas:
@@ -348,8 +347,8 @@ def estimate_offset(template: OffsetTemplate, nbr: BevGrid, search: OffsetSearch
     template is the offset_template of the one-channel ego grid for this
     search, and nbr holds one channel. Maximizes normalized cross-correlation
     between warp_grid(ego, delta) and nbr over the search grid. The returned
-    delta is the neighbor's misalignment relative to ego; warp the neighbor
-    by its inverse to correct it. Raises NoSignalError when either grid has
+    delta is the neighbor's misalignment relative to ego; apply_offset
+    corrects the neighbor by it. Raises NoSignalError when either grid has
     zero variance. Correlate a channel that is blind to omnipresent
     background (for the standard rasterization, max height ignores ground
     returns); raw occupancy correlates the two sensing footprints instead of
@@ -398,11 +397,10 @@ def estimate_offset(template: OffsetTemplate, nbr: BevGrid, search: OffsetSearch
     return Pose2D(*min(tied, key=lambda c: math.sqrt(c[0] ** 2 + c[1] ** 2 + c[2] ** 2)))
 
 
-def apply_offset(grids: Sequence[BevGrid], deltas: Sequence[Pose2D]) -> list[BevGrid]:
-    """Warp each grid by its own delta. Lengths must match."""
-    if len(grids) != len(deltas):
-        raise ValueError("need one delta per grid")
-    return [warp_grid(g, d) for g, d in zip(grids, deltas)]
+def apply_offset(grid: BevGrid, offset: Pose2D) -> BevGrid:
+    """Correct a neighbor grid by the offset estimate_offset found for it:
+    warp it by the offset's inverse."""
+    return warp_grid(grid, offset.inverse())
 
 
 def serialize_grid(grid: BevGrid) -> bytes:

@@ -152,7 +152,8 @@ def _place(rng: np.random.Generator, half: float, accept) -> np.ndarray:
 
 def _occluded(apos: np.ndarray, target: np.ndarray, others: list[np.ndarray], radius: float) -> bool:
     """True when another object center blocks the 2D sight line within
-    radius. Only blockers strictly between agent and target count."""
+    radius. Only blockers strictly between agent and target count, so others
+    may hold the target itself: its t along the sight line is exactly 1."""
     d = target - apos
     seg_sq = float(d @ d)
     if seg_sq == 0.0 or radius <= 0.0:
@@ -254,7 +255,6 @@ def generate_scenario(params, seed: int) -> Scenario:
         yaw = float(rng.uniform(-math.pi, math.pi))
         boxes.append(RotatedBox3D(float(xy[0]), float(xy[1]), height / 2.0, height, width, length, yaw))
 
-    centers_xy = [np.array([b.x, b.y]) for b in boxes]
     agents = []
     for k, pose in enumerate(poses):
         axy = pose.translation[:2]
@@ -262,9 +262,7 @@ def generate_scenario(params, seed: int) -> Scenario:
         for i, box in enumerate(boxes):
             if math.hypot(box.x - axy[0], box.y - axy[1]) > params.sensing_range:
                 continue
-            if params.co_visible is None and _occluded(
-                axy, centers_xy[i], [c for j, c in enumerate(centers_xy) if j != i], params.occluder_radius
-            ):
+            if params.co_visible is None and _occluded(axy, centers[i], centers, params.occluder_radius):
                 continue
             vis.append(i)
         visible = tuple(vis)
@@ -444,16 +442,20 @@ class CommRecord:
 class PipelineResult:
     """messages lists every "pose" and "features" transmission to the ego, in
     send order. pose_estimates maps each (frame, agent) pair to the PoseEstimate the
-    agent sent, or None when its "pgc" estimate failed. dropped lists those
-    failed pairs, whose agent was left out; no_signal lists the pairs whose
-    residual offset search found no signal and kept the coarse alignment."""
+    agent sent, or None when its "pgc" estimate failed; such an agent is left
+    out of that frame. no_signal lists the pairs whose residual offset search
+    found no signal and kept the coarse alignment."""
 
     detections: tuple[Detection, ...]
     fused: BevGrid
     messages: tuple[CommRecord, ...]
     pose_estimates: dict[tuple[int, int], PoseEstimate | None]
-    dropped: tuple[tuple[int, int], ...]
     no_signal: tuple[tuple[int, int], ...]
+
+    @property
+    def dropped(self) -> tuple[tuple[int, int], ...]:
+        """The (frame, agent) pairs whose estimate failed, in run order."""
+        return tuple(key for key, est in self.pose_estimates.items() if est is None)
 
 
 def log_pipeline_fallbacks(scenario_id: int, dropped, no_signal) -> None:
@@ -487,8 +489,13 @@ def run_pipeline(
     unchanged across noise levels by construction. Ground truth is not an
     input: evaluation scores the detections against setup.targets. Dropped
     agents and searches without signal are recorded in the result, not
-    logged: log_pipeline_fallbacks names them by scenario index. Every frame
-    fuses the setup's rasters and searches against its one template.
+    logged: log_pipeline_fallbacks names them by scenario index.
+
+    Every frame fuses the setup's rasters. Without an ego pose the ego raster
+    is fused alone at weight 1. Otherwise each neighbor with a pose, in agent
+    order, sends its messages, is warped by its sent pose, searched against
+    the setup's one template and corrected by a nonzero offset, and is fused
+    at its confidence.
     """
     if pose_source not in POSE_SOURCES:
         raise ValueError(f"unknown pose_source {pose_source!r}")
@@ -498,7 +505,6 @@ def run_pipeline(
     ego = scenario.agents[0]
     messages: list[CommRecord] = []
     pose_estimates: dict[tuple[int, int], PoseEstimate | None] = {}
-    dropped: list[tuple[int, int]] = []
     no_signal: list[tuple[int, int]] = []
     agent_ids = [ego.agent_id] if pose_source == "none" else [a.agent_id for a in scenario.agents]
 
@@ -508,41 +514,31 @@ def run_pipeline(
         for k in agent_ids:
             est = _agent_estimate(scenario, k, cfg, pose_source, noise, _PIPELINE_POSE_TAGS, frame)
             pose_estimates[(frame, k)] = est
-            if est is None:
-                dropped.append((frame, k))
-            else:
+            if est is not None:
                 estimates[k] = est
 
-        if ego.agent_id not in estimates:
+        fused_inputs = [grids[ego.agent_id]]
+        ego_est = estimates.pop(ego.agent_id, None)
+        if ego_est is None:
             # no usable ego pose: fall back to the raw single-agent view
-            fused_inputs = [grids[ego.agent_id]]
             weights = [1.0]
         else:
-            neighbor_ids = [k for k in estimates if k != ego.agent_id]
-            neighbor_grids = []
-            for k in neighbor_ids:
-                messages.append(CommRecord(k, ego.agent_id, "pose", estimates[k].message_bytes()))
+            weights = [ego_est.confidence]
+            for k, est in estimates.items():
+                messages.append(CommRecord(k, ego.agent_id, "pose", est.message_bytes()))
                 messages.append(CommRecord(k, ego.agent_id, "features", serialized_grid_bytes(grids[k])))
-                neighbor_grids.append((grids[k], estimates[k].pose))
-            warped = coarse_align(estimates[ego.agent_id].pose, neighbor_grids)
-            moved: list[int] = []
-            deltas = []
-            for i, (k, grid) in enumerate(zip(neighbor_ids, warped)):
+                grid = coarse_align(ego_est.pose, grids[k], est.pose)
                 try:
-                    delta = estimate_offset(setup.template, _search_grid(grid, MAX_HEIGHT_CHANNEL), cfg.search)
+                    offset = estimate_offset(setup.template, _search_grid(grid, MAX_HEIGHT_CHANNEL), cfg.search)
                 except NoSignalError:
                     no_signal.append((frame, k))
-                    continue
-                if delta != _ZERO_OFFSET:
-                    moved.append(i)
-                    deltas.append(delta.inverse())
-            # a zero offset keeps the coarse grid: coarse_align output holds no
-            # -0.0, so the identity warp would reproduce it bitwise
-            corrected = list(warped)
-            for i, grid in zip(moved, apply_offset([warped[i] for i in moved], deltas)):
-                corrected[i] = grid
-            fused_inputs = [grids[ego.agent_id]] + corrected
-            weights = [estimates[k].confidence for k in [ego.agent_id, *neighbor_ids]]
+                else:
+                    # a zero offset keeps the coarse grid: coarse_align output holds
+                    # no -0.0, so the identity warp would reproduce it bitwise
+                    if offset != _ZERO_OFFSET:
+                        grid = apply_offset(grid, offset)
+                fused_inputs.append(grid)
+                weights.append(est.confidence)
 
         embedded = confidence_embed(fused_inputs, weights)
         total = sum(weights)
@@ -560,7 +556,7 @@ def run_pipeline(
     dets = [d for d in dets if _in_roi(d.box.x, d.box.y, spec)]
     return PipelineResult(
         detections=tuple(dets), fused=fused, messages=tuple(messages), pose_estimates=pose_estimates,
-        dropped=tuple(dropped), no_signal=tuple(no_signal),
+        no_signal=tuple(no_signal),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,8 +130,8 @@ def test_coarse_align_identity_poses():
     rng = np.random.default_rng(35)
     grid = blob_grid(rng)
     pose = Pose.from_planar(4.0, -1.0, 0.7)
-    out = coarse_align(pose, [(grid, pose)])
-    np.testing.assert_array_equal(out[0].data, grid.data)
+    out = coarse_align(pose, grid, pose)
+    np.testing.assert_array_equal(out.data, grid.data)
 
 
 def test_coarse_align_pure_translation_matches_roll():
@@ -139,18 +140,10 @@ def test_coarse_align_pure_translation_matches_roll():
     res = grid.spec.resolution
     ego = Pose.from_planar(0.0, 0.0, 0.0)
     nbr = Pose.from_planar(3 * res, 0.0, 0.0)
-    out = coarse_align(ego, [(grid, nbr)])[0]
+    out = coarse_align(ego, grid, nbr)
     expected = np.zeros_like(grid.data)
     expected[:, :, 3:] = grid.data[:, :, : grid.spec.width - 3]
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-
-def test_coarse_align_rejects_mixed_geometry():
-    rng = np.random.default_rng(37)
-    a = blob_grid(rng, GridSpec.centered(16, 16, 0.5))
-    b = blob_grid(rng, GridSpec.centered(8, 8, 0.5))
-    with pytest.raises(ValueError):
-        coarse_align(Pose.identity(), [(a, Pose.identity()), (b, Pose.identity())])
 
 
 def test_confidence_embed_normalization_and_exact_scaling():
@@ -605,6 +598,26 @@ def test_scoring_against_a_template_warps_nothing(monkeypatch):
     assert calls == []
 
 
+def test_template_rows_stay_off_the_traced_heap():
+    # The template's rows are the largest array of a wide search, and a block
+    # that size on the malloc heap shifts the arena under the encoder's
+    # attention buffer, so a sweep's peak RSS jumps between two levels from
+    # one code version to the next. The rows come from an anonymous mapping
+    # instead, which tracemalloc does not see: what it traces is each row
+    # batch's temporaries and the small per-candidate arrays.
+    rng = np.random.default_rng(49)
+    ego = blob_grid(rng)
+    search = OffsetSearch(max_xy=2.0, step_xy=0.5, max_theta_deg=10.0, step_theta_deg=2.5)
+    tracemalloc.start()
+    try:
+        template = offset_template(ego, search)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(template.candidates) == 729
+    assert peak < template.centered.nbytes
+
+
 def test_template_must_match_the_search_and_geometry():
     rng = np.random.default_rng(48)
     ego = blob_grid(rng)
@@ -627,12 +640,10 @@ def test_apply_offset_inverts_injected_misalignment():
     ego = blob_grid(rng)
     true = Pose2D(0.5, -0.5, 0.0)
     nbr = warp_grid(ego, true)
-    corrected = apply_offset([nbr], [true.inverse()])[0]
+    corrected = apply_offset(nbr, true)
     # interior cells come back to the original (border loses content)
     interior = (slice(None), slice(4, -4), slice(4, -4))
     np.testing.assert_allclose(corrected.data[interior], ego.data[interior], atol=1e-9)
-    with pytest.raises(ValueError):
-        apply_offset([ego], [])
 
 
 def test_grid_serialization_round_trip():

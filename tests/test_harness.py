@@ -106,6 +106,21 @@ def test_occluded_sight_line_cases():
     assert not _occluded(apos, target, [np.array([5.0, 0.0])], 0.0)
 
 
+_coord = st.floats(-50.0, 50.0, allow_nan=False)
+_point = st.tuples(_coord, _coord).map(np.array)
+
+
+@given(
+    apos=_point, target=_point, others=st.lists(_point, max_size=6),
+    radius=st.floats(0.0, 20.0), where=st.integers(0, 6),
+)
+def test_occluded_ignores_the_target_among_the_others(apos, target, others, radius, where):
+    # generate_scenario passes every object center, the target's own
+    # included: the target sits at exactly t = 1 on its sight line
+    with_target = others[:where] + [target] + others[where:]
+    assert _occluded(apos, target, with_target, radius) == _occluded(apos, target, others, radius)
+
+
 def _loop_box_surface(box, count, rng):
     """_sample_box_surface with a branch per face filling that face's rows."""
     areas = np.array([box.w * box.h, box.w * box.h, box.l * box.h, box.l * box.h, box.l * box.w])
@@ -331,6 +346,18 @@ def test_run_pipeline_logs_no_signal_fallback(caplog, monkeypatch):
     assert result.detections == zero.detections
 
 
+def _scripted_search(replies):
+    """An estimate_offset that returns, or raises, the next reply."""
+    replies = iter(replies)
+
+    def estimate_offset(template, nbr, search):
+        reply = next(replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+    return estimate_offset
+
+
 def test_zero_residual_offset_skips_an_identity_warp_bitwise(monkeypatch):
     cfg = _small_cfg(frames=2, scenario=_small_params(num_agents=3))
     scenario = generate_scenario(cfg.scenario, 44)
@@ -339,23 +366,15 @@ def test_zero_residual_offset_skips_an_identity_warp_bitwise(monkeypatch):
     original_align = harness.coarse_align
 
     def recording_align(*args):
-        grids = original_align(*args)
-        coarse.extend(grids)
-        return grids
-
-    def search(replies):
-        def estimate_offset(ego, nbr, params):
-            reply = next(replies)
-            if isinstance(reply, Exception):
-                raise reply
-            return reply
-        return estimate_offset
+        grid = original_align(*args)
+        coarse.append(grid)
+        return grid
 
     monkeypatch.setattr(harness, "coarse_align", recording_align)
     warps = _count_calls(monkeypatch, fusion, "warp_grid")
     # per frame, the first neighbor finds no signal and the second keeps the
     # zero offset: neither takes a second warp
-    monkeypatch.setattr(harness, "estimate_offset", search(iter([NoSignalError("flat"), Pose2D(0.0, -0.0, 0.0)] * cfg.frames)))
+    monkeypatch.setattr(harness, "estimate_offset", _scripted_search([NoSignalError("flat"), Pose2D(0.0, -0.0, 0.0)] * cfg.frames))
     skipped = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gt-noise", noise=(0.5, 1.0))
     assert len(warps) == len(coarse) == neighbors
     # coarse grids hold no -0.0, so the identity warp reproduces them bitwise
@@ -365,12 +384,45 @@ def test_zero_residual_offset_skips_an_identity_warp_bitwise(monkeypatch):
     # with no offset equal to the skip sentinel, every neighbor takes the
     # identity warp, as a NoSignalError fallback or a zero offset once did
     monkeypatch.setattr(harness, "_ZERO_OFFSET", None)
-    monkeypatch.setattr(harness, "estimate_offset", search(iter([Pose2D(0.0, 0.0, 0.0)] * neighbors)))
+    monkeypatch.setattr(harness, "estimate_offset", _scripted_search([Pose2D(0.0, 0.0, 0.0)] * neighbors))
     del warps[:]
     warped = run_pipeline(setup_scenario(scenario, cfg), cfg, pose_source="gt-noise", noise=(0.5, 1.0))
     assert len(warps) == 2 * neighbors
     assert warped.fused.data.tobytes() == skipped.fused.data.tobytes()
     assert warped.detections == skipped.detections
+
+
+def test_each_neighbor_is_fused_in_agent_order_with_its_own_fallback(monkeypatch):
+    cfg = _small_cfg(scenario=_small_params(num_agents=3))
+    setup = setup_scenario(generate_scenario(cfg.scenario, 44), cfg)
+    offset = Pose2D(0.5, -0.5, 0.0)
+    coarse, embedded = [], []
+    original_align = harness.coarse_align
+    original_embed = harness.confidence_embed
+
+    def recording_align(*args):
+        coarse.append(original_align(*args))
+        return coarse[-1]
+
+    def recording_embed(grids, sigmas):
+        embedded.append((list(grids), list(sigmas)))
+        return original_embed(grids, sigmas)
+
+    monkeypatch.setattr(harness, "coarse_align", recording_align)
+    monkeypatch.setattr(harness, "confidence_embed", recording_embed)
+    monkeypatch.setattr(harness, "estimate_offset", _scripted_search([NoSignalError("flat"), offset]))
+    result = run_pipeline(setup, cfg, pose_source="gt-noise", noise=(0.5, 1.0))
+    # agent 1 keeps its coarse grid, agent 2 is corrected by the inverse offset
+    assert result.no_signal == ((0, 1),)
+    [(grids, weights)] = embedded
+    assert len(coarse) == 2
+    assert grids[0] is setup.rasters[0]
+    assert grids[1] is coarse[0]
+    assert grids[2].data.tobytes() == fusion.warp_grid(coarse[1], offset.inverse()).data.tobytes()
+    assert weights == [result.pose_estimates[(0, k)].confidence for k in range(3)]
+    assert [(r.sender, r.kind) for r in result.messages] == [
+        (1, "pose"), (1, "features"), (2, "pose"), (2, "features"),
+    ]
 
 
 def test_run_pipeline_rejects_unknown_source():
