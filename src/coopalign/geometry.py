@@ -17,6 +17,7 @@ POINT_CLOUD_MAGIC = b"CPALPC01"
 
 _TAU = 2.0 * math.pi
 _ORTHONORMAL_TOL = 1e-8
+_EYE3 = np.eye(3)
 
 
 def normalize_angle(theta: float) -> float:
@@ -51,9 +52,11 @@ class Pose:
         trans = np.array(self.translation, dtype=float).reshape(3)
         if not (np.isfinite(rot).all() and np.isfinite(trans).all()):
             raise ValueError("pose entries must be finite")
-        if np.abs(rot @ rot.T - np.eye(3)).max() > _ORTHONORMAL_TOL:
+        if np.abs(rot @ rot.T - _EYE3).max() > _ORTHONORMAL_TOL:
             raise ValueError("rotation must be orthonormal")
-        if np.linalg.det(rot) <= 0.0:
+        # |det| is within ~5e-8 of 1 here, so the rows' triple product has det's sign
+        (a, b, c), (d, e, f), (g, h, i) = rot.tolist()
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0.0:
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", _freeze(rot))
         object.__setattr__(self, "translation", _freeze(trans))

@@ -135,8 +135,8 @@ def _sample_box_surface(box: RotatedBox3D, count: int, rng: np.random.Generator)
     u = rng.uniform(-0.5, 0.5, size=count)
     v = rng.uniform(-0.5, 0.5, size=count)
     # faces 0-1 at x = +-l/2, 2-3 at y = +-w/2, 4 the top at z = h/2
-    x = np.select([faces == 0, faces == 1], [box.l / 2, -box.l / 2], u * box.l)
-    y = np.select([faces < 2, faces == 2, faces == 3], [u * box.w, box.w / 2, -box.w / 2], v * box.w)
+    x = np.where(faces == 0, box.l / 2, np.where(faces == 1, -box.l / 2, u * box.l))
+    y = np.where(faces < 2, u * box.w, np.where(faces == 2, box.w / 2, np.where(faces == 3, -box.w / 2, v * box.w)))
     z = np.where(faces == 4, box.h / 2, v * box.h)
     c, s = math.cos(box.theta), math.sin(box.theta)
     return np.column_stack([c * x - s * y + box.x, s * x + c * y + box.y, z + box.z])
@@ -350,18 +350,18 @@ def scenario_at(cfg: ExperimentConfig, index: int) -> Scenario:
 
 
 def _agent_estimate(
-    scenario: Scenario, k: int, cfg: ExperimentConfig, source: str, noise: tuple[float, float],
-    tags: tuple[int, int, int], frame: int = 0,
+    scenario: Scenario, k: int, sampled: PointCloud | None, cfg: ExperimentConfig, source: str,
+    noise: tuple[float, float], tags: tuple[int, int, int], frame: int = 0,
 ) -> PoseEstimate | None:
     """The pose record agent k sends at frame. "pgc" runs the oracle and
-    RANSAC, and is None when the solve fails or the downsampled cloud holds
-    fewer points than one RANSAC sample; "gt-noise" perturbs the true pose by
-    noise (sigma_t, sigma_r) and rates it by its translation error; "gt" and
-    "none" send the true pose at confidence 1."""
+    RANSAC on sampled, the agent's cloud voxel-downsampled by the caller, and
+    is None when the solve fails or sampled holds fewer points than one
+    RANSAC sample; "gt-noise" perturbs the true pose by noise (sigma_t,
+    sigma_r) and rates it by its translation error; "gt" and "none" send the
+    true pose at confidence 1. Only "pgc" reads sampled."""
     agent = scenario.agents[k]
     tag_oracle, tag_ransac, tag_gnss = tags
     if source == "pgc":
-        sampled = voxel_downsample(agent.cloud, cfg.downsample_voxel)
         if len(sampled) < cfg.ransac.sample_size:
             return None
         rng = np.random.default_rng((scenario.seed, tag_oracle, frame, k))
@@ -401,13 +401,20 @@ def _search_grid(grid: BevGrid, channel: int) -> BevGrid:
 class ScenarioSetup:
     """What every pipeline run on one scenario shares: one raster per agent,
     indexed by agent id, the offset search the ego's template is built for,
-    the ego-frame targets the runs are scored against, and the template
-    itself, built on first use."""
+    the ego-frame targets the runs are scored against, and two things built
+    on first use: the template and, for the "pgc" pose source, each agent's
+    downsampled cloud."""
 
     scenario: Scenario
     rasters: tuple[BevGrid, ...]
     search: OffsetSearch
     targets: tuple[RotatedBox3D, ...]
+    voxel: float
+
+    @functools.cached_property
+    def sampled(self) -> tuple[PointCloud, ...]:
+        """Each agent's voxel-downsampled cloud, indexed by agent id."""
+        return tuple(voxel_downsample(agent.cloud, self.voxel) for agent in self.scenario.agents)
 
     @functools.cached_property
     def template(self) -> OffsetTemplate | None:
@@ -427,7 +434,7 @@ def setup_scenario(scenario: Scenario, cfg: ExperimentConfig) -> ScenarioSetup:
     them, so these serve every run_pipeline call on the scenario."""
     spec = cfg.grid_spec()
     rasters = tuple(rasterize_bev(agent.cloud, spec) for agent in scenario.agents)
-    return ScenarioSetup(scenario, rasters, cfg.search, tuple(ego_frame_targets(scenario, spec)))
+    return ScenarioSetup(scenario, rasters, cfg.search, tuple(ego_frame_targets(scenario, spec)), cfg.downsample_voxel)
 
 
 @dataclass(frozen=True)
@@ -512,7 +519,8 @@ def run_pipeline(
     for frame in range(cfg.frames):
         estimates: dict[int, PoseEstimate] = {}
         for k in agent_ids:
-            est = _agent_estimate(scenario, k, cfg, pose_source, noise, _PIPELINE_POSE_TAGS, frame)
+            sampled = setup.sampled[k] if pose_source == "pgc" else None
+            est = _agent_estimate(scenario, k, sampled, cfg, pose_source, noise, _PIPELINE_POSE_TAGS, frame)
             pose_estimates[(frame, k)] = est
             if est is not None:
                 estimates[k] = est
@@ -621,11 +629,12 @@ def _benchmark_scenario(cfg: ExperimentConfig, scenario_id: int) -> list[Alignme
         gt_rel = relative(ego.gt_pose, nbr.gt_pose)
         for method in cfg.methods:
             if method in ("pgc", "gt-noise"):
-                # both agents send a pose record; the neighbor's is the message
-                (est_e, est_n), t = _timed(lambda: tuple(
-                    _agent_estimate(scenario, a.agent_id, cfg, method, cfg.alignment_noise, _BENCH_POSE_TAGS)
-                    for a in (ego, nbr)
-                ))
+                # both agents send a pose record (the neighbor's is the message); "pgc" times the downsample too
+                def estimate(a):
+                    sampled = voxel_downsample(a.cloud, cfg.downsample_voxel) if method == "pgc" else None
+                    return _agent_estimate(
+                        scenario, a.agent_id, sampled, cfg, method, cfg.alignment_noise, _BENCH_POSE_TAGS)
+                (est_e, est_n), t = _timed(lambda: (estimate(ego), estimate(nbr)))
                 failed = est_e is None or est_n is None
                 est_rel = None if failed else relative(est_e.pose, est_n.pose)
                 nbytes = 0 if failed else est_n.message_bytes()

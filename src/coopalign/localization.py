@@ -183,7 +183,10 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     sorted_keys = keys[order]
     boundary = np.empty(pts.shape[0], dtype=bool)
     boundary[0] = True
-    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=boundary[1:])
+    # a key differs from the one before when any of its three components does
+    rest = np.not_equal(sorted_keys[1:, 0], sorted_keys[:-1, 0], out=boundary[1:])
+    rest |= sorted_keys[1:, 1] != sorted_keys[:-1, 1]
+    rest |= sorted_keys[1:, 2] != sorted_keys[:-1, 2]
     group = np.cumsum(boundary) - 1
     starts = np.flatnonzero(boundary)
     counts = np.diff(starts, append=pts.shape[0])
@@ -243,7 +246,8 @@ def oracle_predict(
     gt_world = transform_points(gt_pose, cloud)
     offsets, _ = sample_structured_offsets(model, gt_world.points, rng)
     predicted = PointCloud(gt_world.points + offsets)
-    true_err = np.abs(offsets).sum(axis=1)
+    abs_off = np.abs(offsets)
+    true_err = abs_off[:, 0] + abs_off[:, 1] + abs_off[:, 2]  # bitwise the row sum; see _residuals
     shuffled = rng.permutation(true_err)
     fid = model.error_fidelity
     predicted_error = fid * true_err + (1.0 - fid) * shuffled
@@ -303,11 +307,14 @@ def _residuals(local: np.ndarray, world: np.ndarray, rots: np.ndarray, transs: n
     """(n, b) array whose column k is bitwise
     norm(local @ rots[k].T + transs[k] - world, axis=1): one (n, 3) @ (3, 3b)
     product, then the same elementwise steps, in place on one (n, b, 3)
-    buffer that is freed on return."""
+    buffer that is freed on return. Two plane adds sum (x + y) + z, the
+    order of numpy's much slower add.reduce over a length-3 axis."""
     diff = (local @ rots.transpose(2, 0, 1).reshape(3, -1)).reshape(local.shape[0], -1, 3)
     diff += transs
     diff -= world[:, None, :]
-    resid = np.add.reduce(np.square(diff, out=diff), axis=2)
+    sq = np.square(diff, out=diff)
+    resid = sq[:, :, 0] + sq[:, :, 1]
+    resid += sq[:, :, 2]
     return np.sqrt(resid, out=resid)
 
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coopalign.geometry import (
+    _ORTHONORMAL_TOL,
     PointCloud,
     Pose,
     Pose2D,
@@ -75,6 +76,68 @@ def test_pose_rejects_bad_rotations():
         Pose(refl, np.zeros(3))
     with pytest.raises(ValueError):
         Pose(np.eye(3), np.array([0.0, np.nan, 0.0]))
+
+
+def _lapack_verdict(rot):
+    """The rotation checks of Pose as they were, with the LAPACK
+    determinant: None when the rotation is accepted, else the message."""
+    rot = np.array(rot, dtype=float).reshape(3, 3)
+    if not np.isfinite(rot).all():
+        return "pose entries must be finite"
+    if np.abs(rot @ rot.T - np.eye(3)).max() > _ORTHONORMAL_TOL:
+        return "rotation must be orthonormal"
+    if np.linalg.det(rot) <= 0.0:
+        return "rotation must have determinant +1"
+    return None
+
+
+def _verdict(rot):
+    try:
+        Pose(rot, np.zeros(3))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _orthogonal(rng, reflect):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    if (np.linalg.det(q) < 0.0) != reflect:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reflect=st.booleans(),
+    # the perturbation's size in units of _ORTHONORMAL_TOL: 0 is none, and
+    # sizes near 1 land just inside or just outside the tolerance
+    size=st.sampled_from([0.0, 1e3]) | st.floats(0.9, 1.1) | st.floats(0.0, 4.0),
+)
+def test_pose_validator_matches_the_lapack_determinant(seed, reflect, size):
+    rng = np.random.default_rng(seed)
+    q = _orthogonal(rng, reflect)
+    direction = rng.standard_normal((3, 3))
+    # scale the direction so the deviation from orthonormality is about size * tol
+    unit = np.abs(direction @ q.T + q @ direction.T).max()
+    rot = q + (size * _ORTHONORMAL_TOL / unit) * direction
+    assert _verdict(rot) == _lapack_verdict(rot)
+
+
+def test_pose_validator_edges_match_the_lapack_determinant():
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for reflect in (False, True):
+        q = _orthogonal(rng, reflect)
+        # (1 + s)^2 - 1 just below and just above the tolerance
+        for s in (0.5 * _ORTHONORMAL_TOL * (1 - 1e-3), 0.5 * _ORTHONORMAL_TOL * (1 + 1e-3)):
+            for rot in (q * (1.0 + s), q * (1.0 - s)):
+                verdicts.add(_lapack_verdict(rot))
+                assert _verdict(rot) == _lapack_verdict(rot)
+        singular = q.copy()
+        singular[2] = 0.0
+        assert _verdict(singular) == _lapack_verdict(singular) == "rotation must be orthonormal"
+    assert verdicts == {None, "rotation must be orthonormal", "rotation must have determinant +1"}
 
 
 def test_pose_yaw_and_planar_projection():

@@ -150,6 +150,20 @@ def _loop_box_surface(box, count, rng):
     return world
 
 
+def _select_box_surface(box, count, rng):
+    """_sample_box_surface with np.select, not nested np.where, picking each
+    face's coordinates."""
+    areas = np.array([box.w * box.h, box.w * box.h, box.l * box.h, box.l * box.h, box.l * box.w])
+    faces = rng.choice(5, size=count, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=count)
+    v = rng.uniform(-0.5, 0.5, size=count)
+    x = np.select([faces == 0, faces == 1], [box.l / 2, -box.l / 2], u * box.l)
+    y = np.select([faces < 2, faces == 2, faces == 3], [u * box.w, box.w / 2, -box.w / 2], v * box.w)
+    z = np.where(faces == 4, box.h / 2, v * box.h)
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    return np.column_stack([c * x - s * y + box.x, s * x + c * y + box.y, z + box.z])
+
+
 _extents = st.floats(min_value=0.1, max_value=6.0)
 
 
@@ -165,10 +179,12 @@ def test_box_surface_matches_the_per_face_loop(center, extents, theta, count, se
     # counts of 1 to 4 leave some faces without a point
     box = RotatedBox3D(*center, *extents, theta)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    select_rng = np.random.default_rng(seed)
     got = _sample_box_surface(box, count, got_rng)
     want = _loop_box_surface(box, count, want_rng)
     assert got.shape == (count, 3) and got.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert _select_box_surface(box, count, select_rng).tobytes() == got.tobytes()
 
 
 def test_co_visible_counts_are_exact():
@@ -570,6 +586,45 @@ def test_sweep_builds_targets_once_per_scenario(monkeypatch):
     calls = _count_calls(monkeypatch, harness, "ego_frame_targets")
     run_noise_sweep(cfg)
     assert len(calls) == cfg.num_scenarios
+
+
+def test_sweep_downsamples_each_cloud_once_per_scenario(monkeypatch):
+    # 5 levels x 3 methods: the pgc runs at every level share each agent's
+    # downsampled cloud, where each run once made its own
+    cfg = ExperimentConfig(num_scenarios=1)
+    calls = _count_calls(monkeypatch, harness, "voxel_downsample")
+    run_noise_sweep(cfg)
+    assert len(calls) == cfg.scenario.num_agents == 2
+
+
+@pytest.mark.parametrize("source", ["gt-noise", "gt", "none"])
+def test_pipeline_without_pgc_never_downsamples(monkeypatch, source):
+    cfg = _small_cfg(frames=2)
+    calls = _count_calls(monkeypatch, harness, "voxel_downsample")
+    run_pipeline(setup_scenario(generate_scenario(cfg.scenario, 45), cfg), cfg, pose_source=source, noise=(1.0, 1.0))
+    assert calls == []
+
+
+def test_pgc_setup_downsamples_once_for_every_run_and_frame(monkeypatch):
+    cfg = _small_cfg(frames=2, scenario=_small_params(num_agents=3))
+    setup = setup_scenario(generate_scenario(cfg.scenario, 46), cfg)
+    calls = _count_calls(monkeypatch, harness, "voxel_downsample")
+    first = run_pipeline(setup, cfg, pose_source="pgc")
+    second = run_pipeline(setup, cfg, pose_source="pgc")
+    assert len(calls) == 3
+    assert first.fused.data.tobytes() == second.fused.data.tobytes()
+    fresh = run_pipeline(setup_scenario(setup.scenario, cfg), cfg, pose_source="pgc")
+    assert fresh.fused.data.tobytes() == first.fused.data.tobytes()
+
+
+def test_alignment_downsamples_each_agent_per_pgc_row(monkeypatch):
+    cfg = _small_cfg(num_scenarios=2, scenario=_small_params(num_agents=3))
+    calls = _count_calls(monkeypatch, harness, "voxel_downsample")
+    report = run_alignment_benchmark(cfg)
+    pgc_rows = [r for r in report.rows if r.method == "pgc"]
+    # the ego and the neighbor of each row, inside the row's timed call
+    assert len(pgc_rows) == cfg.num_scenarios * 2
+    assert len(calls) == 2 * len(pgc_rows)
 
 
 def test_sweep_warns_once_per_dropped_agent_by_row_index(caplog):

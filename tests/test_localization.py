@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopalign.geometry import PointCloud, Pose, pose_error, transform_points
+from coopalign.localization import sample_structured_offsets
 from coopalign.localization import (
     _BLOCK_CAP,
     DegenerateSampleError,
@@ -16,6 +17,7 @@ from coopalign.localization import (
     RansacConfig,
     SceneCoordPrediction,
     _kabsch_arrays,
+    _residuals,
     confidence_from_error,
     kabsch_solve,
     oracle_predict,
@@ -506,3 +508,86 @@ def test_ransac_working_set_is_bounded_by_the_block_cap():
         tracemalloc.stop()
     assert est is not None
     assert peak < 2 * block_bytes
+
+
+# ---------------------------------------------------------------------------
+# two plane adds in place of numpy's reduce over a length-3 axis; the
+# reduce forms the code once used are kept here as references
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 9), min_size=0, max_size=3),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    signed=st.booleans(),
+)
+def test_three_term_sum_is_the_length3_reduce_bitwise(data_seed, lead, zero_share, signed):
+    rng = np.random.default_rng(data_seed)
+    shape = (*lead, 3)
+    x = rng.uniform(1.0, 10.0, size=shape) * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    if signed:
+        x *= rng.choice([-1.0, 1.0], size=shape)
+    # +0.0 only: the reduce starts from +0.0, so a row of three -0.0 sums to
+    # +0.0 there. The code sums squares and absolute values, never -0.0.
+    x[rng.random(shape) < zero_share] = 0.0
+    got = x[..., 0] + x[..., 1]
+    got += x[..., 2]
+    assert got.tobytes() == np.add.reduce(x, axis=-1).tobytes()
+    assert (x[..., 0] + x[..., 1] + x[..., 2]).tobytes() == got.tobytes()
+
+
+def _reduce_residuals(local, world, rots, transs):
+    diff = (local @ rots.transpose(2, 0, 1).reshape(3, -1)).reshape(local.shape[0], -1, 3)
+    diff += transs
+    diff -= world[:, None, :]
+    resid = np.add.reduce(np.square(diff, out=diff), axis=2)
+    return np.sqrt(resid, out=resid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 700),
+    b=st.integers(1, _BLOCK_CAP),
+    log_scale=st.floats(-5.0, 5.0),
+)
+def test_residuals_match_the_reduce_form_bitwise(data_seed, n, b, log_scale):
+    rng = np.random.default_rng(data_seed)
+    scale = 10.0 ** log_scale
+    local = rng.normal(scale=scale, size=(n, 3))
+    world = rng.normal(scale=scale, size=(n, 3))
+    poses = [random_full_pose(rng, span=scale) for _ in range(b)]
+    rots = np.stack([p.rotation for p in poses])
+    transs = np.stack([p.translation for p in poses])
+    got = _residuals(local, world, rots, transs)
+    assert got.tobytes() == _reduce_residuals(local, world, rots, transs).tobytes()
+
+
+def _reduce_oracle_error(cloud, gt_pose, model, rng):
+    """oracle_predict's predicted_error as it was, from a row sum."""
+    gt_world = transform_points(gt_pose, cloud)
+    offsets, _ = sample_structured_offsets(model, gt_world.points, rng)
+    true_err = np.abs(offsets).sum(axis=1)
+    shuffled = rng.permutation(true_err)
+    fid = model.error_fidelity
+    return fid * true_err + (1.0 - fid) * shuffled
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 500),
+    inlier_sigma=st.floats(0.0, 10.0),
+    outlier_scale=st.floats(0.0, 1e3),
+    fidelity=st.floats(0.0, 1.0),
+)
+def test_oracle_error_matches_the_row_sum_bitwise(data_seed, n, inlier_sigma, outlier_scale, fidelity):
+    rng = np.random.default_rng(data_seed)
+    cloud = PointCloud(rng.normal(scale=30.0, size=(n, 3)))
+    pose = random_full_pose(rng)
+    model = OracleErrorModel(inlier_sigma, 0.3, outlier_scale, error_fidelity=fidelity)
+    got_rng, want_rng = np.random.default_rng(data_seed + 1), np.random.default_rng(data_seed + 1)
+    got = oracle_predict(cloud, pose, model, got_rng).predicted_error
+    assert got.tobytes() == _reduce_oracle_error(cloud, pose, model, want_rng).tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
