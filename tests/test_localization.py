@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopalign.geometry import PointCloud, Pose, pose_error, transform_points
-from coopalign.localization import sample_structured_offsets
 from coopalign.localization import (
     _BLOCK_CAP,
     DegenerateSampleError,
@@ -22,6 +21,7 @@ from coopalign.localization import (
     kabsch_solve,
     oracle_predict,
     ransac_pose,
+    sample_structured_offsets,
     voxel_downsample,
 )
 from conftest import counting_constructions, random_full_pose
