@@ -181,7 +181,7 @@ class ExperimentConfig:
         if len({threshold_key(t) for t in thresholds}) != len(thresholds):
             raise ConfigError("iou_thresholds must differ when printed with :g (the summary keys)")
         # the largest float64 array the sizes imply: the token features of
-        # all frames, RANSAC's (points, _BLOCK_CAP, 3) residuals, graph
+        # all frames, RANSAC's (3, _BLOCK_CAP, points) residuals, graph
         # matching's (pairs, pairs) terms over num_objects**2 box pairs, the
         # offset search's ego template (one warped grid per candidate, built
         # only when there are neighbors), or a layer's weight matrix or the

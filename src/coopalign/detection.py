@@ -3,12 +3,16 @@
 Boxes follow the (x, y, z, h, w, l, theta) layout: center, vertical extent h,
 width w across the heading, length l along the heading, and yaw theta. BEV
 overlap is computed on the rotated (l, w) footprint via convex polygon
-clipping. Most pairs that AP matching scores lie far apart, so
-``rotated_iou_bev`` first rejects pairs whose centers are further apart than
-the two footprints' circumradii plus a margin: those footprints cannot
-overlap, so their IoU is exactly 0.0. The decode head's boxes all have yaw 0
-and the same extents, so its NMS uses the closed-form IoU of two such boxes
-instead.
+clipping, on (x, y) pairs of Python floats. Most pairs that AP matching
+scores lie far apart, so ``rotated_iou_bev`` first rejects pairs whose
+centers are further apart than the two footprints' circumradii plus a
+margin: those footprints cannot overlap, so their IoU is exactly 0.0. The
+decode head's boxes all have yaw 0 and the same extents, so its NMS uses the
+closed-form IoU of two such boxes instead.
+
+AP is computed for every IoU threshold of a scored set list at once
+(``pooled_ap_per_threshold``): one pooled ranking, then one row of
+cumulative counts per threshold.
 """
 
 from __future__ import annotations
@@ -117,31 +121,41 @@ _CLIP_TOL = 1e-12
 def _polygon_area(poly: np.ndarray) -> float:
     x = poly[:, 0]
     y = poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
 
 
-def _clip_polygon(poly: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+def _clip_polygon(
+    poly: Sequence[Sequence[float]], a: Sequence[float], b: Sequence[float]
+) -> list[tuple[float, float]]:
     """Keep the part of poly on the left of directed edge a -> b.
 
-    A crossing is clamped to the segment it splits: when one end lies in the
-    tolerance band outside the edge and the segment is nearly parallel to
-    it, the line crossing can fall beyond the segment's ends."""
-    edge = b - a
-    out: list[np.ndarray] = []
+    Vertices and edge ends are (x, y) pairs of Python floats: each cross
+    product and crossing takes the same IEEE steps, in the same order, as
+    on numpy 2-vectors, without a numpy call per step. A crossing is
+    clamped to the segment it splits: when one end lies in the tolerance
+    band outside the edge and the segment is nearly parallel to it, the
+    line crossing can fall beyond the segment's ends."""
+    ax, ay = a
+    ex = b[0] - ax
+    ey = b[1] - ay
+    inside = [ex * (y - ay) - ey * (x - ax) >= -_CLIP_TOL for x, y in poly]
+    out: list[tuple[float, float]] = []
     n = len(poly)
     for i in range(n):
-        cur = poly[i]
-        nxt = poly[(i + 1) % n]
-        cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= -_CLIP_TOL
-        nxt_in = edge[0] * (nxt[1] - a[1]) - edge[1] * (nxt[0] - a[0]) >= -_CLIP_TOL
+        cx, cy = poly[i]
+        cur_in = inside[i]
         if cur_in:
-            out.append(cur)
-        if cur_in != nxt_in:
-            seg = nxt - cur
-            denom = edge[0] * seg[1] - edge[1] * seg[0]
+            out.append((cx, cy))
+        if cur_in != inside[(i + 1) % n]:
+            nx, ny = poly[(i + 1) % n]
+            sx = nx - cx
+            sy = ny - cy
+            denom = ex * sy - ey * sx
             if denom != 0.0:
-                t = (edge[0] * (a[1] - cur[1]) - edge[1] * (a[0] - cur[0])) / denom
-                out.append(cur + min(1.0, max(0.0, t)) * seg)
+                t = min(1.0, max(0.0, (ex * (ay - cy) - ey * (ax - cx)) / denom))
+                out.append((cx + t * sx, cy + t * sy))
     return out
 
 
@@ -157,7 +171,8 @@ def rotated_iou_bev(a: RotatedBox3D, b: RotatedBox3D) -> float:
     corners and cross products is about 1e-16 of the scale of the
     coordinates and extents; the margin adds 1e-9 of that scale on top.
     Beyond ``r_a + r_b + margin`` no point of a survives the four clips, so
-    the clip's answer is 0.0 as well."""
+    the clip's answer is 0.0 as well. Near pairs are clipped on float pairs
+    (see _clip_polygon)."""
     dx = a.x - b.x
     dy = a.y - b.y
     reach = (
@@ -167,9 +182,8 @@ def rotated_iou_bev(a: RotatedBox3D, b: RotatedBox3D) -> float:
     )
     if dx * dx + dy * dy > reach * reach:
         return 0.0
-    pa = a.corners_bev()
-    pb = b.corners_bev()
-    clipped = [pa[i] for i in range(4)]
+    clipped = a.corners_bev().tolist()
+    pb = b.corners_bev().tolist()
     for i in range(4):
         if not clipped:
             break
@@ -235,36 +249,56 @@ def score_detection_set(
     return ScoredSet(scores=scores, tp=tp, num_gt=len(gts))
 
 
+def _ap_rows(tp: np.ndarray, num_gt: int) -> list[float]:
+    """All-point interpolated AP of each row of ranked true-positive flags
+    (T, D): the area under that row's precision envelope.
+
+    The counts are small integers, so the cumulative sums along the rows are
+    exact and the detections so far at rank k are k + 1. Each row then sums
+    its own steps where recall changes, in one 1-D sum as a lone row would."""
+    rows, size = tp.shape
+    tp_cum = np.cumsum(tp, axis=1, dtype=float)
+    mrec = np.empty((rows, size + 2))
+    mrec[:, 0] = 0.0
+    np.divide(tp_cum, num_gt, out=mrec[:, 1:-1])
+    mrec[:, -1] = 1.0
+    mpre = np.zeros_like(mrec)
+    np.divide(tp_cum, np.arange(1.0, size + 1.0), out=mpre[:, 1:-1])
+    mpre = np.maximum.accumulate(mpre[:, ::-1], axis=1)[:, ::-1]
+    steps = mrec[:, 1:] - mrec[:, :-1]
+    areas = steps * mpre[:, 1:]
+    return [float(np.sum(area[step != 0.0])) for step, area in zip(steps, areas)]
+
+
 def _ap_from_counts(tp: np.ndarray, num_gt: int) -> float:
-    """All-point interpolated AP: the area under the precision envelope."""
-    tp_cum = np.cumsum(tp.astype(float))
-    fp_cum = np.cumsum((~tp).astype(float))
-    recall = tp_cum / num_gt
-    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
-    mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
-    changed = np.flatnonzero(mrec[1:] != mrec[:-1])
-    return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
+    """All-point interpolated AP of one ranked flag vector."""
+    return _ap_rows(tp[None], num_gt)[0]
 
 
-def pooled_ap_from_sets(sets: Sequence[ScoredSet], threshold_index: int) -> float:
-    """Average precision pooled over scored sets at threshold number
-    threshold_index: matching stays within each set, the precision-recall
-    curve is built over all detections jointly, ranked by score with ties
-    broken by set order and then by rank within the set.
+def pooled_ap_per_threshold(sets: Sequence[ScoredSet], num_thresholds: int) -> list[float]:
+    """Average precision pooled over scored sets at each of threshold
+    numbers 0 .. num_thresholds - 1: matching stays within each set, the
+    precision-recall curve is built over all detections jointly, ranked by
+    score with ties broken by set order and then by rank within the set.
+    One ranking serves every threshold.
 
     With no target in any set the AP is 1.0 when no set has a detection
     (nothing to find, nothing hallucinated) and 0.0 otherwise."""
     num_gt = sum(s.num_gt for s in sets)
     nonempty = [s for s in sets if len(s.scores)]
     if num_gt == 0:
-        return 1.0 if not nonempty else 0.0
+        return [1.0 if not nonempty else 0.0] * num_thresholds
     if not nonempty:
-        return 0.0
+        return [0.0] * num_thresholds
     scores = np.concatenate([s.scores for s in nonempty])
-    flags = np.concatenate([s.tp[threshold_index] for s in nonempty])
-    return _ap_from_counts(flags[np.argsort(-scores, kind="stable")], num_gt)
+    flags = np.concatenate([s.tp[:num_thresholds] for s in nonempty], axis=1)
+    return _ap_rows(flags[:, np.argsort(-scores, kind="stable")], num_gt)
+
+
+def pooled_ap_from_sets(sets: Sequence[ScoredSet], threshold_index: int) -> float:
+    """Average precision pooled over scored sets at threshold number
+    threshold_index; see pooled_ap_per_threshold."""
+    return pooled_ap_per_threshold(sets, threshold_index + 1)[threshold_index]
 
 
 def average_precision(
@@ -282,7 +316,7 @@ def pooled_average_precision(
     iou_thr: float,
 ) -> float:
     """Average precision pooled over (detections, targets) frames; see
-    pooled_ap_from_sets for the ranking and the empty-set conventions."""
+    pooled_ap_per_threshold for the ranking and the empty-set conventions."""
     return pooled_ap_from_sets([score_detection_set(dets, gts, (iou_thr,)) for dets, gts in frames], 0)
 
 

@@ -28,13 +28,13 @@ from .detection import (
     RotatedBox3D,
     ScoredSet,
     decode_head,
-    pooled_ap_from_sets,
+    pooled_ap_per_threshold,
     score_detection_set,
 )
 
-# The sweep scores through score_detection_set and pooled_ap_from_sets. These
-# two stay bound here because the benchmark's tracer (bench/tracer.py) looks
-# them up in this module by name.
+# The sweep scores through score_detection_set and pooled_ap_per_threshold.
+# These two stay bound here because the benchmark's tracer (bench/tracer.py)
+# looks them up in this module by name.
 from .detection import average_precision, pooled_average_precision  # noqa: F401
 from .fusion import (
     BEV_CHANNELS,
@@ -738,7 +738,8 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
     Each scenario worker matches every detection set once, from one pass of
     detection x target IoUs, at all thresholds (score_detection_set), and
     returns only the ranked scores and true-positive flags. The per-scenario
-    rows and the pooled AP are both built here from those flags, so they
+    rows and the pooled AP are both built here from those flags, one ranking
+    per scored set list for all thresholds (pooled_ap_per_threshold), so they
     equal average_precision and pooled_average_precision of the detections.
     """
     logger.info("noise sweep: %d scenarios x %d levels", cfg.num_scenarios, len(cfg.noise_levels))
@@ -752,11 +753,10 @@ def run_noise_sweep(cfg: ExperimentConfig, parallel: int = 1) -> SweepReport:
         for level_idx, (st, sr) in enumerate(cfg.noise_levels):
             sets = [by_run[(method, level_idx)] for by_run in scored]
             for i, one in enumerate(sets):
-                for t, thr in enumerate(thresholds):
-                    rows.append(SweepRow(i, method, st, sr, thr, pooled_ap_from_sets([one], t)))
-            pooled[method][level_key((st, sr))] = {
-                threshold_key(thr): pooled_ap_from_sets(sets, t) for t, thr in enumerate(thresholds)
-            }
+                for thr, ap in zip(thresholds, pooled_ap_per_threshold([one], len(thresholds))):
+                    rows.append(SweepRow(i, method, st, sr, thr, ap))
+            aps = pooled_ap_per_threshold(sets, len(thresholds))
+            pooled[method][level_key((st, sr))] = {threshold_key(thr): ap for thr, ap in zip(thresholds, aps)}
     return SweepReport(rows=rows, pooled=pooled)
 
 

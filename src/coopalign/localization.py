@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import Pose, PointCloud, transform_points
 
 
-# Most RANSAC hypotheses one block holds. A block keeps an (n, b, 3) residual
+# Most RANSAC hypotheses one block holds. A block keeps a (3, b, n) residual
 # array, so this bounds the working set; a larger block also computes more
 # hypotheses past the early stop.
 _BLOCK_CAP = 16
@@ -303,18 +303,22 @@ def kabsch_solve(local: PointCloud | np.ndarray, world: PointCloud | np.ndarray)
     return Pose(*_kabsch_arrays(lp, wp))
 
 
-def _residuals(local: np.ndarray, world: np.ndarray, rots: np.ndarray, transs: np.ndarray) -> np.ndarray:
-    """(n, b) array whose column k is bitwise
-    norm(local @ rots[k].T + transs[k] - world, axis=1): one (n, 3) @ (3, 3b)
-    product, then the same elementwise steps, in place on one (n, b, 3)
-    buffer that is freed on return. Two plane adds sum (x + y) + z, the
-    order of numpy's much slower add.reduce over a length-3 axis."""
-    diff = (local @ rots.transpose(2, 0, 1).reshape(3, -1)).reshape(local.shape[0], -1, 3)
-    diff += transs
-    diff -= world[:, None, :]
+def _residuals(local_t: np.ndarray, world_t: np.ndarray, rots: np.ndarray, transs: np.ndarray) -> np.ndarray:
+    """(b, n) array whose row k is bitwise
+    norm(local @ rots[k].T + transs[k] - world, axis=1), from the contiguous
+    (3, n) transposes local_t and world_t: one (3b, 3) @ (3, n) product,
+    then the same elementwise steps, in place on one (3, b, n) buffer that is
+    freed on return. Laid out coordinate-major, every step runs along
+    contiguous rows of n points rather than broadcasting over an inner axis
+    of 3. Two plane adds sum (x + y) + z, the order of numpy's much slower
+    add.reduce over a length-3 axis."""
+    b = rots.shape[0]
+    diff = (rots.transpose(1, 0, 2).reshape(3 * b, 3) @ local_t).reshape(3, b, -1)
+    diff += transs.T[:, :, None]
+    diff -= world_t[:, None, :]
     sq = np.square(diff, out=diff)
-    resid = sq[:, :, 0] + sq[:, :, 1]
-    resid += sq[:, :, 2]
+    resid = sq[0] + sq[1]
+    resid += sq[2]
     return np.sqrt(resid, out=resid)
 
 
@@ -330,17 +334,20 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
     Returns None when the best consensus set is smaller than min_inliers.
 
     Hypotheses are drawn, solved and scored in blocks: one stacked Kabsch
-    solve and one (n, 3) @ (3, 3b) residual product per block, each bitwise
-    the per-hypothesis computation. The rule above is then replayed over the
-    block in iteration order, so the chosen hypothesis and the stopping
-    iteration are those of a one-at-a-time loop; only hypotheses past the
-    stop are computed in vain: a block runs to the current stopping bound and
-    holds at most _BLOCK_CAP hypotheses."""
+    solve and one (3b, 3) @ (3, n) residual product per block, each bitwise
+    the per-hypothesis computation, with one row of residuals per hypothesis.
+    The rule above is then replayed over those rows in iteration order, so
+    the chosen hypothesis and the stopping iteration are those of a
+    one-at-a-time loop; only hypotheses past the stop are computed in vain:
+    a block runs to the current stopping bound and holds at most _BLOCK_CAP
+    hypotheses."""
     local = pred.local_points.points
     world = pred.predicted_world.points
     n = local.shape[0]
     if n < cfg.sample_size:
         raise ValueError("fewer points than sample_size")
+    local_t = np.ascontiguousarray(local.T)
+    world_t = np.ascontiguousarray(world.T)
 
     best_count = -1
     best_mean = math.inf
@@ -359,19 +366,18 @@ def ransac_pose(pred: SceneCoordPrediction, cfg: RansacConfig, seed: int = 0) ->
             for it in its
         ])
         rots, transs, ok = _kabsch_stack(local[idx], world[idx])
-        resid = _residuals(local, world, rots, transs)
+        resid = _residuals(local_t, world_t, rots, transs)
         masks = resid < cfg.inlier_threshold
-        counts = masks.sum(axis=0)
-        for k, it in enumerate(its):
-            if not ok[k]:
+        counts = np.count_nonzero(masks, axis=1).tolist()
+        for k, (it, solved, count) in enumerate(zip(its, ok.tolist(), counts)):
+            if not solved:
                 continue
-            count = int(counts[k])
             if count >= best_count:
-                mean_resid = float(resid[:, k][masks[:, k]].mean()) if count else math.inf
+                mean_resid = float(resid[k][masks[k]].mean()) if count else math.inf
                 if count > best_count or mean_resid < best_mean:
                     best_count = count
                     best_mean = mean_resid
-                    best_mask = masks[:, k]
+                    best_mask = masks[k]
                     best_rt = (rots[k], transs[k])
                     w = best_count / n
                     if w >= 1.0:

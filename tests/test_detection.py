@@ -13,11 +13,13 @@ from coopalign.detection import (
     EvalConfig,
     HeadConfig,
     RotatedBox3D,
+    ScoredSet,
     _ap_from_counts,
     _peak_cells,
     average_precision,
     decode_head,
     pooled_ap_from_sets,
+    pooled_ap_per_threshold,
     pooled_average_precision,
     rotated_iou_bev,
     score_detection_set,
@@ -128,16 +130,62 @@ def test_iou_symmetry_and_bounds():
         assert 0.0 <= ab <= 1.0
 
 
-def _clip_iou(a, b):
-    """rotated_iou_bev without the far-pair reject: always runs the clip."""
+def _vector_clip_polygon(poly, a, b):
+    """The clip on numpy 2-vectors, one numpy operation per step: the
+    arithmetic detection._clip_polygon must reproduce on float pairs."""
+    edge = b - a
+    out = []
+    n = len(poly)
+    for i in range(n):
+        cur = poly[i]
+        nxt = poly[(i + 1) % n]
+        cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= -detection._CLIP_TOL
+        nxt_in = edge[0] * (nxt[1] - a[1]) - edge[1] * (nxt[0] - a[0]) >= -detection._CLIP_TOL
+        if cur_in:
+            out.append(cur)
+        if cur_in != nxt_in:
+            seg = nxt - cur
+            denom = edge[0] * seg[1] - edge[1] * seg[0]
+            if denom != 0.0:
+                t = (edge[0] * (a[1] - cur[1]) - edge[1] * (a[0] - cur[0])) / denom
+                out.append(cur + min(1.0, max(0.0, t)) * seg)
+    return out
+
+
+def _roll_polygon_area(poly):
+    x = poly[:, 0]
+    y = poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def _vector_clip(a, b):
+    """a's footprint clipped by b's four edges with the numpy-vector clip."""
     pa = a.corners_bev()
     pb = b.corners_bev()
     clipped = [pa[i] for i in range(4)]
     for i in range(4):
         if not clipped:
             break
+        clipped = _vector_clip_polygon(clipped, pb[i], pb[(i + 1) % 4])
+    return clipped
+
+
+def _float_clip(a, b):
+    """a's footprint clipped by b's four edges with detection._clip_polygon."""
+    clipped = a.corners_bev().tolist()
+    pb = b.corners_bev().tolist()
+    for i in range(4):
+        if not clipped:
+            break
         clipped = detection._clip_polygon(clipped, pb[i], pb[(i + 1) % 4])
-    inter = detection._polygon_area(np.array(clipped)) if len(clipped) >= 3 else 0.0
+    return clipped
+
+
+def _clip_iou(a, b):
+    """rotated_iou_bev without the far-pair reject, on the numpy-vector clip
+    and the np.roll area: always runs the clip."""
+    clipped = _vector_clip(a, b)
+    inter = _roll_polygon_area(np.array(clipped)) if len(clipped) >= 3 else 0.0
     area_a = a.l * a.w
     area_b = b.l * b.w
     union = area_a + area_b - inter
@@ -185,6 +233,54 @@ def test_far_pair_reject_matches_clip_bitwise(
         got = rotated_iou_bev(p, q)
         want = _clip_iou(p, q)
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _assert_float_clip_is_the_vector_clip(a, b):
+    for p, q in ((a, b), (b, a)):
+        want = np.array(_vector_clip(p, q), dtype=float).reshape(-1, 2)
+        assert np.array(_float_clip(p, q), dtype=float).reshape(-1, 2).tobytes() == want.tobytes()
+        assert _bits(rotated_iou_bev(p, q)) == _bits(_clip_iou(p, q))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    al=_extents, aw=_extents, at=_yaws, bl=_extents, bw=_extents,
+    turn=st.one_of(
+        _yaws,
+        st.sampled_from([0.0, 1e-13, -1e-13, 0.5 * math.pi, 0.5 * math.pi + 1e-13, math.pi - 1e-13]),
+    ),
+    origin=st.sampled_from([(0.0, 0.0), (0.3, -0.7), (1000.0, 0.0), (-1000.0, 1000.0)]),
+    steps=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+def test_float_clip_is_the_vector_clip_bitwise(al, aw, at, bl, bw, turn, origin, steps):
+    # centers a quarter of the larger extent apart per step, yaws equal or
+    # nearly parallel (1e-13) as often as random, and 1 km from the origin
+    step = 0.25 * max(al, aw, bl, bw)
+    a = _box(x=origin[0], y=origin[1], w=aw, l=al, theta=at)
+    b = _box(x=origin[0] + steps[0] * step, y=origin[1] + steps[1] * step, w=bw, l=bl, theta=at + turn)
+    _assert_float_clip_is_the_vector_clip(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    left=st.floats(0.0, 4.0),
+    log_drop=st.floats(-14.0, -11.0),
+    run=st.floats(0.5, 4.0),
+    lift=st.booleans(),
+)
+def test_float_clip_is_the_vector_clip_in_the_tolerance_band(left, log_drop, run, lift):
+    # a's lower edge nearly parallel to b's bottom edge, its corners within a
+    # few _CLIP_TOL of that edge's line, below it or (lift) above it
+    drop = 10.0**log_drop
+    _assert_float_clip_is_the_vector_clip(_dropped_box(left, -drop if lift else drop, run), _box(w=2.0, l=2.0))
+
+
+def test_float_clip_is_the_vector_clip_on_the_pinned_band_pairs():
+    # the 2x2 boxes 5 m apart whose clip once reported about 5e-15, and the
+    # pair 2.5 m apart that still takes the clip path
+    b = _box(w=2.0, l=2.0)
+    for a in (_dropped_box(4.0, 3.4e-13, 4.0), _dropped_box(1.5, 4e-13, 1.5)):
+        _assert_float_clip_is_the_vector_clip(a, b)
 
 
 def _count_corner_builds(monkeypatch):
@@ -379,6 +475,78 @@ def test_ap_from_scored_sets_equals_reference(frames, thresholds):
         want = _reference_pooled_ap(frames, thr)
         assert _bits(pooled_ap_from_sets(sets, t)) == _bits(want)
         assert _bits(pooled_average_precision(frames, thr)) == _bits(want)
+
+
+def _one_threshold_ap_from_counts(tp, num_gt):
+    """The AP of one ranked flag vector as one threshold at a time computed
+    it: the arithmetic each row of pooled_ap_per_threshold must reproduce."""
+    tp_cum = np.cumsum(tp.astype(float))
+    fp_cum = np.cumsum((~tp).astype(float))
+    recall = tp_cum / num_gt
+    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
+    changed = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
+
+
+def _one_threshold_pooled_ap(sets, threshold_index):
+    """Pooled AP ranked anew for one threshold."""
+    num_gt = sum(s.num_gt for s in sets)
+    nonempty = [s for s in sets if len(s.scores)]
+    if num_gt == 0:
+        return 1.0 if not nonempty else 0.0
+    if not nonempty:
+        return 0.0
+    scores = np.concatenate([s.scores for s in nonempty])
+    flags = np.concatenate([s.tp[threshold_index] for s in nonempty])
+    return _one_threshold_ap_from_counts(flags[np.argsort(-scores, kind="stable")], num_gt)
+
+
+def _assert_ap_per_threshold_is_the_one_threshold_code(sets, count):
+    got = pooled_ap_per_threshold(sets, count)
+    assert [_bits(ap) for ap in got] == [_bits(_one_threshold_pooled_ap(sets, t)) for t in range(count)]
+    assert [_bits(pooled_ap_from_sets(sets, t)) for t in range(count)] == [_bits(ap) for ap in got]
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=st.lists(_frames, max_size=4), thresholds=_thresholds)
+def test_ap_per_threshold_matches_one_threshold_at_a_time(frames, thresholds):
+    # lattice frames: tied scores, equal boxes, frames without detections or
+    # without targets, and no frame at all
+    sets = [score_detection_set(dets, gts, thresholds) for dets, gts in frames]
+    _assert_ap_per_threshold_is_the_one_threshold_code(sets, len(thresholds))
+    for one in sets:
+        _assert_ap_per_threshold_is_the_one_threshold_code([one], len(thresholds))
+
+
+@st.composite
+def _scored_set_lists(draw):
+    """(threshold count, scored sets) with random flags, scores from a short
+    list (many ties) and any target count, including none."""
+    count = draw(st.integers(1, 4))
+    sets = []
+    for _ in range(draw(st.integers(0, 5))):
+        size = draw(st.integers(0, 30))
+        scores = draw(st.lists(st.sampled_from([0.1, 0.5, 0.9, 1.0]), min_size=size, max_size=size))
+        flags = draw(st.lists(st.booleans(), min_size=count * size, max_size=count * size))
+        sets.append(ScoredSet(
+            scores=np.array(sorted(scores, reverse=True), dtype=float),
+            tp=np.array(flags, dtype=bool).reshape(count, size),
+            num_gt=draw(st.integers(0, size + 3)),
+        ))
+    return count, sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_scored_set_lists())
+def test_ap_per_threshold_matches_one_threshold_at_a_time_on_random_flags(drawn):
+    count, sets = drawn
+    _assert_ap_per_threshold_is_the_one_threshold_code(sets, count)
+    if not sets:
+        assert pooled_ap_per_threshold(sets, count) == [1.0] * count
+        assert pooled_ap_from_sets(sets, count - 1) == 1.0
 
 
 @settings(max_examples=300, deadline=None)

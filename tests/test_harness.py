@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopalign import detection, fusion, harness
-from coopalign.config import EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
+from coopalign.config import SWEEP_METHODS, EncoderConfig, ExperimentConfig, GridParams, ScenarioParams, level_key
 from coopalign.detection import RotatedBox3D
 from coopalign.fusion import NoSignalError, OffsetSearch, serialize_grid, rasterize_bev
 from coopalign.geometry import PointCloud, Pose, Pose2D, load_point_cloud
@@ -586,6 +586,26 @@ def test_sweep_builds_targets_once_per_scenario(monkeypatch):
     calls = _count_calls(monkeypatch, harness, "ego_frame_targets")
     run_noise_sweep(cfg)
     assert len(calls) == cfg.num_scenarios
+
+
+def test_sweep_ranks_each_scored_set_list_once(monkeypatch):
+    # one ranking per (scenario, method, level) set for the rows and one per
+    # (method, level) over all scenarios for the pooled table, each serving
+    # every threshold; ranking once per threshold took three times as many
+    cfg = ExperimentConfig(num_scenarios=2)
+    calls = []
+    original = harness.pooled_ap_per_threshold
+
+    def recording(sets, num_thresholds):
+        calls.append((len(sets), num_thresholds))
+        return original(sets, num_thresholds)
+
+    monkeypatch.setattr(harness, "pooled_ap_per_threshold", recording)
+    report = run_noise_sweep(cfg)
+    runs = len(SWEEP_METHODS) * len(cfg.noise_levels)
+    count = len(cfg.eval.iou_thresholds)
+    assert Counter(calls) == {(1, count): cfg.num_scenarios * runs, (cfg.num_scenarios, count): runs}
+    assert len(report.rows) == cfg.num_scenarios * runs * count
 
 
 def test_sweep_downsamples_each_cloud_once_per_scenario(monkeypatch):

@@ -553,6 +553,9 @@ def _reduce_residuals(local, world, rots, transs):
     log_scale=st.floats(-5.0, 5.0),
 )
 def test_residuals_match_the_reduce_form_bitwise(data_seed, n, b, log_scale):
+    # _residuals takes the (3, n) transposes and returns one row per
+    # hypothesis; the reference keeps the (n, 3) point rows and the (n, b)
+    # result of the point-major layout
     rng = np.random.default_rng(data_seed)
     scale = 10.0 ** log_scale
     local = rng.normal(scale=scale, size=(n, 3))
@@ -560,8 +563,10 @@ def test_residuals_match_the_reduce_form_bitwise(data_seed, n, b, log_scale):
     poses = [random_full_pose(rng, span=scale) for _ in range(b)]
     rots = np.stack([p.rotation for p in poses])
     transs = np.stack([p.translation for p in poses])
-    got = _residuals(local, world, rots, transs)
-    assert got.tobytes() == _reduce_residuals(local, world, rots, transs).tobytes()
+    got = _residuals(np.ascontiguousarray(local.T), np.ascontiguousarray(world.T), rots, transs)
+    assert got.shape == (b, n)
+    want = _reduce_residuals(local, world, rots, transs)
+    assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 def _reduce_oracle_error(cloud, gt_pose, model, rng):
