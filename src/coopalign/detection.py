@@ -18,7 +18,7 @@ cumulative counts per threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,11 @@ class RotatedBox3D:
     w: float
     l: float
     theta: float
+    # corner_pairs' cache; a field, so that every box has the same attributes
+    # from construction on and attribute lookups stay on CPython's fast path
+    _corner_pairs: tuple[tuple[float, float], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         vals = [self.x, self.y, self.z, self.h, self.w, self.l, self.theta]
@@ -60,6 +65,16 @@ class RotatedBox3D:
         local = np.array([[dx, dy], [-dx, dy], [-dx, -dy], [dx, -dy]])
         rot = np.array([[c, -s], [s, c]])
         return local @ rot.T + np.array([self.x, self.y])
+
+    @property
+    def corner_pairs(self) -> tuple[tuple[float, float], ...]:
+        """``corners_bev()`` as (x, y) pairs of Python floats, built on first
+        use and kept: a target is clipped against every detection near it."""
+        pairs = self._corner_pairs
+        if pairs is None:
+            pairs = tuple((x, y) for x, y in self.corners_bev().tolist())
+            object.__setattr__(self, "_corner_pairs", pairs)
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -171,8 +186,8 @@ def rotated_iou_bev(a: RotatedBox3D, b: RotatedBox3D) -> float:
     corners and cross products is about 1e-16 of the scale of the
     coordinates and extents; the margin adds 1e-9 of that scale on top.
     Beyond ``r_a + r_b + margin`` no point of a survives the four clips, so
-    the clip's answer is 0.0 as well. Near pairs are clipped on float pairs
-    (see _clip_polygon)."""
+    the clip's answer is 0.0 as well. Near pairs are clipped on each box's
+    cached float pairs (``corner_pairs``, see _clip_polygon)."""
     dx = a.x - b.x
     dy = a.y - b.y
     reach = (
@@ -182,8 +197,8 @@ def rotated_iou_bev(a: RotatedBox3D, b: RotatedBox3D) -> float:
     )
     if dx * dx + dy * dy > reach * reach:
         return 0.0
-    clipped = a.corners_bev().tolist()
-    pb = b.corners_bev().tolist()
+    clipped = a.corner_pairs
+    pb = b.corner_pairs
     for i in range(4):
         if not clipped:
             break

@@ -860,6 +860,7 @@ def selftest() -> list[tuple[str, bool]]:
     from . import detection as det
     from .fusion import GridSpec as GS
     from .localization import kabsch_solve
+    from . import temporal
     from .temporal import EncoderParams as EP, LayerParams, encode as enc
 
     checks: list[tuple[str, bool]] = []
@@ -903,6 +904,19 @@ def selftest() -> list[tuple[str, bool]]:
     recon = out.data[: embedded.data.shape[0]] - e_t[: embedded.data.shape[0], None, None]
     ok = bool(np.allclose(recon, embedded.data, atol=1e-12))
     checks.append(("residual_identity", ok))
+
+    # at dim 8 / 2 heads (sqrt(dh) = 2) the layer folds the 1/2 into its
+    # queries; it must equal the layer that divides the scores, bit for bit
+    layer_rng = np.random.default_rng(2)
+    layer = LayerParams.seeded(8, 16, layer_rng)
+    x = layer_rng.standard_normal((24, 8))
+    u = temporal._layer_norm_forward(x)
+    qh, kh, vh = (temporal._split_heads(u @ w.T, 2) for w in (layer.wq, layer.wk, layer.wv))
+    attn = temporal.softmax(qh @ kh.transpose(0, 2, 1) / 2.0)
+    z1 = (attn @ vh).transpose(1, 0, 2).reshape(24, 8) @ layer.wo.T + x
+    want = np.tanh(temporal._layer_norm_forward(z1) @ layer.mlp_w1.T) @ layer.mlp_w2.T + z1
+    got = temporal._layer(layer, x, 2, np.empty((24, 24)), 24)
+    checks.append(("folded_attention_scale", got.tobytes() == want.tobytes()))
 
     grids = [grid, rasterize_bev(PointCloud(rng.uniform(-3, 3, size=(40, 3))), spec)]
     planes = confidence_embed(grids, [0.3, 0.9])

@@ -6,7 +6,10 @@ z_out = MLP(LN(z')) + z'. Attention runs over the full (frames x cells)
 sequence, held as one flat (frames * cells, D) array from the embedding to
 the output grid. Only the last frame's tokens become the output grid, so the
 final layer computes queries, softmax, context and MLP for those rows only;
-its keys and values still span every frame. The forward pass is plain numpy.
+its keys and values still span every frame. When sqrt(dh) is a power of two
+(head width 1, 4, 16, ...), the attention scale 1/sqrt(dh) is folded into the
+queries, which is exact, instead of dividing every score. The forward pass is
+plain numpy.
 
 The encoder is seeded at random and never trained, so it holds only the
 weight matrices it draws: the layer norm has no affine (no scale or shift),
@@ -142,8 +145,9 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(s, heads, d // heads).transpose(1, 0, 2)
 
 
-# Score rows scaled and softmaxed at a time: a block of this many rows stays
-# in cache across the scale, shift, exp and normalization passes.
+# Score rows softmaxed at a time: a block of this many rows stays in cache
+# across the scale (only when it is not folded into the queries), shift,
+# exp and normalization passes.
 _SOFTMAX_BLOCK = 64
 
 
@@ -160,12 +164,25 @@ def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray, ro
     matmuls are the per-head products a batched ``(heads, rows, S)`` matmul
     makes, and every softmax step is elementwise or a per-row reduction, so
     the output is bitwise that of softmax(scores / sqrt(dh)) over all heads
-    at once."""
+    at once.
+
+    When sqrt(dh) is a power of two, the queries are multiplied by 1/sqrt(dh)
+    before the matmul instead, and the scores are not divided: one pass over
+    (rows, D) queries in place of one over every head's (rows, S) scores.
+    That is exact, because scaling by a power of two commutes with rounding:
+    each product, each (fused) partial sum and the final score of
+    ``(q / sqrt(dh)) . k`` is exactly that of ``q . k`` divided by sqrt(dh),
+    unless one of them is subnormal or overflows. Layer-normed tokens keep
+    ``|u| <= sqrt(D)``, so with any weights of sane magnitude (tested
+    bitwise from 1e-100 to 1e100) none comes near either range."""
     s, dim = x.shape
     dh = dim // heads
     scale = math.sqrt(dh)
+    fold = math.frexp(scale)[0] == 0.5  # scale is a power of two
     u = _layer_norm_forward(x)
     q = u[s - rows:] @ layer.wq.T
+    if fold:
+        q *= 1.0 / scale
     kk = u @ layer.wk.T
     v = u @ layer.wv.T
     qh = _split_heads(q, heads)
@@ -177,7 +194,8 @@ def _layer(layer: LayerParams, x: np.ndarray, heads: int, scores: np.ndarray, ro
         np.matmul(qh[h], kh[h].T, out=buf)
         for start in range(0, rows, _SOFTMAX_BLOCK):
             block = buf[start : start + _SOFTMAX_BLOCK]
-            block /= scale
+            if not fold:
+                block /= scale
             _softmax_in_place(block)
         ctx[:, h * dh : (h + 1) * dh] = buf @ vh[h]
     z1 = ctx @ layer.wo.T + x[s - rows:]

@@ -304,8 +304,22 @@ def test_far_pair_builds_no_corners(monkeypatch):
     # inside the reach the clip runs, even for a pair that does not touch
     assert rotated_iou_bev(a, _box(x=3.6, w=2.0, l=2.0)) == 0.0
     assert len(calls) == 2
+    # a keeps its corners: only the new box builds them
     assert rotated_iou_bev(a, _box(x=0.5, w=2.0, l=2.0)) > 0.0
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+def test_corner_pairs_are_the_corners_as_floats():
+    rng = np.random.default_rng(85)
+    for _ in range(200):
+        x, y = rng.uniform(-1e3, 1e3, size=2)
+        w, l = 10.0 ** rng.uniform(-3, 2, size=2)
+        box = _box(x=x, y=y, w=w, l=l, theta=rng.uniform(-4.0, 4.0))
+        pairs = box.corner_pairs
+        assert pairs is box.corner_pairs
+        assert [list(p) for p in pairs] == box.corners_bev().tolist()
+        assert all(type(v) is float for p in pairs for v in p)
+        assert np.array(pairs).tobytes() == box.corners_bev().tobytes()
 
 
 def _dropped_box(left, drop, run):

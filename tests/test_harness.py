@@ -608,6 +608,23 @@ def test_sweep_ranks_each_scored_set_list_once(monkeypatch):
     assert len(report.rows) == cfg.num_scenarios * runs * count
 
 
+def test_sweep_builds_each_box_footprint_once(monkeypatch):
+    # the targets of a scenario are shared by all of its runs and each is
+    # clipped against every detection near it; the corners are kept per box
+    builds = Counter()
+    boxes = {}  # keeps every counted box alive, so no id is reused
+    original = RotatedBox3D.corners_bev
+
+    def counted(self):
+        builds[id(self)] += 1
+        boxes[id(self)] = self
+        return original(self)
+
+    monkeypatch.setattr(RotatedBox3D, "corners_bev", counted)
+    run_noise_sweep(ExperimentConfig(num_scenarios=2))
+    assert builds and max(builds.values()) == 1
+
+
 def test_sweep_downsamples_each_cloud_once_per_scenario(monkeypatch):
     # 5 levels x 3 methods: the pgc runs at every level share each agent's
     # downsampled cloud, where each run once made its own

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopalign import temporal
 from coopalign.config import EncoderConfig, ExperimentConfig, ScenarioParams
@@ -224,6 +226,59 @@ def test_in_place_attention_matches_out_of_place_bitwise(monkeypatch):
             want, want_attn = _layer_out_of_place(layer, x, heads, rows)
             assert got.tobytes() == want.tobytes()
             assert np.concatenate(blocks).tobytes() == want_attn.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dh=st.sampled_from([1, 4, 16, 2, 3, 8]),  # sqrt(dh) a power of two, then not
+    heads=st.sampled_from([1, 2, 4]),
+    frames=st.integers(1, 3),
+    side=st.integers(1, 6),
+    weight_exp=st.floats(-100.0, 100.0),
+    token_exp=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_folded_scale_matches_out_of_place_bitwise(dh, heads, frames, side, weight_exp, token_exp, seed, data):
+    # folding 1/sqrt(dh) into the queries is exact when it is a power of
+    # two; the layer and its attention stay bitwise those of the dividing
+    # form over extreme weight and token scales (the MLP may overflow at
+    # 1e100 weights, on both sides alike)
+    rng = np.random.default_rng(seed)
+    dim = dh * heads
+    s = frames * side * side
+    rows = data.draw(st.integers(1, s), label="rows")
+    layer = LayerParams.seeded(dim, 2 * dim, rng, scale=10.0**weight_exp)
+    x = 10.0**token_exp * rng.standard_normal((s, dim))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        blocks = record_attention_blocks(mp)
+        got = temporal._layer(layer, x, heads, np.empty((rows, s)), rows)
+        want, want_attn = _layer_out_of_place(layer, x, heads, rows)
+    assert got.tobytes() == want.tobytes()
+    assert np.concatenate(blocks).tobytes() == want_attn.tobytes()
+
+
+def test_folded_layer_softmaxes_the_divided_scores(monkeypatch):
+    # at the sweep-stress shape (dim 8, 2 heads, dh 4) the queries carry the
+    # 1/2, and the first block the softmax receives is bitwise (q @ k.T) / 2
+    rng = np.random.default_rng(78)
+    s, rows = 2048, 1024
+    layer = LayerParams.seeded(8, 16, rng)
+    x = rng.standard_normal((s, 8))
+    received = []
+    kernel = temporal._softmax_in_place
+
+    def recorded(block, axis=-1):
+        received.append(block.copy())
+        return kernel(block, axis)
+
+    monkeypatch.setattr(temporal, "_softmax_in_place", recorded)
+    temporal._layer(layer, x, 2, np.empty((rows, s)), rows)
+    u = temporal._layer_norm_forward(x)
+    q = temporal._split_heads(u[s - rows:] @ layer.wq.T, 2)[0]
+    k = temporal._split_heads(u @ layer.wk.T, 2)[0]
+    want = (q @ k.T) / 2.0
+    assert received[0].tobytes() == want[: temporal._SOFTMAX_BLOCK].tobytes()
 
 
 def test_attention_peak_memory_is_one_score_buffer():
